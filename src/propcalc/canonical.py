@@ -325,70 +325,18 @@ def renumber(ng: NumberedGraph, w: tuple[int, ...]) -> NumberedGraph:
     return NumberedGraph(ng.graph, tuple(ng.order[wi - 1] for wi in w))
 
 
-def _nontrivial_automorphism(g: Graph,
-                             label_key: dict[int, str] | None) -> bool:
-    by_color: dict[tuple, list[int]] = {}
-    for v in g.vertices:
-        c = (v.n_in, v.n_out, _label_str(label_key, v.id))
-        by_color.setdefault(c, []).append(v.id)
-    if all(len(ids) == 1 for ids in by_color.values()):
-        return False
-    edge_set = set(g.edges)
-    touching: dict[int, list[Edge]] = {v.id: [] for v in g.vertices}
-    for e in g.edges:
-        if e.src[0] == "vout":
-            touching[e.src[1]].append(e)
-        if e.dst[0] == "vin" and (e.src[0] != "vout" or e.src[1] != e.dst[1]):
-            touching[e.dst[1]].append(e)
-
-    gids = [v.id for v in g.vertices]
-    colors = {v.id: (v.n_in, v.n_out, _label_str(label_key, v.id))
-              for v in g.vertices}
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def image(p):
-        if p[0] in ("vout", "vin"):
-            target = assignment.get(p[1])
-            return None if target is None else (p[0], target, p[2])
-        return p
-
-    def consistent(vid: int) -> bool:
-        for e in touching[vid]:
-            src, dst = image(e.src), image(e.dst)
-            if src is not None and dst is not None \
-                    and Edge(src, dst) not in edge_set:
-                return False
-        return True
-
-    def extend(k: int) -> bool:
-        if k == len(gids):
-            return any(assignment[v] != v for v in gids)
-        vid = gids[k]
-        for target in by_color[colors[vid]]:
-            if target in used:
-                continue
-            assignment[vid] = target
-            used.add(target)
-            if consistent(vid) and extend(k + 1):
-                return True
-            del assignment[vid]
-            used.discard(target)
-        return False
-
-    return extend(0)
-
-
-def free_action_check(g: NumberedGraph | Graph,
-                      labels: dict[int, str] | None = None) -> bool:
+def free_action_check(g: NumberedGraph | Graph) -> bool:
     """True iff no non-identity renumbering yields the same numbered graph,
     i.e. the automorphism group is trivial.  Only defined on graphs whose
-    vertices all have at least one input."""
+    vertices all have at least one input.  An automorphism fixes the
+    boundary, so it keeps each vertex's minimal input-path label; pairwise
+    distinct labels therefore leave it no vertex to move."""
     graph = g.graph if isinstance(g, NumberedGraph) else g
     empty = [v.id for v in graph.vertices if v.n_in == 0]
     if empty:
         raise GraphError(f"vertices with no inputs: {empty}")
-    return not _nontrivial_automorphism(graph, labels)
+    labels = input_path_labels(graph)
+    return len(set(labels.values())) == len(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from .freeprop import (FREE_OPS, PropElement, Signature, corolla,
                        count_basis, element_from_dict, element_to_dict,
                        expand, extend_morphism, partial_from_dict,
                        pelem_hcompose, pelem_vcompose, signature_from_dict)
-from .graphs import (FormatError, GraphError, LimitError, graph_from_dict,
-                     graph_to_dict, hcompose, validate, vcompose)
+from .graphs import (FormatError, GraphError, LimitError, check,
+                     graph_from_dict, graph_to_dict, hcompose, validate,
+                     vcompose)
 from .pushouts import (CubeDiagram, FiniteSetMap, filtration_square_check,
                        inclusion_map, iterated_identity_check,
                        presentation_matches_pushout, punctured_colimit)
@@ -96,6 +97,8 @@ def _cmd_validate(args) -> int:
 
 def _load_composable(path: str):
     kind, obj = _classify(_read_json(path))
+    if kind == "graph":
+        check(obj)
     if kind in ("element", "graph"):
         return kind, obj
     raise GraphError(f"{path}: cannot compose a {kind} object")
@@ -117,6 +120,7 @@ def _cmd_compose(args) -> int:
 
 def _labels_of(d: dict):
     graph, extras = graph_from_dict(d)
+    check(graph)
     labels = {v.id: extras[v.id]["label"] for v in graph.vertices
               if "label" in extras.get(v.id, {})}
     return graph, (labels if len(labels) == len(graph.vertices) and labels

@@ -16,9 +16,9 @@ from typing import Iterable, Iterator, Protocol, TypeVar
 
 from .canonical import canonicalize, enumerate_graphs
 from .graphs import (Edge, FormatError, Graph, GraphError, Vertex, check,
-                     graph_from_dict, graph_to_dict, hcompose, identity,
-                     permute_inputs, permute_outputs, topological_order,
-                     vcompose)
+                     check_topological_order, graph_from_dict, graph_to_dict,
+                     hcompose, identity, permute_inputs, permute_outputs,
+                     topological_order, vcompose)
 from .unionfind import UnionFind
 
 
@@ -339,16 +339,6 @@ class FreePropOps:
 FREE_OPS = FreePropOps()
 
 
-def _check_topological(graph: Graph, order: list[int]) -> None:
-    if sorted(order) != sorted(graph.vertex_ids):
-        raise GraphError("order must list every vertex exactly once")
-    pos = {vid: i for i, vid in enumerate(order)}
-    for e in graph.edges:
-        if e.src[0] == "vout" and e.dst[0] == "vin" \
-                and pos[e.src[1]] >= pos[e.dst[1]]:
-            raise GraphError("order is not topological")
-
-
 def extend_morphism(sig: Signature, assignment: dict[str, T], ops,
                     order_fn=None):
     """The unique structure-preserving extension of a generator assignment.
@@ -375,7 +365,7 @@ def extend_morphism(sig: Signature, assignment: dict[str, T], ops,
                 raise GraphError(f"element uses unassigned label {name!r}")
         order = list(order_fn(graph)) if order_fn is not None \
             else topological_order(graph)
-        _check_topological(graph, order)
+        check_topological_order(graph, order)
 
         def route(live: list[Edge], want: list[Edge], acc: T) -> tuple:
             if live == want:

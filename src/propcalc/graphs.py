@@ -22,9 +22,10 @@ package and the permutation actions on the boundary.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 
 class GraphError(ValueError):
@@ -160,34 +161,6 @@ def vertex_successors(g: Graph) -> dict[int, set[int]]:
     return succ
 
 
-def find_cycle(g: Graph) -> list[int] | None:
-    """A directed cycle through vertices as a vertex-id list, or None."""
-    succ = vertex_successors(g)
-    color: dict[int, int] = {}
-    stack: list[int] = []
-
-    def visit(u: int) -> list[int] | None:
-        color[u] = 1
-        stack.append(u)
-        for w in sorted(succ[u]):
-            if color.get(w, 0) == 1:
-                return stack[stack.index(w):] + [w]
-            if color.get(w, 0) == 0:
-                found = visit(w)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[u] = 2
-        return None
-
-    for v in sorted(succ):
-        if color.get(v, 0) == 0:
-            found = visit(v)
-            if found is not None:
-                return found
-    return None
-
-
 def validate(g: Graph) -> list[dict]:
     """Check all structural invariants.  Returns a list of violations
     (empty means valid); each violation names the failed condition."""
@@ -230,10 +203,10 @@ def validate(g: Graph) -> list[dict]:
         out.append({"condition": "target-port",
                     "detail": f"edge into nonexistent port {p!r}"})
 
-    cycle = find_cycle(g)
-    if cycle is not None:
-        out.append({"condition": "acyclic",
-                    "detail": f"directed cycle through vertices {cycle}"})
+    try:
+        topological_order(g)
+    except GraphError as err:
+        out.append({"condition": "acyclic", "detail": str(err)})
     return out
 
 
@@ -247,27 +220,62 @@ def check(g: Graph) -> Graph:
     return g
 
 
-def topological_order(g: Graph) -> list[int]:
-    """Vertex ids in a topological order of the vertex digraph (ties broken
-    by id, so the order is deterministic)."""
+def topological_order(g: Graph,
+                      key: Callable[[int], object] | None = None) -> list[int]:
+    """Vertex ids in a topological order of the vertex digraph.  Of the
+    vertices ready at each step the one smallest under `key` (default: the
+    id) comes first, so the order is deterministic.  Raises GraphError
+    naming the vertices of a directed cycle if there is one."""
     succ = vertex_successors(g)
-    indeg = {v: 0 for v in succ}
-    for u in succ:
-        for w in succ[u]:
+    rank = key or (lambda vid: vid)
+    indeg = dict.fromkeys(succ, 0)
+    for ws in succ.values():
+        for w in ws:
             indeg[w] += 1
-    ready = sorted(v for v in indeg if indeg[v] == 0)
+    ready = [(rank(v), v) for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        u = ready.pop(0)
+        _, u = heapq.heappop(ready)
         order.append(u)
-        for w in sorted(succ[u]):
+        for w in succ[u]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != len(succ):
-        raise GraphError("graph has a directed cycle")
+                heapq.heappush(ready, (rank(w), w))
+    if len(order) < len(succ):
+        raise GraphError(
+            f"directed cycle through vertices {_leftover_cycle(succ, indeg)}")
     return order
+
+
+def _leftover_cycle(succ: dict[int, set[int]],
+                    indeg: dict[int, int]) -> list[int]:
+    # the vertices a Kahn sort leaves over are those with a leftover
+    # predecessor, so walking back along predecessors must repeat a vertex;
+    # a leftover vertex's successors are all left over too
+    left = sorted(v for v, d in indeg.items() if d)
+    pred = {w: u for u in left for w in succ[u]}
+    step: dict[int, int] = {}
+    v = left[0]
+    while v not in step:
+        step[v] = len(step)
+        v = pred[v]
+    cycle = list(step)[step[v]:][::-1]
+    start = cycle.index(min(cycle))
+    cycle = cycle[start:] + cycle[:start]
+    return cycle + cycle[:1]
+
+
+def check_topological_order(g: Graph, order: list[int]) -> None:
+    """Raise GraphError unless `order` lists every vertex once, each
+    after all its predecessors."""
+    if sorted(order) != sorted(g.vertex_ids):
+        raise GraphError("order must list every vertex exactly once")
+    pos = {vid: i for i, vid in enumerate(order)}
+    for e in g.edges:
+        if e.src[0] == "vout" and e.dst[0] == "vin" \
+                and pos[e.src[1]] >= pos[e.dst[1]]:
+            raise GraphError("order is not topological")
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +458,14 @@ def graph_to_dict(g: Graph, labels: dict[int, object] | None = None,
     return {"m": g.m, "n": g.n, "vertices": vertices, "edges": edges}
 
 
+def _is_int(x: object) -> bool:
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_port(raw: object, kinds: tuple[str, ...]) -> Port:
     if (not isinstance(raw, list) or not raw or raw[0] not in kinds
-            or not all(isinstance(x, int) for x in raw[1:])):
+            or not all(_is_int(x) for x in raw[1:])):
         raise FormatError(f"bad port {raw!r}")
     want = 2 if raw[0] in ("input", "output") else 3
     if len(raw) != want:
@@ -471,7 +484,7 @@ def graph_from_dict(d: object) -> tuple[Graph, dict[int, dict]]:
         raw_vertices, raw_edges = d["vertices"], d["edges"]
     except KeyError as missing:
         raise FormatError(f"graph JSON lacks field {missing}") from None
-    if not isinstance(m, int) or not isinstance(n, int):
+    if not _is_int(m) or not _is_int(n):
         raise FormatError("m and n must be integers")
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise FormatError("vertices and edges must be arrays")
@@ -484,7 +497,7 @@ def graph_from_dict(d: object) -> tuple[Graph, dict[int, dict]]:
             vid, a, b = rv["id"], rv["in"], rv["out"]
         except KeyError as missing:
             raise FormatError(f"vertex entry lacks field {missing}") from None
-        if not all(isinstance(x, int) for x in (vid, a, b)):
+        if not all(_is_int(x) for x in (vid, a, b)):
             raise FormatError(f"bad vertex entry {rv!r}")
         vertices.append(Vertex(vid, a, b))
         rest = {k: v for k, v in rv.items() if k not in ("id", "in", "out")}
@@ -503,8 +516,3 @@ def to_json_text(d: object) -> str:
     """The one serializer everything uses, so round-trips are byte-exact."""
     return json.dumps(d, indent=2, ensure_ascii=False) + "\n"
 
-
-def iter_edges_from(g: Graph, src_owner: int) -> Iterator[Edge]:
-    for e in g.edges:
-        if e.src[0] == "vout" and e.src[1] == src_owner:
-            yield e

@@ -22,7 +22,7 @@ from .freeprop import (PropElement, Signature, combine_signatures, corolla,
                        signature_from_dict, signature_to_dict)
 from .graphs import (Edge, FormatError, Graph, GraphError, LimitError,
                      Vertex, check, graph_from_dict, graph_to_dict,
-                     vertex_successors)
+                     topological_order, vertex_successors)
 
 DEFAULT_MAX_STATES = 20000
 
@@ -110,17 +110,8 @@ def _reach_sets(graph: Graph) -> dict[int, set[int]]:
     """Per vertex, the set of vertices reachable by a nonempty path."""
     succ = vertex_successors(graph)
     reach: dict[int, set[int]] = {}
-
-    def visit(v: int) -> set[int]:
-        if v not in reach:
-            reach[v] = set()
-            for s in succ[v]:
-                reach[v].add(s)
-                reach[v] |= visit(s)
-        return reach[v]
-
-    for v in graph.vertex_ids:
-        visit(v)
+    for v in reversed(topological_order(graph)):
+        reach[v] = succ[v].union(*(reach[s] for s in succ[v]))
     return reach
 
 

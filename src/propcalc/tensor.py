@@ -21,7 +21,8 @@ import numpy as np
 from .canonical import canonical_order
 from .freeprop import PropElement, Signature
 from .graphs import (FormatError, Graph, GraphError, LimitError, check,
-                     check_permutation, vertex_successors)
+                     check_permutation, check_topological_order,
+                     topological_order)
 
 DEFAULT_MAX_DIM = 4
 DEFAULT_MAX_AXES = 6
@@ -250,38 +251,6 @@ def _np_identity(d: int) -> np.ndarray:
     return RatTensor.identity(d).array
 
 
-def _evaluation_order(graph: Graph, labels: dict[int, str]) -> list[int]:
-    # topological, with ties broken by the canonical vertex order
-    rank = {vid: i for i, vid in enumerate(canonical_order(graph, labels))}
-    succ = vertex_successors(graph)
-    indeg = {v: 0 for v in succ}
-    for u in succ:
-        for w in succ[u]:
-            indeg[w] += 1
-    ready = sorted((v for v in indeg if indeg[v] == 0),
-                   key=lambda v: rank[v])
-    order = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for w in sorted(succ[u], key=lambda v: rank[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort(key=lambda v: rank[v])
-    return order
-
-
-def _check_order(graph: Graph, order: list[int]) -> None:
-    if sorted(order) != sorted(graph.vertex_ids):
-        raise GraphError("order must list every vertex exactly once")
-    pos = {vid: i for i, vid in enumerate(order)}
-    for e in graph.edges:
-        if e.src[0] == "vout" and e.dst[0] == "vin" \
-                and pos[e.src[1]] >= pos[e.dst[1]]:
-            raise GraphError("order is not topological")
-
-
 def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
              max_axes: int | None = None) -> RatTensor:
     """Contract the labeled graph against the assignment.
@@ -314,10 +283,12 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
                 f"matrix for {name!r} has shape {t.shape}, vertex {v.id} "
                 f"needs {(d ** v.n_out, d ** v.n_in)}")
     if order is None:
-        order = _evaluation_order(graph, labels)
+        # ties between ready vertices go by the canonical vertex order
+        rank = {vid: i for i, vid in enumerate(canonical_order(graph, labels))}
+        order = topological_order(graph, key=rank.__getitem__)
     else:
         order = list(order)
-        _check_order(graph, order)
+        check_topological_order(graph, order)
 
     state = np.array(Fraction(1), dtype=object)
     axes: list[tuple] = []

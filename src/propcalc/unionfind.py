@@ -36,9 +36,6 @@ class UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
 
-    def together(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
-
     def groups(self) -> dict:
         """Representative -> sorted-insertion list of members."""
         out: dict = {}

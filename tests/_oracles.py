@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from propcalc.graphs import Edge, Graph, Vertex
+from propcalc.graphs import Edge, Graph, Vertex, vertex_successors
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +251,39 @@ def chain_label_count(r: int, q: int) -> int:
     for t in range(q):
         out = out * (r - t) // (t + 1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# a second topological order
+
+def topo_latest_first(graph):
+    """A topological order preferring the largest ready vertex id; used to
+    confirm evaluation does not depend on the order choice."""
+    succ = vertex_successors(graph)
+    indeg = {v: 0 for v in succ}
+    for u in succ:
+        for w in succ[u]:
+            indeg[w] += 1
+    ready = sorted((v for v in indeg if indeg[v] == 0), reverse=True)
+    order = []
+    while ready:
+        u = ready.pop(0)
+        order.append(u)
+        for w in succ[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+        ready.sort(reverse=True)
+    return order
+
+
+# ---------------------------------------------------------------------------
+# deep inputs
+
+def unary_chain(r: int) -> Graph:
+    """The (1, 1)-graph threading one wire through r unary vertices."""
+    edges = [Edge(("input", 1), ("vin", 1, 1)),
+             Edge(("vout", r, 1), ("output", 1))]
+    edges += [Edge(("vout", v, 1), ("vin", v + 1, 1)) for v in range(1, r)]
+    return Graph(1, 1, tuple(Vertex(v, 1, 1) for v in range(1, r + 1)),
+                 tuple(edges))

@@ -25,7 +25,7 @@ from propcalc.freeprop import (PropElement, Signature, corolla, expand,
                                expand_element, pelem_hcompose,
                                pelem_permute_inputs, pelem_permute_outputs,
                                pelem_vcompose)
-from propcalc.graphs import hcompose, vcompose, vertex_successors
+from propcalc.graphs import hcompose, vcompose
 from propcalc.pushouts import (CubeDiagram, FiniteSetMap, faces_commute,
                                filtration_square_check,
                                iterated_identity_check, punctured_colimit)
@@ -34,7 +34,8 @@ from propcalc.tensor import (AlgebraAssignment, RatTensor,
                              conjugate_assignment, evaluate, kron_power,
                              morphism_prop_membership, rt_dot, rt_kron)
 
-from _oracles import brute_force_isomorphic, permutation_matrix
+from _oracles import (brute_force_isomorphic, permutation_matrix,
+                      topo_latest_first)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -104,25 +105,6 @@ def rand_assignment(rng: random.Random, d: int,
                     sig: Signature = BASE_SIG) -> AlgebraAssignment:
     mats = {g.name: rand_matrix(rng, d ** g.n, d ** g.m) for g in sig}
     return AlgebraAssignment.build(d, mats, sig)
-
-
-def topo_latest_first(graph) -> list[int]:
-    succ = vertex_successors(graph)
-    indeg = {v: 0 for v in succ}
-    for u in succ:
-        for w in succ[u]:
-            indeg[w] += 1
-    ready = sorted((v for v in indeg if indeg[v] == 0), reverse=True)
-    order = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for w in succ[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort(reverse=True)
-    return order
 
 
 def inverse_perm_matrix(w: tuple[int, ...], d: int) -> RatTensor:

@@ -18,6 +18,8 @@ from propcalc.freeprop import element_from_dict, element_to_dict, \
 from propcalc.graphs import graph_from_dict, graph_to_dict, to_json_text
 from propcalc.rewrite import mixed_from_dict, mixed_to_dict
 
+from _oracles import unary_chain
+
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ["fig1", "fig2h", "fig2v", "fig4", "fig7", "fig8",
                  "nonacyclic-p2", "remark-witness"]
@@ -73,6 +75,14 @@ UNARY_CHAIN = {
 }
 
 UNARY_SIG = {"generators": [{"name": "a", "m": 1, "n": 1}]}
+
+# vertex 1 feeds a vertex 2 that does not exist, and output 1 is unfed
+DANGLING = {
+    "m": 1, "n": 1,
+    "vertices": [{"id": 1, "in": 1, "out": 1}],
+    "edges": [wire(["input", 1], ["vin", 1, 1]),
+              wire(["vout", 1, 1], ["vin", 2, 1])],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +152,18 @@ def test_validate_reports_a_cycle(tmp_path):
     assert rc == 1 and report["valid"] is False and report["errors"]
 
 
+def test_validate_accepts_a_deep_chain(tmp_path):
+    chain = graph_to_dict(unary_chain(3000))
+    rc, out, _ = run("validate", write_json(tmp_path / "chain.json", chain))
+    assert rc == 0 and json.loads(out)["valid"] is True
+
+
+def test_json_booleans_are_not_integers(tmp_path):
+    booly = {**graph_fields(UNARY_ELEMENT), "m": True}
+    rc, out, err = run("validate", write_json(tmp_path / "b.json", booly))
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+
+
 def test_canon_reports_the_pinned_order():
     rc, out, _ = run("canon", str(fixture_path("fig7")))
     assert rc == 0
@@ -175,6 +197,16 @@ def test_iso_distinguishes_fixture_shapes():
     assert rc == 0 and json.loads(out)["isomorphic"] is False
 
 
+def test_canon_and_iso_reject_an_invalid_graph(tmp_path):
+    bad = write_json(tmp_path / "bad.json", DANGLING)
+    good = str(fixture_path("fig1"))
+    for argv in (("canon", bad), ("iso", bad, good), ("iso", good, bad)):
+        rc, out, err = run(*argv)
+        assert rc == 1 and out == "", argv
+        assert err.startswith("error: invalid graph") \
+            and len(err.splitlines()) == 1, argv
+
+
 # ---------------------------------------------------------------------------
 # composition and enumeration
 
@@ -192,6 +224,17 @@ def test_compose_reproduces_the_stored_results(tmp_path):
                      write_json(tmp_path / "b.json", v["bottom"]),
                      "--op", "v")
     assert rc == 0 and json.loads(out) == graph_fields(v["result"])
+
+
+def test_compose_rejects_an_invalid_graph(tmp_path):
+    bad = write_json(tmp_path / "bad.json", DANGLING)
+    good = write_json(tmp_path / "good.json", graph_fields(UNARY_ELEMENT))
+    for op, left, right in (("v", good, bad), ("v", bad, good),
+                            ("h", good, bad)):
+        rc, out, err = run("compose", left, right, "--op", op)
+        assert rc == 1 and out == "", (op, left, right)
+        assert err.startswith("error: invalid graph") \
+            and len(err.splitlines()) == 1, (op, left, right)
 
 
 def test_enum_lists_every_wiring_of_the_menu():

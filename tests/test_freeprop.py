@@ -20,8 +20,9 @@ from propcalc.freeprop import (FREE_OPS, Generator, PartialLabeledGraph,
                                pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose,
                                signature_from_dict, signature_to_dict)
-from propcalc.graphs import (FormatError, GraphError, to_json_text,
-                             vertex_successors)
+from propcalc.graphs import FormatError, GraphError, to_json_text
+
+from _oracles import topo_latest_first
 
 
 def _factorial(k: int) -> int:
@@ -44,27 +45,6 @@ def random_element(rng: random.Random, sig: Signature, m: int, n: int,
             labels = {i: profile[i - 1] for i in range(1, r + 1)}
             return PropElement.build(ng.graph, labels, sig)
     raise AssertionError(f"no element found for ({m},{n}) over {sig}")
-
-
-def topo_latest_first(graph):
-    """A topological order preferring the largest ready vertex id; used to
-    confirm evaluation does not depend on the order choice."""
-    succ = vertex_successors(graph)
-    indeg = {v: 0 for v in succ}
-    for u in succ:
-        for w in succ[u]:
-            indeg[w] += 1
-    ready = sorted((v for v in indeg if indeg[v] == 0), reverse=True)
-    order = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for w in succ[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort(reverse=True)
-    return order
 
 
 BASE_SIG = Signature([("a", 1, 1), ("b", 2, 1), ("c", 1, 2)])

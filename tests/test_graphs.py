@@ -13,10 +13,11 @@ from propcalc.graphs import (Edge, FormatError, Graph, GraphError, Vertex,
                              graph_from_dict, graph_to_dict, hcompose,
                              identity, identity_permutation,
                              invert_permutation, make_graph, permute_inputs,
-                             permute_outputs, reverse, to_json_text, validate,
-                             vcompose)
+                             permute_outputs, reverse, to_json_text,
+                             topological_order, validate, vcompose,
+                             vertex_successors)
 
-from _oracles import wire_permutation
+from _oracles import unary_chain, wire_permutation
 
 
 def conditions(violations):
@@ -88,6 +89,42 @@ def test_validate_flags_cycle():
     assert conds == {"acyclic"}
     with pytest.raises(GraphError):
         check(g)
+    # a cycle 2 -> 3 -> 4 -> 2 fed by vertex 1 and feeding vertex 5
+    g = make_graph(1, 1, [(1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 1, 1),
+                          (5, 1, 1)],
+                   [(("input", 1), ("vin", 1, 1)),
+                    (("vout", 1, 1), ("vin", 2, 1)),
+                    (("vout", 2, 1), ("vin", 3, 1)),
+                    (("vout", 3, 1), ("vin", 4, 1)),
+                    (("vout", 3, 2), ("vin", 5, 1)),
+                    (("vout", 4, 1), ("vin", 2, 2)),
+                    (("vout", 5, 1), ("output", 1))])
+    [violation] = validate(g)
+    prefix = "directed cycle through vertices "
+    assert violation["detail"].startswith(prefix)
+    cycle = json.loads(violation["detail"][len(prefix):])
+    succ = vertex_successors(g)
+    assert cycle[0] == cycle[-1]
+    assert len(set(cycle[:-1])) == len(cycle) - 1
+    assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
+
+
+def test_topological_order_breaks_ties_by_key():
+    # 1 and 3 are ready at once; 2 waits for 1
+    g = make_graph(2, 2, [(1, 1, 1), (2, 1, 1), (3, 1, 1)],
+                   [(("input", 1), ("vin", 1, 1)),
+                    (("input", 2), ("vin", 3, 1)),
+                    (("vout", 1, 1), ("vin", 2, 1)),
+                    (("vout", 2, 1), ("output", 1)),
+                    (("vout", 3, 1), ("output", 2))])
+    assert topological_order(g) == [1, 2, 3]
+    assert topological_order(g, key=lambda vid: -vid) == [3, 1, 2]
+
+
+def test_deep_chain_validates():
+    g = unary_chain(3000)
+    assert check(g) is g
+    assert topological_order(g) == list(range(1, 3001))
 
 
 def test_check_returns_graph_unchanged():
@@ -272,6 +309,9 @@ def test_json_rejects_malformed():
         lambda d: d["edges"][0].update(src=["input", "1"]),
         lambda d: d["edges"][0].update(dst=["vin", 1]),
         lambda d: d["edges"].append({"src": ["input", 1]}),
+        lambda d: d.update(m=True),
+        lambda d: d["vertices"][0].update(out=False),
+        lambda d: d["edges"][0].update(src=["input", True]),
     ]:
         d = json.loads(to_json_text(good))
         mutate(d)

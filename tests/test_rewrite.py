@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,8 @@ from propcalc.rewrite import (MixedGraph, collapse, expand_all, merge,
                               mergeable, mergeable_pairs, mixed_from_dict,
                               mixed_to_dict, non_confluence_witness,
                               remark_mixed)
+
+from _oracles import unary_chain
 
 
 def the_remark() -> MixedGraph:
@@ -91,6 +94,18 @@ def test_mergeable_rejects_plain_and_repeated_vertices():
         mergeable(g, 3, 3)
     with pytest.raises(GraphError):
         merge(g, 2, 5)
+
+
+def test_mergeable_on_a_chain_deeper_than_the_recursion_limit():
+    r = sys.getrecursionlimit() + 100
+    atoms = Signature([("p", 1, 1)])
+    msig = Signature([("a", 1, 1)])
+    g = MixedGraph.build(unary_chain(r), atoms, msig,
+                         {1: corolla(atoms, "p"), 2: corolla(atoms, "p"),
+                          3: corolla(atoms, "p")},
+                         {vid: "a" for vid in range(4, r + 1)})
+    assert mergeable(g, 1, 2)
+    assert not mergeable(g, 1, 3)
 
 
 def test_remark_merge_labels_and_blocking():
