@@ -38,6 +38,8 @@ def _read_json(path: str):
         raise FormatError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise FormatError(f"{path} is not JSON: {err}") from None
+    except RecursionError:
+        raise FormatError(f"{path} is nested too deeply") from None
 
 
 def _emit(obj) -> None:
@@ -184,7 +186,7 @@ def _cmd_expand(args) -> int:
     if not isinstance(d, dict) or "outer" not in d or "inner" not in d:
         raise FormatError("expected {\"outer\": graph, \"inner\": {id: element}}")
     sig = signature_from_dict(d["sig"]) if "sig" in d else None
-    outer, _ = graph_from_dict(d["outer"])
+    outer = check(graph_from_dict(d["outer"])[0])
     inner = {}
     for key, sub in d["inner"].items():
         try:

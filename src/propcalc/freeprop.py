@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Protocol, TypeVar
 from .canonical import canonicalize, enumerate_graphs
 from .graphs import (Edge, FormatError, Graph, GraphError, Vertex, check,
                      check_topological_order, graph_from_dict, graph_to_dict,
-                     hcompose, identity, permute_inputs, permute_outputs,
-                     topological_order, vcompose)
+                     hcompose, identity, is_int, permute_inputs,
+                     permute_outputs, topological_order, vcompose)
 from .unionfind import UnionFind
 
 
@@ -114,8 +114,7 @@ def signature_from_dict(d: object) -> Signature:
             name, m, n = entry["name"], entry["m"], entry["n"]
         except KeyError as missing:
             raise FormatError(f"generator lacks field {missing}") from None
-        if not isinstance(name, str) or not isinstance(m, int) \
-                or not isinstance(n, int):
+        if not isinstance(name, str) or not is_int(m) or not is_int(n):
             raise FormatError(f"bad generator entry {entry!r}")
         gens.append(Generator(name, m, n))
     try:
@@ -500,7 +499,7 @@ def partial_from_dict(d: object) -> PartialLabeledGraph:
                 raise FormatError(f"vertex {v.id} has a non-string label")
             labels[v.id] = ex["label"]
         elif "slot" in ex:
-            if not isinstance(ex["slot"], int):
+            if not is_int(ex["slot"]):
                 raise FormatError(f"vertex {v.id} has a non-integer slot")
             slots[v.id] = ex["slot"]
         else:

@@ -458,14 +458,14 @@ def graph_to_dict(g: Graph, labels: dict[int, object] | None = None,
     return {"m": g.m, "n": g.n, "vertices": vertices, "edges": edges}
 
 
-def _is_int(x: object) -> bool:
+def is_int(x: object) -> bool:
     # JSON true/false load as bools, which Python counts as ints
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_port(raw: object, kinds: tuple[str, ...]) -> Port:
     if (not isinstance(raw, list) or not raw or raw[0] not in kinds
-            or not all(_is_int(x) for x in raw[1:])):
+            or not all(is_int(x) for x in raw[1:])):
         raise FormatError(f"bad port {raw!r}")
     want = 2 if raw[0] in ("input", "output") else 3
     if len(raw) != want:
@@ -484,7 +484,7 @@ def graph_from_dict(d: object) -> tuple[Graph, dict[int, dict]]:
         raw_vertices, raw_edges = d["vertices"], d["edges"]
     except KeyError as missing:
         raise FormatError(f"graph JSON lacks field {missing}") from None
-    if not _is_int(m) or not _is_int(n):
+    if not is_int(m) or not is_int(n):
         raise FormatError("m and n must be integers")
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise FormatError("vertices and edges must be arrays")
@@ -497,7 +497,7 @@ def graph_from_dict(d: object) -> tuple[Graph, dict[int, dict]]:
             vid, a, b = rv["id"], rv["in"], rv["out"]
         except KeyError as missing:
             raise FormatError(f"vertex entry lacks field {missing}") from None
-        if not all(_is_int(x) for x in (vid, a, b)):
+        if not all(is_int(x) for x in (vid, a, b)):
             raise FormatError(f"bad vertex entry {rv!r}")
         vertices.append(Vertex(vid, a, b))
         rest = {k: v for k, v in rv.items() if k not in ("id", "in", "out")}

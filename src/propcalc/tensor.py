@@ -2,16 +2,20 @@
 
 A dimension-d assignment sends each generator to a matrix acting on
 tensor powers of a d-dimensional space; `evaluate` contracts a labeled
-graph as a tensor network, wire by wire, with Fraction arithmetic
-throughout (zero tolerance).  `TensorOps` exposes the same target
-through the layer-slicing evaluator, giving a second, independent route
-to every value.  On top sit the intertwiner checks: one matrix between
-two assignments, or a whole diagram of them.
+graph as a tensor network, wire by wire, with zero tolerance.  A tensor
+is held as integer numerators over one common denominator, so the
+contraction runs on Python ints and divides once per result;
+`fractions.Fraction` appears only where values are read, written or
+shown.  `TensorOps` exposes the same target through the layer-slicing
+evaluator, giving a second, independent route to every value.  On top
+sit the intertwiner checks: one matrix between two assignments, or a
+whole diagram of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -20,8 +24,8 @@ import numpy as np
 
 from .canonical import canonical_order
 from .freeprop import PropElement, Signature
-from .graphs import (FormatError, Graph, GraphError, LimitError, check,
-                     check_permutation, check_topological_order,
+from .graphs import (FormatError, GraphError, LimitError, check,
+                     check_permutation, check_topological_order, is_int,
                      topological_order)
 
 DEFAULT_MAX_DIM = 4
@@ -32,7 +36,7 @@ def parse_rational(text: object) -> Fraction:
     """Read "p/q" or "p" (strings or ints) into an exact rational."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if is_int(text):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -47,106 +51,138 @@ def format_rational(x: Fraction) -> str:
         else f"{x.numerator}/{x.denominator}"
 
 
-class RatTensor:
-    """An immutable dense tensor of exact rationals."""
+def _entry(x: object) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if is_int(x) or isinstance(x, str):
+        return parse_rational(x)
+    raise GraphError(f"entry {x!r} is not an exact rational")
 
-    __slots__ = ("_a",)
+
+class RatTensor:
+    """An immutable dense tensor of exact rationals: an object array of
+    Python int numerators over one positive int denominator, always in
+    lowest terms (gcd(den, *num) == 1, so a zero tensor has den == 1).
+    That normal form makes equality and hashing exact on (shape, den,
+    num)."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, array):
         src = np.asarray(array, dtype=object)
-        a = np.empty(src.shape, dtype=object)
-        flat = a.reshape(-1)
-        for i, x in enumerate(src.flat):
-            if isinstance(x, Fraction):
-                flat[i] = x
-            elif isinstance(x, (int, str)):
-                flat[i] = parse_rational(x)
-            else:
-                raise GraphError(f"entry {x!r} is not an exact rational")
-        a.setflags(write=False)
-        self._a = a
+        entries = [_entry(x) for x in src.flat]
+        den = math.lcm(*(x.denominator for x in entries))
+        num = np.empty(src.shape, dtype=object)
+        num.reshape(-1)[:] = [x.numerator * (den // x.denominator)
+                              for x in entries]
+        num.setflags(write=False)
+        self._num, self._den = num, den
+
+    @classmethod
+    def _of(cls, num: np.ndarray, den: int) -> "RatTensor":
+        """Wrap int numerators over a positive den, reducing once."""
+        g = math.gcd(den, *num.flat)
+        if g != 1:
+            num, den = num // g, den // g
+        num.setflags(write=False)
+        t = cls.__new__(cls)
+        t._num, t._den = num, den
+        return t
 
     @property
     def array(self) -> np.ndarray:
-        return self._a
+        """A fresh read-only object array of `Fraction` entries."""
+        a = np.empty(self._num.shape, dtype=object)
+        a.reshape(-1)[:] = [Fraction(x, self._den) for x in self._num.flat]
+        a.setflags(write=False)
+        return a
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(self._a.shape)
+        return tuple(self._num.shape)
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> "RatTensor":
-        a = np.empty(shape, dtype=object)
-        a.reshape(-1)[:] = [Fraction(0)] * a.size
-        return cls(a)
+        return cls._of(np.zeros(shape, dtype=object), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RatTensor":
-        a = np.empty((n, n), dtype=object)
-        a.reshape(-1)[:] = [Fraction(0)] * (n * n)
-        for i in range(n):
-            a[i, i] = Fraction(1)
-        return cls(a)
+        return cls._of(np.identity(n, dtype=object), 1)
 
     def rows(self) -> list[list[str]]:
-        if self._a.ndim != 2:
+        if self._num.ndim != 2:
             raise GraphError("rows() needs a matrix")
-        return [[format_rational(x) for x in row] for row in self._a]
+        return [[format_rational(x) for x in row] for row in self.array]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatTensor) and self.shape == other.shape \
-            and bool((self._a == other._a).all())
+            and self._den == other._den \
+            and bool((self._num == other._num).all())
 
     def __hash__(self) -> int:
-        return hash((self.shape, tuple(self._a.flat)))
+        return hash((self.shape, self._den, tuple(self._num.flat)))
 
     def __repr__(self) -> str:
         return f"RatTensor{self.shape}"
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    out = np.multiply.outer(a, b)
+    return out.transpose(0, 2, 1, 3).reshape(ra * rb, ca * cb)
+
+
 def rt_dot(a: RatTensor, b: RatTensor) -> RatTensor:
     if a.shape[-1] != b.shape[0]:
         raise GraphError(f"cannot multiply {a.shape} by {b.shape}")
-    return RatTensor(np.dot(a.array, b.array))
+    return RatTensor._of(np.dot(a._num, b._num), a._den * b._den)
 
 
 def rt_kron(a: RatTensor, b: RatTensor) -> RatTensor:
-    if a.array.ndim != 2 or b.array.ndim != 2:
+    if len(a.shape) != 2 or len(b.shape) != 2:
         raise GraphError("kron needs matrices")
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.multiply.outer(a.array, b.array)
-    return RatTensor(out.transpose(0, 2, 1, 3).reshape(ra * rb, ca * cb))
+    return RatTensor._of(_kron(a._num, b._num), a._den * b._den)
 
 
 def kron_power(a: RatTensor, k: int) -> RatTensor:
     if k < 0:
         raise GraphError("negative tensor power")
-    out = RatTensor([[Fraction(1)]])
+    if len(a.shape) != 2:
+        raise GraphError("kron needs matrices")
+    num = np.ones((1, 1), dtype=object)
     for _ in range(k):
-        out = rt_kron(out, a)
-    return out
+        num = _kron(num, a._num)
+    return RatTensor._of(num, a._den ** k)
 
 
 def rt_inverse(a: RatTensor) -> RatTensor:
-    """Exact inverse by Gauss-Jordan elimination."""
-    if a.array.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Exact inverse by fraction-free Gauss-Jordan elimination on the
+    numerators (Bareiss, Math. Comp. 22, 1968): every division by the
+    previous pivot is exact, and [N | I] ends as [c I | c N^-1] with
+    c = +-det N, so (N/den)^-1 = den * (c N^-1) / c."""
+    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise GraphError("inverse needs a square matrix")
     n = a.shape[0]
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a.array)]
+    work = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a._num.tolist())]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
             raise GraphError("matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+        top = work[col]
+        p = top[col]
         for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return RatTensor([row[n:] for row in work])
+            if r != col:
+                row, f = work[r], work[r][col]
+                work[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    out = np.empty((n, n), dtype=object)
+    out.reshape(-1)[:] = [a._den * x for row in work for x in row[n:]]
+    if prev < 0:
+        out, prev = -out, -prev
+    return RatTensor._of(out, prev)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +203,12 @@ class AlgebraAssignment:
               sig: Signature | None = None,
               max_dim: int | None = None) -> "AlgebraAssignment":
         cap = DEFAULT_MAX_DIM if max_dim is None else max_dim
-        if not isinstance(dim, int) or dim < 1:
+        if not is_int(dim) or dim < 1:
             raise GraphError("dimension must be a positive integer")
         if dim > cap:
             raise LimitError(f"dimension {dim} exceeds the cap {cap}")
         for name, t in matrices.items():
-            if not isinstance(t, RatTensor) or t.array.ndim != 2:
+            if not isinstance(t, RatTensor) or len(t.shape) != 2:
                 raise GraphError(f"assignment for {name!r} must be a matrix")
         if sig is not None:
             for g in sig:
@@ -217,7 +253,7 @@ def algebra_to_dict(a: AlgebraAssignment) -> dict:
 
 def algebra_from_dict(d: object,
                       sig: Signature | None = None) -> AlgebraAssignment:
-    if not isinstance(d, dict) or not isinstance(d.get("dim"), int) \
+    if not isinstance(d, dict) or not is_int(d.get("dim")) \
             or not isinstance(d.get("matrices"), dict):
         raise FormatError(
             "assignment JSON must be {\"dim\": d, \"matrices\": {...}}")
@@ -246,10 +282,6 @@ def matrix_from_json(data: object) -> RatTensor:
 
 # ---------------------------------------------------------------------------
 # evaluation by direct network contraction
-
-def _np_identity(d: int) -> np.ndarray:
-    return RatTensor.identity(d).array
-
 
 def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
              max_axes: int | None = None) -> RatTensor:
@@ -290,12 +322,13 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
         order = list(order)
         check_topological_order(graph, order)
 
-    state = np.array(Fraction(1), dtype=object)
+    state, den = np.array(1, dtype=object), 1
     axes: list[tuple] = []
     for vid in order:
         v = graph.vertex(vid)
-        t = A.matrices[labels[vid]].array.reshape(
-            (d,) * v.n_out + (d,) * v.n_in)
+        mat = A.matrices[labels[vid]]
+        t = mat._num.reshape((d,) * v.n_out + (d,) * v.n_in)
+        den *= mat._den
         ins = [graph.edge_into(("vin", vid, k))
                for k in range(1, v.n_in + 1)]
         spos, tpos = [], []
@@ -313,7 +346,7 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
     for i in range(1, graph.m + 1):
         edge = graph.edge_from(("input", i))
         if edge.dst[0] == "output":
-            state = np.tensordot(state, _np_identity(d).reshape(d, d),
+            state = np.tensordot(state, np.identity(d, dtype=object),
                                  axes=([], []))
             axes += [("to", edge), ("ti", edge)]
 
@@ -327,7 +360,7 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
     perm = [axes.index(key) for key in final]
     if perm:
         state = state.transpose(perm)
-    return RatTensor(state.reshape(d ** graph.n, d ** graph.m))
+    return RatTensor._of(state.reshape(d ** graph.n, d ** graph.m), den)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +400,10 @@ class TensorOps:
     def permute_outputs(self, a: TElem, w: tuple[int, ...]) -> TElem:
         check_permutation(w, a.n)
         d = self.dim
-        arr = a.tensor.array.reshape((d,) * a.n + (d ** a.m,))
+        arr = a.tensor._num.reshape((d,) * a.n + (d ** a.m,))
         arr = np.moveaxis(arr, range(a.n), [x - 1 for x in w])
-        return TElem(a.m, a.n,
-                     RatTensor(arr.reshape(d ** a.n, d ** a.m)))
+        return TElem(a.m, a.n, RatTensor._of(
+            arr.reshape(d ** a.n, d ** a.m), a.tensor._den))
 
     def arity(self, a: TElem) -> tuple[int, int]:
         return (a.m, a.n)
@@ -394,16 +427,15 @@ def _axis_permutation_matrix(w: tuple[int, ...], d: int) -> RatTensor:
     # enumeration, on purpose not via the moveaxis route
     n = len(w)
     size = d ** n
-    a = np.empty((size, size), dtype=object)
-    a.reshape(-1)[:] = [Fraction(0)] * (size * size)
+    a = np.zeros((size, size), dtype=object)
     for x in itertools.product(range(d), repeat=n):
         y = [0] * n
         for i in range(n):
             y[w[i] - 1] = x[i]
         xi = sum(v * d ** (n - 1 - i) for i, v in enumerate(x))
         yi = sum(v * d ** (n - 1 - i) for i, v in enumerate(y))
-        a[yi, xi] = Fraction(1)
-    return RatTensor(a)
+        a[yi, xi] = 1
+    return RatTensor._of(a, 1)
 
 
 def eval_is_morphism(A: AlgebraAssignment,

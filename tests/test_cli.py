@@ -272,6 +272,16 @@ def test_expand_flattens_to_the_stored_element():
         == element_from_dict(f4["flat"], sig)
 
 
+def test_expand_rejects_an_invalid_outer_graph(tmp_path):
+    f4 = fixture_dict("fig4")
+    edge = next(e for e in f4["outer"]["edges"] if e["dst"][0] == "vin")
+    edge["dst"] = ["vin", 99, 1]
+    rc, out, err = run("expand", write_json(tmp_path / "bad.json", f4))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: invalid graph") \
+        and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # algebra commands
 
@@ -387,6 +397,17 @@ def test_malformed_json_is_a_usage_error(tmp_path):
     path.write_text("{oops", encoding="utf-8")
     rc, _, err = run("canon", str(path))
     assert rc == 2 and err
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path):
+    arrays = tmp_path / "arrays.json"
+    arrays.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    objects = tmp_path / "objects.json"
+    objects.write_text('{"a":' * 5_000 + "1" + "}" * 5_000, encoding="utf-8")
+    for argv in (("canon", str(arrays)), ("validate", str(objects))):
+        rc, out, err = run(*argv)
+        assert rc == 2 and out == "", argv
+        assert "nested too deeply" in err and len(err.splitlines()) == 1
 
 
 def test_unknown_subcommand_is_a_usage_error():

@@ -93,6 +93,8 @@ def test_signature_json_round_trip():
     assert signature_from_dict(d) == sig
     for bad in [{}, {"generators": {}}, {"generators": [{"name": "x"}]},
                 {"generators": [{"name": "x", "m": "1", "n": 2}]},
+                {"generators": [{"name": "x", "m": True, "n": 1}]},
+                {"generators": [{"name": "x", "m": 1, "n": False}]},
                 {"generators": [{"name": "x", "m": 1, "n": 1},
                                 {"name": "x", "m": 2, "n": 2}]}]:
         with pytest.raises(FormatError):
@@ -441,3 +443,9 @@ def test_partial_json_round_trip():
     bad["vertices"][0].pop("label", None)
     with pytest.raises(FormatError):
         partial_from_dict(bad)
+    # a JSON boolean is not a slot number, even where 1 would be
+    booly = partial_to_dict(p)
+    slotted = next(v for v in booly["vertices"] if v.get("slot") == 1)
+    slotted["slot"] = True
+    with pytest.raises(FormatError):
+        partial_from_dict(booly)

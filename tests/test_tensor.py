@@ -40,6 +40,13 @@ def rand_assignment(rng: random.Random, d: int,
     return AlgebraAssignment.build(d, mats, sig)
 
 
+def big_matrix(rng: random.Random, r: int, c: int) -> RatTensor:
+    # numerators and denominators near 2^40: products pass 2^63
+    return RatTensor([[F(rng.randint(-2 ** 40, 2 ** 40),
+                         rng.randint(1, 2 ** 40))
+                       for _ in range(c)] for _ in range(r)])
+
+
 _ENUM_CACHE: dict[tuple, list] = {}
 
 
@@ -68,7 +75,7 @@ def test_rational_round_trip():
         assert parse_rational(text) == want
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(-6, 3)) == "-2"
-    for bad in ["1/0", "x", 1.5, None, "3.5/2x"]:
+    for bad in ["1/0", "x", 1.5, None, "3.5/2x", True]:
         with pytest.raises(FormatError):
             parse_rational(bad)
 
@@ -82,6 +89,8 @@ def test_rattensor_construction_and_equality():
     assert t.rows() == [["1/2", "1"], ["0", "3"]]
     with pytest.raises(GraphError):
         RatTensor([[0.5]])
+    with pytest.raises(GraphError):
+        RatTensor([[True]])
     with pytest.raises(ValueError):
         t.array[0, 0] = F(9)
 
@@ -110,6 +119,52 @@ def test_matrix_algebra_matches_the_oracles():
         rt_dot(rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3))
 
 
+def test_equal_values_share_one_representation():
+    halves = [RatTensor([["1/2"]]), RatTensor([[F(2, 4)]]),
+              rt_dot(RatTensor([["1/4"]]), RatTensor([[2]])),
+              rt_dot(RatTensor([["3/5", "1/10"]]), RatTensor([["1/3"], [3]]))]
+    zeros = [RatTensor.zeros((1, 1)), RatTensor([[0]]),
+             rt_dot(RatTensor([["1/3", "1/3"]]), RatTensor([[1], [-1]])),
+             rt_kron(RatTensor([["1/7"]]), RatTensor([["0/5"]]))]
+    for same in (halves, zeros):
+        assert all(t == same[0] and hash(t) == hash(same[0]) for t in same)
+    assert halves[0] != zeros[0] and halves[0] != RatTensor([["1/3"]])
+    # a nilpotent generator squares to zero through the contraction
+    nil = AlgebraAssignment.build(2, {"a": RatTensor([[0, "1/3"], [0, 0]])})
+    chain = pelem_vcompose(corolla(SIG, "a"), corolla(SIG, "a"))
+    got = evaluate(chain, nil)
+    assert got == RatTensor.zeros((2, 2))
+    assert hash(got) == hash(RatTensor.zeros((2, 2)))
+
+
+def test_products_past_64_bits_match_the_oracles():
+    rng = random.Random(9)
+    A = AlgebraAssignment.build(
+        2, {g.name: big_matrix(rng, 2 ** g.n, 2 ** g.m) for g in SIG}, SIG)
+
+    def rows(t):
+        return [list(r) for r in t.array]
+
+    a, b, c = (rows(A.matrices[x]) for x in "abc")
+    cases = [
+        (rt_dot(A.matrices["b"], A.matrices["c"]), mat_mul(b, c)),
+        (rt_kron(A.matrices["a"], A.matrices["b"]), mat_kron(a, b)),
+        (kron_power(A.matrices["a"], 3), mat_kron(mat_kron(a, a), a)),
+        (evaluate(pelem_vcompose(corolla(SIG, "c"), corolla(SIG, "b")), A),
+         mat_mul(b, c)),
+        (evaluate(pelem_hcompose(corolla(SIG, "a"), corolla(SIG, "b")), A),
+         mat_kron(a, b)),
+        (evaluate(pelem_vcompose(pelem_vcompose(corolla(SIG, "a"),
+                                                corolla(SIG, "c")),
+                                 corolla(SIG, "b")), A),
+         mat_mul(mat_mul(b, c), a)),
+    ]
+    for got, want in cases:
+        assert got == RatTensor(want)
+        assert max(max(abs(x.numerator), x.denominator)
+                   for x in got.array.flat) > 2 ** 63
+
+
 def test_kron_power_unit():
     rng = random.Random(5)
     f = rand_matrix(rng, 2, 2)
@@ -123,17 +178,22 @@ def test_kron_power_unit():
 def test_exact_inverse():
     rng = random.Random(7)
     found = 0
-    while found < 10:
-        m = rand_matrix(rng, 3, 3)
+    while found < 40:
+        n = rng.randint(1, 5)
+        m = rand_matrix(rng, n, n) if found % 2 else big_matrix(rng, n, n)
         try:
             inv = rt_inverse(m)
         except GraphError:
             continue
-        assert rt_dot(m, inv) == RatTensor.identity(3)
-        assert rt_dot(inv, m) == RatTensor.identity(3)
+        assert rt_dot(m, inv) == RatTensor.identity(n)
+        assert rt_dot(inv, m) == RatTensor.identity(n)
         found += 1
     with pytest.raises(GraphError):
         rt_inverse(RatTensor([[1, 1], [1, 1]]))
+    # third row = first + second; the first pivot needs a row swap
+    with pytest.raises(GraphError):
+        rt_inverse(RatTensor([[0, "1/3", 1], [2, 0, "1/5"],
+                              [2, "1/3", "6/5"]]))
     with pytest.raises(GraphError):
         rt_inverse(RatTensor([[1, 2, 3]]))
 
@@ -176,6 +236,8 @@ def test_assignment_json_round_trip():
     back = algebra_from_dict(d, SIG)
     assert back.dim == a.dim and back.matrices == a.matrices
     for bad in [{}, {"dim": "2", "matrices": {}},
+                {"dim": True, "matrices": {"a": [[1]]}},
+                {"dim": 1, "matrices": {"a": [[True]]}},
                 {"dim": 2, "matrices": {"a": [[1], [1, 2]]}},
                 {"dim": 2, "matrices": {"a": [["x"]]}},
                 {"dim": 2, "matrices": {"a": []}}]:
@@ -187,6 +249,8 @@ def test_assignment_json_round_trip():
     assert matrix_from_json([["1/2", 0]]) == RatTensor([[F(1, 2), F(0)]])
     with pytest.raises(FormatError):
         matrix_from_json([[1], [2, 3]])
+    with pytest.raises(FormatError):
+        matrix_from_json([[True, 0]])
 
 
 # ---------------------------------------------------------------------------
