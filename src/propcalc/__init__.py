@@ -9,10 +9,10 @@ colimit checks.
 
 from __future__ import annotations
 
-from .canonical import (CanonicalForm, NumberedGraph, canonical_order,
-                        canonicalize, count_graphs, enumerate_graphs,
-                        free_action_check, graph_hash, is_isomorphic,
-                        max_vertices_cap, renumber)
+from .canonical import (CanonicalForm, NumberedGraph, canonical_key,
+                        canonical_order, canonicalize, count_graphs,
+                        enumerate_graphs, free_action_check, graph_hash,
+                        is_isomorphic, max_vertices_cap, renumber)
 from .freeprop import (FREE_OPS, Generator, PartialLabeledGraph, PropElement,
                        Signature, combine_signatures, corolla, count_basis,
                        element_from_dict, element_to_dict, expand,
@@ -47,9 +47,9 @@ __all__ = [
     "PartialLabeledGraph", "PropElement", "PuncturedColimit", "RatTensor",
     "Signature", "TensorOps", "Vertex",
     "algebra_from_dict", "algebra_to_dict", "bounded_env_classes",
-    "canonical_order", "canonicalize", "check", "coequalizer_sets",
-    "collapse", "combine_signatures", "corolla", "count_basis",
-    "count_graphs", "element_from_dict", "element_to_dict",
+    "canonical_key", "canonical_order", "canonicalize", "check",
+    "coequalizer_sets", "collapse", "combine_signatures", "corolla",
+    "count_basis", "count_graphs", "element_from_dict", "element_to_dict",
     "enumerate_graphs", "eval_is_morphism", "evaluate", "expand",
     "expand_all", "expand_element", "extend_morphism", "faces_commute",
     "filtration_degree", "filtration_square_check", "format_rational",

@@ -7,9 +7,12 @@ at its source and in-port at its target).  Each vertex is keyed by the
 minimal label over all such paths.  Two distinct paths to the same vertex
 never have prefix-comparable labels (a label determines its path edge by
 edge, and a proper extension of a path to v would have to revisit v), so
-the minimum extends predecessor minima and a single pass in topological
-order computes all keys.  Distinct vertices always get distinct keys,
-hence a total order, whenever every vertex is reachable from some input.
+distinct vertices always get distinct keys, hence a total order, whenever
+every vertex is reachable from some input.  Each source port has exactly
+one edge, so the order is the preorder of one depth-first search that
+takes roots by input index and children by out-port: it meets each vertex
+first along its minimal path, since a subtree it prunes at a vertex seen
+before was already explored, with smaller labels, from that first visit.
 
 The route is chosen from the vertex arities alone, before any work.  In a
 DAG every vertex is reachable from an input iff every vertex has at least
@@ -70,8 +73,9 @@ def max_vertices_cap(explicit: int | None = None) -> int:
 # path labels and orders
 
 def input_path_labels(g: Graph) -> dict[int, tuple[int, ...]]:
-    """Minimal edge-path label per vertex.  Raises UnreachableVertexError
-    if some vertex has no path from a graph input."""
+    """Minimal edge-path label per vertex, in one pass in topological order
+    (a minimum extends a predecessor's minimum).  Raises
+    UnreachableVertexError if some vertex has no path from a graph input."""
     in_edges: dict[int, list[Edge]] = {v.id: [] for v in g.vertices}
     for e in g.edges:
         if e.dst[0] == "vin":
@@ -99,11 +103,35 @@ def input_path_labels(g: Graph) -> dict[int, tuple[int, ...]]:
 
 
 def input_path_order(g: Graph) -> list[int]:
-    """Vertex ids sorted by minimal input-path label (a total order)."""
-    labels = input_path_labels(g)
-    order = sorted(labels, key=labels.__getitem__)
-    assert len({labels[v] for v in order}) == len(order), \
-        "path labels must be distinct"
+    """Vertex ids sorted by minimal input-path label (a total order),
+    computed as a depth-first preorder: roots by input index, children by
+    out-port.  Raises UnreachableVertexError if some vertex has no path
+    from a graph input."""
+    # the vertex behind each source port, None standing for a graph output
+    roots: list[int | None] = [None] * g.m
+    succ: dict[int, list[int | None]] = {v.id: [None] * v.n_out
+                                         for v in g.vertices}
+    for e in g.edges:
+        src, dst = e.src, e.dst
+        w = dst[1] if dst[0] == "vin" else None
+        if src[0] == "input":
+            roots[src[1] - 1] = w
+        else:
+            succ[src[1]][src[2] - 1] = w
+    seen: set[int] = set()
+    order: list[int] = []
+    stack = [iter(roots)]
+    while stack:
+        for w in stack[-1]:
+            if w is not None and w not in seen:
+                seen.add(w)
+                order.append(w)
+                stack.append(iter(succ[w]))
+                break
+        else:
+            stack.pop()
+    if len(order) < len(succ):
+        raise UnreachableVertexError(sorted(succ.keys() - seen))
     return order
 
 
@@ -254,7 +282,9 @@ class CanonicalForm:
         return hash(self.key)
 
 
-def _canonical_key(g: Graph, labels: dict[int, str] | None) -> tuple:
+def canonical_key(g: Graph, labels: dict[int, str] | None = None) -> tuple:
+    """The key of `canonicalize(g, labels)`, without building the renamed
+    graph."""
     return _serialize(g, labels, canonical_order(g, labels))
 
 
@@ -278,13 +308,13 @@ def canonicalize(g: Graph,
 def is_isomorphic(g: Graph, h: Graph,
                   labels_g: dict[int, str] | None = None,
                   labels_h: dict[int, str] | None = None) -> bool:
-    return _canonical_key(g, labels_g) == _canonical_key(h, labels_h)
+    return canonical_key(g, labels_g) == canonical_key(h, labels_h)
 
 
 def graph_hash(g: Graph, labels: dict[int, str] | None = None) -> int:
     """Stable 64-bit digest of the canonical form (stable across runs and
     processes, unlike the builtin hash)."""
-    key = _canonical_key(g, labels)
+    key = canonical_key(g, labels)
     digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -380,7 +410,7 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
         edges = tuple(Edge(s, targets[t]) for s, t in zip(sources, chosen))
         graph = Graph(m, n, vertices, edges)
         if upto_iso:
-            key = _canonical_key(graph, None)
+            key = canonical_key(graph, None)
             if key in seen_keys:
                 return None
             seen_keys.add(key)

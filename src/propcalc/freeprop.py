@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, TypeVar
 
-from .canonical import canonicalize, enumerate_graphs
+from .canonical import canonical_key, canonicalize, enumerate_graphs
 from .graphs import (Edge, FormatError, Graph, GraphError, Vertex, check,
                      check_topological_order, graph_from_dict, graph_to_dict,
                      hcompose, identity, is_int, permute_inputs,
@@ -412,7 +412,7 @@ def count_basis(sig: Signature, m: int, n: int, max_r: int,
             labels = {i: name for i, name in enumerate(profile, start=1)}
             for ng in enumerate_graphs(arities, m, n, **caps):
                 total += 1
-                keys.add(canonicalize(ng.graph, labels).key)
+                keys.add(canonical_key(ng.graph, labels))
         numbered.append(total)
         iso.append(len(keys))
     return {"numbered": numbered, "iso": iso}

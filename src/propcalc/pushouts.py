@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .canonical import canonicalize, enumerate_graphs
+from .canonical import canonical_key, enumerate_graphs
 from .freeprop import Signature
 from .graphs import GraphError, LimitError
 from .unionfind import UnionFind
@@ -348,7 +348,7 @@ def _enumerate_classes(m, n, roles, max_vertices, accept,
             labels = {v: tags[v - 1] for v in range(1, r + 1)}
             for ng in enumerate_graphs(arities, m, n,
                                        max_vertices=max_vertices):
-                key = canonicalize(ng.graph, labels).key
+                key = canonical_key(ng.graph, labels)
                 if key not in out:
                     out[key] = (ng.graph, labels)
                     if len(out) > max_classes:
@@ -359,7 +359,7 @@ def _enumerate_classes(m, n, roles, max_vertices, accept,
 
 def _retag(rep, f) -> tuple:
     graph, labels = rep
-    return canonicalize(graph, {v: f(tag) for v, tag in labels.items()}).key
+    return canonical_key(graph, {v: f(tag) for v, tag in labels.items()})
 
 
 def _subset_with_arities(small: Signature, big: Signature, what: str) -> None:

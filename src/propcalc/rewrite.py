@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .canonical import canonical_order, canonicalize, enumerate_graphs
+from .canonical import canonical_key, canonical_order, enumerate_graphs
 from .freeprop import (PropElement, Signature, combine_signatures, corolla,
                        element_from_dict, element_to_dict, expand,
                        signature_from_dict, signature_to_dict)
@@ -70,9 +70,14 @@ class MixedGraph:
                     raise GraphError(
                         f"vertex {v.id} has arity {(v.n_in, v.n_out)}, "
                         f"label {m_labels[v.id]!r} wants {want}")
-        p_labels = dict(p_labels)
-        m_labels = dict(m_labels)
-        key = (canonicalize(graph, _label_map(p_labels, m_labels)).key,
+        return cls._keyed(graph, atoms, msig, dict(p_labels), dict(m_labels))
+
+    @classmethod
+    def _keyed(cls, graph: Graph, atoms: Signature, msig: Signature,
+               p_labels: dict[int, PropElement],
+               m_labels: dict[int, str]) -> "MixedGraph":
+        # `build` without its checks, for labelings known to be valid
+        key = (canonical_key(graph, _label_map(p_labels, m_labels)),
                atoms.generators, msig.generators)
         return cls(graph, atoms, msig, p_labels, m_labels, key)
 
@@ -106,22 +111,21 @@ def _label_map(p_labels: dict[int, PropElement],
 # ---------------------------------------------------------------------------
 # merging
 
-def _reach_sets(graph: Graph) -> dict[int, set[int]]:
-    """Per vertex, the set of vertices reachable by a nonempty path."""
+def _reachability(graph: Graph) -> tuple[dict[int, set[int]],
+                                         dict[int, set[int]]]:
+    """The successor map and, per vertex, the set of vertices reachable by
+    a nonempty path."""
     succ = vertex_successors(graph)
     reach: dict[int, set[int]] = {}
     for v in reversed(topological_order(graph)):
         reach[v] = succ[v].union(*(reach[s] for s in succ[v]))
-    return reach
+    return succ, reach
 
 
-def _fusable(graph: Graph, u: int, v: int,
-             reach: dict[int, set[int]] | None = None) -> bool:
+def _fusable(succ: dict[int, set[int]], reach: dict[int, set[int]],
+             u: int, v: int) -> bool:
     # contracting {u, v} stays acyclic iff no path between them passes
     # through a third vertex
-    if reach is None:
-        reach = _reach_sets(graph)
-    succ = vertex_successors(graph)
     for a, b in ((u, v), (v, u)):
         for s in succ[a]:
             if s != b and b in reach[s]:
@@ -136,7 +140,7 @@ def mergeable(g: MixedGraph, u: int, v: int) -> bool:
             raise GraphError(f"vertex {w} is not composite-labeled")
     if u == v:
         raise GraphError("merging needs two distinct vertices")
-    return _fusable(g.graph, u, v)
+    return _fusable(*_reachability(g.graph), u, v)
 
 
 def merge(g: MixedGraph, u: int, v: int) -> MixedGraph:
@@ -148,6 +152,14 @@ def merge(g: MixedGraph, u: int, v: int) -> MixedGraph:
     """
     if not mergeable(g, u, v):
         raise GraphError(f"vertices {u} and {v} cannot be merged")
+    return _merge(g, u, v, {})
+
+
+def _merge(g: MixedGraph, u: int, v: int,
+           memo: dict[tuple, PropElement]) -> MixedGraph:
+    """`merge` of a pair already known to be mergeable.  `memo` maps
+    (two-vertex host, u's label key, v's label key) to the merged label;
+    equal keys mean equal labels, so a hit is exact."""
     gu, gv = g.graph.vertex(u), g.graph.vertex(v)
     pair = {u, v}
     mutual = [e for e in g.graph.edges
@@ -172,7 +184,11 @@ def merge(g: MixedGraph, u: int, v: int) -> MixedGraph:
     host = Graph(len(ext_in), len(ext_out),
                  (Vertex(1, gu.n_in, gu.n_out), Vertex(2, gv.n_in, gv.n_out)),
                  tuple(host_edges))
-    label = expand(host, {1: g.p_labels[u], 2: g.p_labels[v]})
+    lu, lv = g.p_labels[u], g.p_labels[v]
+    memo_key = (host, lu.key, lv.key)
+    label = memo.get(memo_key)
+    if label is None:
+        label = memo[memo_key] = expand(host, {1: lu, 2: lv})
 
     w = max(g.graph.vertex_ids) + 1
     in_pos = {p: k for k, p in enumerate(ext_in, start=1)}
@@ -190,8 +206,10 @@ def merge(g: MixedGraph, u: int, v: int) -> MixedGraph:
     merged = Graph(g.graph.m, g.graph.n, vertices, tuple(edges))
     p_labels = {vid: e for vid, e in g.p_labels.items() if vid not in pair}
     p_labels[w] = label
-    return MixedGraph.build(merged, g.atoms, g.msig, p_labels,
-                            dict(g.m_labels))
+    # valid by construction: the fused pair has no path through a third
+    # vertex, and the new vertex has its label's arity
+    return MixedGraph._keyed(merged, g.atoms, g.msig, p_labels,
+                             dict(g.m_labels))
 
 
 def mergeable_pairs(g: MixedGraph) -> list[tuple[int, int]]:
@@ -199,10 +217,10 @@ def mergeable_pairs(g: MixedGraph) -> list[tuple[int, int]]:
     deterministic choice the greedy strategy follows)."""
     order = canonical_order(g.graph, _label_map(g.p_labels, g.m_labels))
     pos = {vid: i for i, vid in enumerate(order)}
-    reach = _reach_sets(g.graph)
+    succ, reach = _reachability(g.graph)
     ranked = sorted(g.p_labels, key=lambda vid: pos[vid])
     return [(a, b) for a, b in itertools.combinations(ranked, 2)
-            if _fusable(g.graph, a, b, reach)]
+            if _fusable(succ, reach, a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +240,7 @@ def collapse(g: MixedGraph, strategy: str = "greedy",
             pairs = mergeable_pairs(cur)
             if not pairs:
                 return cur
-            cur = merge(cur, *pairs[0])
+            cur = _merge(cur, *pairs[0], {})
     if strategy == "exhaustive":
         forms, _ = _exhaustive(g, max_states)
         return forms
@@ -234,6 +252,7 @@ def _exhaustive(g: MixedGraph,
     """All irreducible forms plus, for each, one merge sequence that
     reaches it.  States are deduplicated by canonical key."""
     seen = {g.key}
+    memo: dict[tuple, PropElement] = {}  # merged labels, see _merge
     stack = [(g, [])]
     irreducible: dict[tuple, tuple[MixedGraph, list]] = {}
     while stack:
@@ -243,12 +262,12 @@ def _exhaustive(g: MixedGraph,
             irreducible.setdefault(cur.key, (cur, seq))
             continue
         for a, b in pairs:
-            child = merge(cur, a, b)
+            child = _merge(cur, a, b, memo)
             if child.key in seen:
                 continue
             if len(seen) >= max_states:
-                raise LimitError(
-                    f"merge search exceeded {max_states} states")
+                raise LimitError(f"merge search exceeded the cap of "
+                                 f"{max_states} states (--max-states)")
             seen.add(child.key)
             stack.append((child, seq + [(a, b)]))
     items = sorted(irreducible.items(), key=lambda kv: repr(kv[0]))
@@ -312,9 +331,9 @@ def non_confluence_witness(max_vertices: int = 6,
 def _try_alphabets(graph: Graph, profile: list[tuple[int, int]],
                    p_cap: int) -> dict | None:
     r = len(profile)
-    reach = _reach_sets(graph)
+    succ, reach = _reachability(graph)
     fusable = {(a, b) for a, b in itertools.combinations(range(1, r + 1), 2)
-               if _fusable(graph, a, b, reach)}
+               if _fusable(succ, reach, a, b)}
     for k in range(3, p_cap + 1):
         for subset in itertools.combinations(range(1, r + 1), k):
             chosen = set(subset)

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a different algorithm than
 the library uses: brute-force backtracking instead of canonical orders,
 raw permutation enumeration instead of pruned matching search, pure-python
-fraction matrices instead of numpy tensors.  Tests freeze their expected
-values against these.
+fraction matrices instead of numpy tensors, a memo-free state search over
+the public merge instead of the library's exhaustive collapse.  Tests
+freeze their expected values against these.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 from fractions import Fraction
 
 from propcalc.graphs import Edge, Graph, Vertex, vertex_successors
+from propcalc.rewrite import MixedGraph, merge, mergeable_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +289,35 @@ def unary_chain(r: int) -> Graph:
     edges += [Edge(("vout", v, 1), ("vin", v + 1, 1)) for v in range(1, r)]
     return Graph(1, 1, tuple(Vertex(v, 1, 1) for v in range(1, r + 1)),
                  tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive collapse, through the public merge only
+
+def brute_force_collapse(g) -> tuple[list, list]:
+    """(irreducible forms, one merge sequence per form) of a mixed graph,
+    by the search `collapse(g, "exhaustive")` specifies: pop the newest
+    state, push each child of its mergeable pairs (in their order) whose
+    key is new, record a state with no pair under the first sequence that
+    pops it, and list forms by repr of their key.  Every step goes
+    through the public `mergeable_pairs` and `merge`, which re-checks the
+    pair and expands its label afresh, and every merged state is rebuilt
+    through `MixedGraph.build`, which validates it; nothing is remembered
+    across merges but the keys seen."""
+    seen = {g.key}
+    stack = [(g, [])]
+    found: dict = {}
+    while stack:
+        cur, seq = stack.pop()
+        pairs = mergeable_pairs(cur)
+        if not pairs and cur.key not in found:
+            found[cur.key] = (cur, seq)
+        for a, b in pairs:
+            merged = merge(cur, a, b)
+            child = MixedGraph.build(merged.graph, merged.atoms, merged.msig,
+                                     merged.p_labels, merged.m_labels)
+            if child.key not in seen:
+                seen.add(child.key)
+                stack.append((child, seq + [(a, b)]))
+    order = sorted(found, key=repr)
+    return [found[k][0] for k in order], [found[k][1] for k in order]

@@ -18,7 +18,7 @@ from propcalc.graphs import (GraphError, LimitError, identity, make_graph,
                              permute_inputs, relabel_vertices)
 
 from _oracles import (brute_force_graphs, brute_force_isomorphic,
-                      brute_force_nontrivial_automorphism)
+                      brute_force_nontrivial_automorphism, unary_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,48 @@ def test_order_is_relabel_invariant():
     mapping = {1: 30, 2: 10, 3: 50, 4: 20, 5: 40}
     h = relabel_vertices(g, mapping)
     assert input_path_order(h) == [mapping[v] for v in input_path_order(g)]
+
+
+def test_order_is_the_minimal_path_label_order():
+    # every vertex has an input, so every vertex is reachable; a vertex
+    # with two unseen children below a root first occurs at r = 4
+    windows = [([(1, 1), (1, 2), (2, 1), (2, 2), (1, 0), (2, 0)],
+                range(4), (1, 2)),
+               ([(1, 1), (1, 2), (2, 1), (1, 0)], (4,), (1,))]
+    checked = 0
+    for menu, sizes, inputs in windows:
+        for r in sizes:
+            for profile in itertools.combinations_with_replacement(menu, r):
+                for m in inputs:
+                    n = m + sum(b for _, b in profile) \
+                        - sum(a for a, _ in profile)
+                    if n < 0:
+                        continue
+                    for ng in enumerate_graphs(list(profile), m, n):
+                        labels = input_path_labels(ng.graph)
+                        assert input_path_order(ng.graph) == \
+                            sorted(labels, key=labels.__getitem__)
+                        checked += 1
+    assert checked == 73032
+
+
+def test_order_of_a_deep_chain():
+    r = 3000
+    assert input_path_order(unary_chain(r)) == list(range(1, r + 1))
+
+
+def test_unreachable_vertices_are_listed_sorted():
+    # 9 -> 4 hangs off no input; 2 is fed by input 1
+    g = make_graph(1, 2, [(9, 0, 1), (4, 1, 1), (2, 1, 1)],
+                   [(("input", 1), ("vin", 2, 1)),
+                    (("vout", 2, 1), ("output", 1)),
+                    (("vout", 9, 1), ("vin", 4, 1)),
+                    (("vout", 4, 1), ("output", 2))])
+    with pytest.raises(UnreachableVertexError) as by_labels:
+        input_path_labels(g)
+    with pytest.raises(UnreachableVertexError) as by_order:
+        input_path_order(g)
+    assert by_order.value.vertices == by_labels.value.vertices == [4, 9]
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,21 @@ def test_collapse_exhaustive_finds_both_forms():
     assert report["count"] == 2 and len(report["forms"]) == 2
 
 
+def test_collapse_state_cap():
+    path = str(fixture_path("remark-witness"))
+    rc, out, err = run("collapse", path, "--strategy", "exhaustive",
+                       "--max-states", "1")
+    assert rc == 1 and out == ""
+    assert err == "error: merge search exceeded the cap of 1 states " \
+        "(--max-states)\n"
+    for bad in ("0", "-5"):
+        rc, out, err = run("collapse", path, "--strategy", "exhaustive",
+                           "--max-states", bad)
+        assert rc == 2 and out == "", bad
+        assert err.startswith("error: --max-states") \
+            and len(err.splitlines()) == 1, bad
+
+
 def test_witness_search_finds_and_respects_bounds():
     rc, out, _ = run("witness", "--max-vertices", "5")
     assert rc == 0

@@ -15,13 +15,14 @@ from propcalc.canonical import enumerate_graphs
 from propcalc.freeprop import (PropElement, Signature, corolla,
                                pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
-from propcalc.graphs import (FormatError, GraphError, Graph, to_json_text)
-from propcalc.rewrite import (MixedGraph, collapse, expand_all, merge,
-                              mergeable, mergeable_pairs, mixed_from_dict,
-                              mixed_to_dict, non_confluence_witness,
-                              remark_mixed)
+from propcalc.graphs import (FormatError, GraphError, Graph, LimitError,
+                             to_json_text)
+from propcalc.rewrite import (MixedGraph, _exhaustive, collapse, expand_all,
+                              merge, mergeable, mergeable_pairs,
+                              mixed_from_dict, mixed_to_dict,
+                              non_confluence_witness, remark_mixed)
 
-from _oracles import unary_chain
+from _oracles import brute_force_collapse, unary_chain
 
 
 def the_remark() -> MixedGraph:
@@ -160,6 +161,15 @@ def test_all_plain_graph_is_already_irreducible():
     assert collapse(g, "exhaustive") == [g]
 
 
+def test_exhaustive_collapse_stops_at_the_state_cap():
+    g = the_remark()
+    with pytest.raises(LimitError,
+                       match=r"exceeded the cap of 1 states \(--max-states\)"):
+        collapse(g, "exhaustive", max_states=1)
+    # the start state and its two children fit under a cap of 3
+    assert len(collapse(g, "exhaustive", max_states=3)) == 2
+
+
 def test_collapse_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         collapse(the_remark(), "fastest")
@@ -291,6 +301,28 @@ def test_collapse_outputs_are_irreducible_and_sound():
             assert mergeable_pairs(form) == []
             assert expand_all(form) == want
         assert mergeable_pairs(collapse(g)) == []
+        done += 1
+
+
+def _same_as_the_oracle(g: MixedGraph) -> None:
+    forms, seqs = brute_force_collapse(g)
+    assert [f.key for f in collapse(g, "exhaustive")] == \
+        [f.key for f in forms]
+    got_forms, got_seqs = _exhaustive(g)
+    assert [f.key for f in got_forms] == [f.key for f in forms]
+    assert got_seqs == seqs
+
+
+def test_exhaustive_collapse_matches_the_oracle():
+    _same_as_the_oracle(the_remark())
+    rng = random.Random(59)
+    cache: dict = {}
+    done = 0
+    while done < 40:
+        g = _random_mixed(rng, cache)
+        if g is None or not mergeable_pairs(g):
+            continue
+        _same_as_the_oracle(g)
         done += 1
 
 
