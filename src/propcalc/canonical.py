@@ -146,20 +146,20 @@ def output_path_order(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 # canonical form
 
+# A vertex's label enters the key as its text, the repr of the label:
+# repr keeps unlabeled (None) and labeled vertices comparable as strings.
 _NO_LABEL = repr(None)
 
 
-def _label_str(label_key: dict[int, str] | None, vid: int) -> str:
-    # repr keeps unlabeled (None) and labeled vertices comparable as strings
-    return repr(label_key.get(vid)) if label_key else _NO_LABEL
+def _render(labels: dict[int, object] | None) -> dict[int, str]:
+    return {vid: repr(lab) for vid, lab in labels.items()} if labels else {}
 
 
-def _serialize(g: Graph, label_key: dict[int, str] | None,
-               order: list[int]) -> tuple:
+def _serialize(g: Graph, texts: dict[int, str], order: list[int]) -> tuple:
     rename = {vid: i for i, vid in enumerate(order, start=1)}
     by_id = {v.id: v for v in g.vertices}
     vertex_part = tuple(
-        (by_id[vid].n_in, by_id[vid].n_out, _label_str(label_key, vid))
+        (by_id[vid].n_in, by_id[vid].n_out, texts.get(vid, _NO_LABEL))
         for vid in order)
     edges = []
     for e in g.edges:
@@ -173,7 +173,7 @@ def _serialize(g: Graph, label_key: dict[int, str] | None,
     return (g.m, g.n, vertex_part, tuple(edges))
 
 
-def _traversal_order(g: Graph, label_key: dict[int, str] | None) -> list[int]:
+def _traversal_order(g: Graph, texts: dict[int, str]) -> list[int]:
     # the far end (vertex, port) of each vertex port, in-ports first, None
     # standing for a boundary port; every port has exactly one edge, so
     # once a traversal's root is fixed its visiting order is fixed
@@ -199,8 +199,7 @@ def _traversal_order(g: Graph, label_key: dict[int, str] | None) -> list[int]:
     for root in boundary:
         if root is not None and root not in seen:
             order += _sweep(ends, root, seen)
-    closed = [_closed_component(_sweep(ends, v.id, seen), ends, n_in,
-                                label_key)
+    closed = [_closed_component(_sweep(ends, v.id, seen), ends, n_in, texts)
               for v in g.vertices if v.id not in seen]
     for _, block in sorted(closed):
         order += block
@@ -221,13 +220,12 @@ def _sweep(ends: dict[int, list], root: int, seen: set[int]) -> list[int]:
 
 
 def _closed_component(component: list[int], ends: dict[int, list],
-                      n_in: dict[int, int],
-                      label_key: dict[int, str] | None) -> tuple:
+                      n_in: dict[int, int], texts: dict[int, str]) -> tuple:
     """(key, order) of a component that touches no boundary port: the
     minimal local serialization over traversals rooted at each vertex of
     its smallest colour class, and the order that gives it."""
     color = {vid: (n_in[vid], len(ends[vid]) - n_in[vid],
-                   _label_str(label_key, vid)) for vid in component}
+                   texts.get(vid, _NO_LABEL)) for vid in component}
     if len(component) == 1:
         return ((color[component[0]],), ()), component
     classes: dict[tuple, list[int]] = {}
@@ -256,12 +254,21 @@ def canonical_order(g: Graph,
     every vertex has an output, else the port-ordered traversal (boundary
     components from the boundary ports in index order, then closed
     components sorted by their minimal serialization)."""
+    order = _path_order(g)
+    if order is None:
+        order = _traversal_order(g, _render(label_key))
+    return order
+
+
+def _path_order(g: Graph) -> list[int] | None:
+    """The input- or output-path order, or None for a graph that takes
+    the traversal (the one route that reads labels)."""
     vertices = g.vertices
     if all(v.n_in for v in vertices):
         return input_path_order(g)
     if all(v.n_out for v in vertices):
         return output_path_order(g)
-    return _traversal_order(g, label_key)
+    return None
 
 
 @dataclass(frozen=True)
@@ -285,20 +292,31 @@ class CanonicalForm:
 def canonical_key(g: Graph, labels: dict[int, str] | None = None) -> tuple:
     """The key of `canonicalize(g, labels)`, without building the renamed
     graph."""
-    return _serialize(g, labels, canonical_order(g, labels))
+    return key_and_order(g, _render(labels))[0]
+
+
+def key_and_order(g: Graph,
+                  texts: dict[int, str]) -> tuple[tuple, list[int]]:
+    """The canonical key and order of g, each vertex's label given by its
+    text: `key_and_order(g, {v: repr(lab) ...})` is
+    `(canonical_key(g, labels), canonical_order(g, labels))`.  A caller
+    that keeps its labels' text rendered saves rendering it per call."""
+    order = _path_order(g)
+    if order is None:
+        order = _traversal_order(g, texts)
+    return _serialize(g, texts, order), order
 
 
 def canonicalize(g: Graph,
                  labels: dict[int, str] | None = None) -> CanonicalForm:
-    order = canonical_order(g, labels)
-    key = _serialize(g, labels, order)
+    key, order = key_and_order(g, _render(labels))
     # the key lists the renamed vertices in id order and the renamed edges
     # sorted, which is the renamed graph
     m, n, vertex_part, edge_part = key
-    graph = Graph(m, n,
-                  tuple(Vertex(i, a, b)
-                        for i, (a, b, _) in enumerate(vertex_part, start=1)),
-                  tuple(Edge(src, dst) for src, dst in edge_part))
+    graph = Graph._sorted(m, n,
+                          tuple(Vertex(i, a, b) for i, (a, b, _)
+                                in enumerate(vertex_part, start=1)),
+                          tuple(Edge(src, dst) for src, dst in edge_part))
     rename = {vid: i for i, vid in enumerate(order, start=1)}
     new_labels = ({rename[vid]: lab for vid, lab in labels.items()}
                   if labels is not None else None)
@@ -344,7 +362,7 @@ def numbered_key(ng: NumberedGraph,
     """Serialization of a numbered graph with vertices renamed along its
     own numbering.  Two numbered graphs agree on this key iff there is a
     numbering- and port-preserving isomorphism between them."""
-    return _serialize(ng.graph, labels, list(ng.order))
+    return _serialize(ng.graph, _render(labels), list(ng.order))
 
 
 def renumber(ng: NumberedGraph, w: tuple[int, ...]) -> NumberedGraph:
@@ -385,11 +403,12 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     r = len(arities)
     cap = max_vertices_cap(max_vertices)
     if r > cap:
-        raise LimitError(f"profile has {r} vertices, cap is {cap}")
+        raise LimitError(f"profile has {r} vertices, cap is {cap} "
+                         "(max_vertices, PROPCALC_MAX_VERTICES)")
     edge_count = m + sum(b for _, b in arities)
     edge_cap = DEFAULT_MAX_EDGES if max_edges is None else max_edges
     if edge_count > edge_cap:
-        raise LimitError(f"{edge_count} edges, cap is {edge_cap}")
+        raise LimitError(f"{edge_count} edges, cap is {edge_cap} (max_edges)")
     if edge_count != n + sum(a for a, _ in arities):
         return
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Protocol, TypeVar
 
 from .canonical import canonical_key, canonicalize, enumerate_graphs
@@ -151,8 +152,20 @@ class PropElement:
                     raise GraphError(
                         f"vertex {v.id} has arity {(v.n_in, v.n_out)}, "
                         f"label {labels[v.id]!r} wants {want}")
+        return cls._canonical(graph, labels)
+
+    @classmethod
+    def _canonical(cls, graph: Graph,
+                   labels: dict[int, str]) -> "PropElement":
+        # `build` without its checks, for results valid by construction
         cf = canonicalize(graph, labels)
         return cls(graph.m, graph.n, cf.graph, cf.labels or {}, cf.key)
+
+    @cached_property
+    def key_text(self) -> str:
+        """`repr(self.key)`, rendered on first use and kept, so a graph
+        labeled by elements renders each label once."""
+        return repr(self.key)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PropElement) and self.key == other.key
@@ -182,24 +195,29 @@ def _shift_labels(labels: dict[int, str], offset: int) -> dict[int, str]:
     return {vid + offset: lab for vid, lab in labels.items()}
 
 
+# Composites and permutations of valid elements are valid by construction,
+# so they skip `build`'s checks; the graph operations still check their
+# arguments (boundary sizes, permutations).
+
 def pelem_hcompose(a: PropElement, b: PropElement) -> PropElement:
     offset = max(a.graph.vertex_ids, default=0)
-    return PropElement.build(hcompose(a.graph, b.graph),
-                             a.labels | _shift_labels(b.labels, offset))
+    return PropElement._canonical(hcompose(a.graph, b.graph),
+                                  a.labels | _shift_labels(b.labels, offset))
 
 
 def pelem_vcompose(top: PropElement, bottom: PropElement) -> PropElement:
     offset = max(top.graph.vertex_ids, default=0)
-    return PropElement.build(vcompose(top.graph, bottom.graph),
-                             top.labels | _shift_labels(bottom.labels, offset))
+    return PropElement._canonical(
+        vcompose(top.graph, bottom.graph),
+        top.labels | _shift_labels(bottom.labels, offset))
 
 
 def pelem_permute_inputs(e: PropElement, w: tuple[int, ...]) -> PropElement:
-    return PropElement.build(permute_inputs(e.graph, w), e.labels)
+    return PropElement._canonical(permute_inputs(e.graph, w), e.labels)
 
 
 def pelem_permute_outputs(e: PropElement, w: tuple[int, ...]) -> PropElement:
-    return PropElement.build(permute_outputs(e.graph, w), e.labels)
+    return PropElement._canonical(permute_outputs(e.graph, w), e.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +230,15 @@ def expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
     to an output) welds the two host edges on either side of its vertex
     into one, so the welds are closed off with a union-find over host
     edges.  Every weld class ends up with exactly one genuine source and
-    one genuine target.
+    one genuine target.  Raises GraphError if `outer` is invalid or an
+    inner element is missing or has the wrong arity.
     """
+    return _expand(check(outer), inner)
+
+
+def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
+    # `expand` of a host known to be valid.  The result needs no check: a
+    # cycle in it would project to a cycle in the host.
     for v in outer.vertices:
         e = inner.get(v.id)
         if e is None:
@@ -279,8 +304,8 @@ def expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
         assert len(srcs) == 1 and len(dsts) == 1, "weld class must be a chain"
         edges.append(Edge(srcs[0], dsts[0]))
 
-    return PropElement.build(Graph(outer.m, outer.n, tuple(vertices),
-                                   tuple(edges)), labels)
+    return PropElement._canonical(Graph(outer.m, outer.n, tuple(vertices),
+                                        tuple(edges)), labels)
 
 
 def expand_element(e: PropElement,
@@ -291,7 +316,7 @@ def expand_element(e: PropElement,
         inner = {vid: assignment[name] for vid, name in e.labels.items()}
     except KeyError as missing:
         raise GraphError(f"no element assigned to label {missing}") from None
-    return expand(e.graph, inner)
+    return _expand(e.graph, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ class Graph:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
+    @classmethod
+    def _sorted(cls, m: int, n: int, vertices: tuple[Vertex, ...],
+                edges: tuple[Edge, ...]) -> "Graph":
+        # the constructor without its sort, for tuples already in order
+        g = object.__new__(cls)
+        g.__dict__.update(m=m, n=n, vertices=vertices, edges=edges)
+        return g
+
     @property
     def vertex_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices)
@@ -98,10 +106,21 @@ class Graph:
 def make_graph(m: int, n: int, vertices: Iterable[Vertex | tuple],
                edges: Iterable[Edge | tuple]) -> Graph:
     """Build a Graph from loose tuples: vertices as (id, n_in, n_out),
-    edges as (src, dst) port pairs."""
+    edges as (src, dst) port pairs.  Raises GraphError where an integer
+    is wanted and something else (a bool included) is given."""
     vs = tuple(v if isinstance(v, Vertex) else Vertex(*v) for v in vertices)
     es = tuple(e if isinstance(e, Edge) else Edge(tuple(e[0]), tuple(e[1]))
                for e in edges)
+    # a bool passes for an int in arithmetic and ==, yet True and 1 render
+    # differently, so equal canonical keys would hash apart
+    numbers = [m, n]
+    for v in vs:
+        numbers += (v.id, v.n_in, v.n_out)
+    for e in es:
+        numbers += e.src[1:] + e.dst[1:]
+    bad = [x for x in numbers if not is_int(x)]
+    if bad:
+        raise GraphError(f"graph numbers must be integers, got {bad[0]!r}")
     return Graph(m, n, vs, es)
 
 

@@ -16,9 +16,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .canonical import canonical_key, canonical_order, enumerate_graphs
-from .freeprop import (PropElement, Signature, combine_signatures, corolla,
-                       element_from_dict, element_to_dict, expand,
+from .canonical import enumerate_graphs, key_and_order
+from .freeprop import (PropElement, Signature, _expand, combine_signatures,
+                       corolla, element_from_dict, element_to_dict,
                        signature_from_dict, signature_to_dict)
 from .graphs import (Edge, FormatError, Graph, GraphError, LimitError,
                      Vertex, check, graph_from_dict, graph_to_dict,
@@ -32,7 +32,8 @@ class MixedGraph:
     """A graph whose vertices carry either a composite label (an element
     over `atoms`) or a plain generator name from `msig`.  Equality and
     hashing go through a canonical key, so two mixed graphs compare equal
-    exactly when some isomorphism matches both labelings."""
+    exactly when some isomorphism matches both labelings.  `order` is the
+    canonical vertex order the key was computed from."""
 
     graph: Graph
     atoms: Signature
@@ -40,6 +41,7 @@ class MixedGraph:
     p_labels: dict[int, PropElement]
     m_labels: dict[int, str]
     key: tuple = field(repr=False)
+    order: tuple[int, ...] = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, graph: Graph, atoms: Signature, msig: Signature,
@@ -77,9 +79,9 @@ class MixedGraph:
                p_labels: dict[int, PropElement],
                m_labels: dict[int, str]) -> "MixedGraph":
         # `build` without its checks, for labelings known to be valid
-        key = (canonical_key(graph, _label_map(p_labels, m_labels)),
-               atoms.generators, msig.generators)
-        return cls(graph, atoms, msig, p_labels, m_labels, key)
+        key, order = key_and_order(graph, _label_text(p_labels, m_labels))
+        return cls(graph, atoms, msig, p_labels, m_labels,
+                   (key, atoms.generators, msig.generators), tuple(order))
 
     def alphabet(self, vid: int) -> str:
         if vid in self.p_labels:
@@ -100,11 +102,13 @@ class MixedGraph:
                 f"{len(self.m_labels)} plain vertices)")
 
 
-def _label_map(p_labels: dict[int, PropElement],
-               m_labels: dict[int, str]) -> dict[int, object]:
-    out: dict[int, object] = {vid: ("P", e.key)
-                              for vid, e in p_labels.items()}
-    out.update((vid, ("M", name)) for vid, name in m_labels.items())
+def _label_text(p_labels: dict[int, PropElement],
+                m_labels: dict[int, str]) -> dict[int, str]:
+    """Each vertex's label text for the canonical key: the repr of
+    ("P", element key) or ("M", name), built from each element's kept
+    `key_text`."""
+    out = {vid: f"('P', {e.key_text})" for vid, e in p_labels.items()}
+    out.update((vid, f"('M', {name!r})") for vid, name in m_labels.items())
     return out
 
 
@@ -188,7 +192,7 @@ def _merge(g: MixedGraph, u: int, v: int,
     memo_key = (host, lu.key, lv.key)
     label = memo.get(memo_key)
     if label is None:
-        label = memo[memo_key] = expand(host, {1: lu, 2: lv})
+        label = memo[memo_key] = _expand(host, {1: lu, 2: lv})
 
     w = max(g.graph.vertex_ids) + 1
     in_pos = {p: k for k, p in enumerate(ext_in, start=1)}
@@ -215,8 +219,7 @@ def _merge(g: MixedGraph, u: int, v: int,
 def mergeable_pairs(g: MixedGraph) -> list[tuple[int, int]]:
     """All mergeable pairs, ordered by the canonical vertex order (the
     deterministic choice the greedy strategy follows)."""
-    order = canonical_order(g.graph, _label_map(g.p_labels, g.m_labels))
-    pos = {vid: i for i, vid in enumerate(order)}
+    pos = {vid: i for i, vid in enumerate(g.order)}
     succ, reach = _reachability(g.graph)
     ranked = sorted(g.p_labels, key=lambda vid: pos[vid])
     return [(a, b) for a, b in itertools.combinations(ranked, 2)
@@ -283,7 +286,7 @@ def expand_all(g: MixedGraph) -> PropElement:
     inner = {vid: g.p_labels[vid] if vid in g.p_labels
              else corolla(combined, g.m_labels[vid])
              for vid in g.graph.vertex_ids}
-    return expand(g.graph, inner)
+    return _expand(g.graph, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -305,10 +305,13 @@ def test_enumerate_rejects_cyclic_matchings():
 
 
 def test_enumerate_caps(monkeypatch):
-    with pytest.raises(LimitError):
+    knob = r"cap is 2 \(max_vertices, PROPCALC_MAX_VERTICES\)"
+    with pytest.raises(LimitError, match=knob):
         list(enumerate_graphs([(1, 1)] * 3, 1, 1, max_vertices=2))
+    with pytest.raises(LimitError, match=r"4 edges, cap is 3 \(max_edges\)"):
+        list(enumerate_graphs([(1, 1)] * 3, 1, 1, max_edges=3))
     monkeypatch.setenv("PROPCALC_MAX_VERTICES", "2")
-    with pytest.raises(LimitError):
+    with pytest.raises(LimitError, match=knob):
         list(enumerate_graphs([(1, 1)] * 3, 1, 1))
     monkeypatch.setenv("PROPCALC_MAX_VERTICES", "9")
     assert count_graphs([(1, 1)] * 3, 1, 1) == 6

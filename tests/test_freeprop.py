@@ -20,7 +20,7 @@ from propcalc.freeprop import (FREE_OPS, Generator, PartialLabeledGraph,
                                pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose,
                                signature_from_dict, signature_to_dict)
-from propcalc.graphs import FormatError, GraphError, to_json_text
+from propcalc.graphs import FormatError, GraphError, make_graph, to_json_text
 
 from _oracles import topo_latest_first
 
@@ -214,6 +214,58 @@ def test_expand_checks_arities():
         expand(f4["outer"], {1: inner2, 2: inner1})
     with pytest.raises(GraphError):
         expand(f4["outer"], {1: inner1})
+
+
+def test_expand_checks_the_host_graph():
+    a = corolla(BASE_SIG, "a")
+    cycle = make_graph(0, 0, [(1, 1, 1), (2, 1, 1)],
+                       [(("vout", 1, 1), ("vin", 2, 1)),
+                        (("vout", 2, 1), ("vin", 1, 1))])
+    dangling = make_graph(1, 1, [(1, 1, 1)],
+                          [(("input", 1), ("vin", 1, 1)),
+                           (("vout", 1, 1), ("vin", 2, 1))])
+    for outer in (cycle, dangling):
+        with pytest.raises(GraphError, match="invalid graph"):
+            expand(outer, {1: a, 2: a})
+
+
+def test_permuted_elements_need_permutations():
+    e = pelem_hcompose(corolla(BASE_SIG, "b"), corolla(BASE_SIG, "a"))
+    for bad in ((1, 1, 2), (1, 2), (0, 1, 2)):
+        with pytest.raises(GraphError, match="not a permutation"):
+            pelem_permute_inputs(e, bad)
+    for bad in ((2, 2), (1,), (1, 3)):
+        with pytest.raises(GraphError, match="not a permutation"):
+            pelem_permute_outputs(e, bad)
+
+
+def _same_as_checked(e: PropElement, sig: Signature) -> None:
+    # the checked path: check, the label and arity checks, canonicalize
+    again = PropElement.build(e.graph, e.labels, sig)
+    assert (again.key, again.graph, again.labels) == \
+        (e.key, e.graph, e.labels)
+
+
+def test_internal_results_match_the_checked_path():
+    # composites, permutations and expansions skip `build`'s checks
+    rng = random.Random(61)
+    mid_names = [("A", 1, 1), ("B", 2, 1), ("C", 1, 2)]
+    midsig = Signature(mid_names)
+    for _ in range(20):
+        top = random_element(rng, BASE_SIG, 1, 2, max_r=2)
+        bottom = random_element(rng, BASE_SIG, 2, 1, max_r=2)
+        side = random_element(rng, BASE_SIG, 1, 1, max_r=2)
+        mid = {name: random_element(rng, BASE_SIG, m, n, max_r=2)
+               for name, m, n in mid_names}
+        outer = random_element(rng, midsig, 1, 2, max_r=3)
+        for e in (pelem_vcompose(top, bottom), pelem_hcompose(top, side),
+                  pelem_hcompose(identity_element(1), bottom),
+                  pelem_permute_outputs(top, (2, 1)),
+                  pelem_permute_inputs(bottom, (2, 1)),
+                  expand_element(outer, mid),
+                  expand(outer.graph, {vid: mid[name] for vid, name
+                                       in outer.labels.items()})):
+            _same_as_checked(e, BASE_SIG)
 
 
 def test_expand_associativity_three_levels():

@@ -321,6 +321,22 @@ def test_json_rejects_malformed():
         graph_from_dict([1, 2, 3])
 
 
+def test_make_graph_rejects_booleans():
+    # True == 1, so a graph holding True would share its int twin's
+    # canonical key while its hash, taken of the key's text, differs
+    edges = [(("input", 1), ("vin", 1, 1)), (("vout", 1, 1), ("output", 1))]
+    make_graph(1, 1, [(1, 1, 1)], edges)
+    for m, vertices, edges_ in [
+        (True, [(1, 1, 1)], edges),
+        (1, [(1, True, 1)], edges),
+        (1, [Vertex(1, 1, True)], edges),
+        (1, [(1, 1, 1)], [(("input", True), ("vin", 1, 1)), edges[1]]),
+        (1, [(1, 1, 1)], [edges[0], (("vout", 1, True), ("output", 1))]),
+    ]:
+        with pytest.raises(GraphError, match="must be integers"):
+            make_graph(m, 1, vertices, edges_)
+
+
 def test_vertex_free_graph_round_trip():
     g = permute_outputs(identity(4), (2, 4, 1, 3))
     parsed, _ = graph_from_dict(json.loads(to_json_text(graph_to_dict(g))))

@@ -11,14 +11,14 @@ import sys
 import pytest
 
 from propcalc import fixtures
-from propcalc.canonical import enumerate_graphs
-from propcalc.freeprop import (PropElement, Signature, corolla,
-                               pelem_hcompose, pelem_permute_inputs,
+from propcalc.canonical import canonical_key, canonical_order, enumerate_graphs
+from propcalc.freeprop import (PropElement, Signature, combine_signatures,
+                               corolla, pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
 from propcalc.graphs import (FormatError, GraphError, Graph, LimitError,
                              to_json_text)
-from propcalc.rewrite import (MixedGraph, _exhaustive, collapse, expand_all,
-                              merge, mergeable, mergeable_pairs,
+from propcalc.rewrite import (MixedGraph, _exhaustive, _merge, collapse,
+                              expand_all, merge, mergeable, mergeable_pairs,
                               mixed_from_dict, mixed_to_dict,
                               non_confluence_witness, remark_mixed)
 
@@ -323,6 +323,60 @@ def test_exhaustive_collapse_matches_the_oracle():
         if g is None or not mergeable_pairs(g):
             continue
         _same_as_the_oracle(g)
+        done += 1
+
+
+def _merge_states(g: MixedGraph) -> list[MixedGraph]:
+    """Every state the exhaustive search reaches, built as it builds
+    them: through `_merge`, with one label memo."""
+    memo: dict = {}
+    states = {g.key: g}
+    stack = [g]
+    while stack:
+        cur = stack.pop()
+        for a, b in mergeable_pairs(cur):
+            child = _merge(cur, a, b, memo)
+            if child.key not in states:
+                states[child.key] = child
+                stack.append(child)
+    return list(states.values())
+
+
+def _same_as_checked(state: MixedGraph) -> None:
+    # the labels as the canonical layer would render them itself
+    raw = {vid: ("P", e.key) for vid, e in state.p_labels.items()}
+    raw.update((vid, ("M", name)) for vid, name in state.m_labels.items())
+    order = canonical_order(state.graph, raw)
+    assert list(state.order) == order
+    assert state.key[0] == canonical_key(state.graph, raw)
+    pos = {vid: i for i, vid in enumerate(order)}
+    pairs = mergeable_pairs(state)
+    assert all(pos[a] < pos[b] for a, b in pairs)
+    assert pairs == sorted(pairs, key=lambda p: (pos[p[0]], pos[p[1]]))
+    # the checked path: check, the label checks, the key
+    again = MixedGraph.build(state.graph, state.atoms, state.msig,
+                             state.p_labels, state.m_labels)
+    assert again.key == state.key
+    for e in state.p_labels.values():
+        assert PropElement.build(e.graph, e.labels, state.atoms).key == e.key
+    whole = expand_all(state)
+    sig = combine_signatures(state.atoms, state.msig)
+    assert PropElement.build(whole.graph, whole.labels, sig).key == whole.key
+
+
+def test_merge_states_match_the_checked_path():
+    # merged states, merged labels and expansions skip the checks
+    for state in _merge_states(the_remark()):
+        _same_as_checked(state)
+    rng = random.Random(61)
+    cache: dict = {}
+    done = 0
+    while done < 60:
+        g = _random_mixed(rng, cache)
+        if g is None or not mergeable_pairs(g):
+            continue
+        for state in _merge_states(g):
+            _same_as_checked(state)
         done += 1
 
 
