@@ -12,7 +12,8 @@ from __future__ import annotations
 from .canonical import (CanonicalForm, NumberedGraph, canonical_key,
                         canonical_order, canonicalize, count_graphs,
                         enumerate_graphs, free_action_check, graph_hash,
-                        is_isomorphic, max_vertices_cap, renumber)
+                        is_isomorphic, iso_classes, max_vertices_cap,
+                        renumber)
 from .freeprop import (FREE_OPS, Generator, PartialLabeledGraph, PropElement,
                        Signature, combine_signatures, corolla, count_basis,
                        element_from_dict, element_to_dict, expand,
@@ -55,7 +56,7 @@ __all__ = [
     "filtration_degree", "filtration_square_check", "format_rational",
     "free_action_check", "graph_from_dict", "graph_hash", "graph_to_dict",
     "hcompose", "identity", "identity_element", "inclusion_map",
-    "is_isomorphic", "iterated_identity_check", "make_graph",
+    "is_isomorphic", "iso_classes", "iterated_identity_check", "make_graph",
     "matrix_from_json", "max_vertices_cap", "merge", "mergeable",
     "mergeable_pairs", "mixed_from_dict", "mixed_to_dict",
     "morphism_prop_membership", "non_confluence_witness", "parse_rational",

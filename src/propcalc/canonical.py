@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graphs import (Edge, Graph, GraphError, LimitError, Vertex, reverse,
@@ -254,21 +255,19 @@ def canonical_order(g: Graph,
     every vertex has an output, else the port-ordered traversal (boundary
     components from the boundary ports in index order, then closed
     components sorted by their minimal serialization)."""
-    order = _path_order(g)
-    if order is None:
-        order = _traversal_order(g, _render(label_key))
-    return order
+    return _route_order(g, lambda: _render(label_key))
 
 
-def _path_order(g: Graph) -> list[int] | None:
-    """The input- or output-path order, or None for a graph that takes
-    the traversal (the one route that reads labels)."""
+def _route_order(g: Graph,
+                 texts: Callable[[], dict[int, str]]) -> list[int]:
+    """The canonical order by the route the arities choose.  Only the
+    traversal reads labels, so only it asks `texts` for their text."""
     vertices = g.vertices
     if all(v.n_in for v in vertices):
         return input_path_order(g)
     if all(v.n_out for v in vertices):
         return output_path_order(g)
-    return None
+    return _traversal_order(g, texts())
 
 
 @dataclass(frozen=True)
@@ -301,9 +300,7 @@ def key_and_order(g: Graph,
     text: `key_and_order(g, {v: repr(lab) ...})` is
     `(canonical_key(g, labels), canonical_order(g, labels))`.  A caller
     that keeps its labels' text rendered saves rendering it per call."""
-    order = _path_order(g)
-    if order is None:
-        order = _traversal_order(g, texts)
+    order = _route_order(g, lambda: texts)
     return _serialize(g, texts, order), order
 
 
@@ -397,7 +394,12 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     """Yield every valid numbered graph on the given vertex profile, in a
     fixed lexicographic order of port matchings (so the stream is
     deterministic).  With upto_iso, only the first representative of each
-    isomorphism class is emitted."""
+    isomorphism class is emitted (see `iso_classes`)."""
+    if upto_iso:
+        for _, graph in iso_classes(arities, m, n, max_vertices=max_vertices,
+                                    max_edges=max_edges):
+            yield NumberedGraph(graph, graph.vertex_ids)
+        return
     if m < 0 or n < 0 or any(a < 0 or b < 0 for a, b in arities):
         raise GraphError("negative arity or boundary")
     r = len(arities)
@@ -423,23 +425,12 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     used = [False] * len(targets)
     chosen: list[int] = []
     desc = [0] * (r + 1)  # desc[v] = bitmask of vertices reachable from v
-    seen_keys: set = set()
-
-    def emit():
-        edges = tuple(Edge(s, targets[t]) for s, t in zip(sources, chosen))
-        graph = Graph(m, n, vertices, edges)
-        if upto_iso:
-            key = canonical_key(graph, None)
-            if key in seen_keys:
-                return None
-            seen_keys.add(key)
-        return NumberedGraph(graph, tuple(v.id for v in vertices))
+    numbering = tuple(v.id for v in vertices)
 
     def assign(i: int):
         if i == len(sources):
-            ng = emit()
-            if ng is not None:
-                yield ng
+            edges = tuple(Edge(s, targets[t]) for s, t in zip(sources, chosen))
+            yield NumberedGraph(Graph(m, n, vertices, edges), numbering)
             return
         src = sources[i]
         for t in range(len(targets)):
@@ -465,6 +456,25 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
                 desc[:] = snapshot
 
     yield from assign(0)
+
+
+def iso_classes(arities: list[tuple[int, int]], m: int, n: int,
+                labels: dict[int, object] | None = None, *,
+                max_vertices: int | None = None,
+                max_edges: int | None = None):
+    """Yield (key, graph) for the first graph of each isomorphism class in
+    the numbered stream of `enumerate_graphs`, in stream order; vertex i
+    carries labels[i], and the key is its `canonical_key`.  This is the
+    one place that lists classes: every caller that wants them up to
+    isomorphism reads them from here."""
+    texts = _render(labels)
+    seen: set = set()
+    for ng in enumerate_graphs(arities, m, n, max_vertices=max_vertices,
+                               max_edges=max_edges):
+        key = key_and_order(ng.graph, texts)[0]
+        if key not in seen:
+            seen.add(key)
+            yield key, ng.graph
 
 
 def count_graphs(arities: list[tuple[int, int]], m: int, n: int, *,

@@ -188,6 +188,8 @@ def _cmd_expand(args) -> int:
         raise FormatError("expected {\"outer\": graph, \"inner\": {id: element}}")
     sig = signature_from_dict(d["sig"]) if "sig" in d else None
     outer = check(graph_from_dict(d["outer"])[0])
+    if not isinstance(d["inner"], dict):
+        raise FormatError("\"inner\" must map vertex ids to elements")
     inner = {}
     for key, sub in d["inner"].items():
         try:
@@ -204,6 +206,8 @@ def _cmd_map(args) -> int:
     if not isinstance(spec, dict) or "sig" not in spec or "assign" not in spec:
         raise FormatError("expected {\"sig\": ..., \"assign\": {name: element}}")
     sig = signature_from_dict(spec["sig"])
+    if not isinstance(spec["assign"], dict):
+        raise FormatError("\"assign\" must map generator names to elements")
     assign = {name: element_from_dict(sub)
               for name, sub in spec["assign"].items()}
     phi = extend_morphism(sig, assign, FREE_OPS)

@@ -11,11 +11,13 @@ small `PropOps` interface, by slicing the graph into wire layers.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Protocol, TypeVar
 
-from .canonical import canonical_key, canonicalize, enumerate_graphs
+from .canonical import canonicalize, count_graphs, iso_classes
 from .graphs import (Edge, FormatError, Graph, GraphError, Vertex, check,
                      check_topological_order, graph_from_dict, graph_to_dict,
                      hcompose, identity, is_int, permute_inputs,
@@ -426,20 +428,26 @@ def extend_morphism(sig: Signature, assignment: dict[str, T], ops,
 def count_basis(sig: Signature, m: int, n: int, max_r: int,
                 **caps) -> dict[str, list[int]]:
     """Counts of labeled basis graphs per vertex count r = 0..max_r, both
-    with numbered vertices and up to label-preserving isomorphism."""
+    with numbered vertices and up to label-preserving isomorphism.  Each
+    multiset of names is enumerated in sorted order only: renumbering
+    carries its graphs bijectively onto those of each of its r!/prod(mult!)
+    orderings, and every class over the multiset has a representative
+    numbered in sorted order."""
     numbered: list[int] = []
     iso: list[int] = []
     for r in range(max_r + 1):
-        total = 0
-        keys: set = set()
-        for profile in itertools.product(sig.names, repeat=r):
+        total = classes = 0
+        for profile in itertools.combinations_with_replacement(sig.names, r):
             arities = [sig.arity(name) for name in profile]
-            labels = {i: name for i, name in enumerate(profile, start=1)}
-            for ng in enumerate_graphs(arities, m, n, **caps):
-                total += 1
-                keys.add(canonical_key(ng.graph, labels))
+            labels = dict(enumerate(profile, start=1))
+            orderings = math.factorial(r)
+            for mult in Counter(profile).values():
+                orderings //= math.factorial(mult)
+            total += orderings * count_graphs(arities, m, n, **caps)
+            classes += sum(1 for _ in iso_classes(arities, m, n, labels,
+                                                  **caps))
         numbered.append(total)
-        iso.append(len(keys))
+        iso.append(classes)
     return {"numbered": numbered, "iso": iso}
 
 

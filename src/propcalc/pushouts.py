@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .canonical import canonical_key, enumerate_graphs
+from .canonical import canonical_key, iso_classes
 from .freeprop import Signature
 from .graphs import GraphError, LimitError
 from .unionfind import UnionFind
@@ -41,10 +41,6 @@ class FiniteSetMap:
         if stray:
             raise GraphError(f"values outside the target for {sorted(map(repr, stray))}")
         return cls(src, tgt, tuple(sorted(mp.items(), key=repr)))
-
-    @property
-    def mapping(self) -> dict:
-        return dict(self.pairs)
 
     def __call__(self, x):
         for a, b in self.pairs:
@@ -346,11 +342,12 @@ def _enumerate_classes(m, n, roles, max_vertices, accept,
                 continue
             arities = [roles[k][1] for k in combo]
             labels = {v: tags[v - 1] for v in range(1, r + 1)}
-            for ng in enumerate_graphs(arities, m, n,
-                                       max_vertices=max_vertices):
-                key = canonical_key(ng.graph, labels)
+            # one class can recur across combinations: repeated slot
+            # arities give two roles the same tag
+            for key, graph in iso_classes(arities, m, n, labels,
+                                          max_vertices=max_vertices):
                 if key not in out:
-                    out[key] = (ng.graph, labels)
+                    out[key] = (graph, labels)
                     if len(out) > max_classes:
                         raise LimitError(
                             "class enumeration exceeds the cap")

@@ -283,8 +283,10 @@ def expand_all(g: MixedGraph) -> PropElement:
     expanded in place.  Invariant under merge, hence the equality oracle
     for collapse results."""
     combined = combine_signatures(g.atoms, g.msig)
+    corollas = {name: corolla(combined, name)
+                for name in set(g.m_labels.values())}
     inner = {vid: g.p_labels[vid] if vid in g.p_labels
-             else corolla(combined, g.m_labels[vid])
+             else corollas[g.m_labels[vid]]
              for vid in g.graph.vertex_ids}
     return _expand(g.graph, inner)
 
@@ -350,10 +352,10 @@ def _try_alphabets(graph: Graph, profile: list[tuple[int, int]],
                 (_atom_name(a), a[0], a[1]) for a in sorted(p_arities))
             msig = Signature(
                 (_gen_name(a), a[0], a[1]) for a in sorted(m_arities))
+            corollas = {a: corolla(atoms, _atom_name(a)) for a in p_arities}
             mixed = MixedGraph.build(
                 graph, atoms, msig,
-                {vid: corolla(atoms, _atom_name(profile[vid - 1]))
-                 for vid in subset},
+                {vid: corollas[profile[vid - 1]] for vid in subset},
                 {vid: _gen_name(profile[vid - 1])
                  for vid in range(1, r + 1) if vid not in chosen})
             try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from propcalc.canonical import canonical_key, enumerate_graphs
 from propcalc.graphs import Edge, Graph, Vertex, vertex_successors
 from propcalc.rewrite import MixedGraph, merge, mergeable_pairs
 
@@ -253,6 +254,26 @@ def chain_label_count(r: int, q: int) -> int:
     for t in range(q):
         out = out * (r - t) // (t + 1)
     return out
+
+
+def product_count_basis(sig, m: int, n: int, max_r: int) -> dict:
+    """`count_basis` by its definition: every ordered profile of generator
+    names enumerated in full, numbered graphs counted one by one, and
+    classes deduplicated by canonical key over all orderings at once (no
+    multiset factor, no representative order)."""
+    numbered, iso = [], []
+    for r in range(max_r + 1):
+        total = 0
+        keys: set = set()
+        for profile in itertools.product(sig.names, repeat=r):
+            arities = [sig.arity(name) for name in profile]
+            labels = dict(enumerate(profile, start=1))
+            for ng in enumerate_graphs(arities, m, n):
+                total += 1
+                keys.add(canonical_key(ng.graph, labels))
+        numbered.append(total)
+        iso.append(len(keys))
+    return {"numbered": numbered, "iso": iso}
 
 
 # ---------------------------------------------------------------------------

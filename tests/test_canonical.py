@@ -8,11 +8,12 @@ import pytest
 
 from propcalc import fixtures
 from propcalc.canonical import (CanonicalForm, NumberedGraph,
-                                UnreachableVertexError, canonical_order,
-                                canonicalize, count_graphs, enumerate_graphs,
-                                free_action_check, graph_hash,
-                                input_path_labels, input_path_order,
-                                is_isomorphic, numbered_key,
+                                UnreachableVertexError, canonical_key,
+                                canonical_order, canonicalize, count_graphs,
+                                enumerate_graphs, free_action_check,
+                                graph_hash, input_path_labels,
+                                input_path_order, is_isomorphic,
+                                iso_classes, numbered_key,
                                 output_path_order, renumber)
 from propcalc.graphs import (GraphError, LimitError, identity, make_graph,
                              permute_inputs, relabel_vertices)
@@ -264,6 +265,26 @@ def test_enumerate_two_unary_vertices():
     assert is_isomorphic(numbered[0].graph, numbered[1].graph)
     reduced = list(enumerate_graphs([(1, 1), (1, 1)], 1, 1, upto_iso=True))
     assert len(reduced) == 1
+
+
+def test_iso_classes_are_the_first_seen_keys_of_the_numbered_stream():
+    # path routes and the traversal, with repeated and distinct labels
+    cases = [
+        ([(1, 1), (1, 1), (1, 2), (2, 1)], 1, 1, "absj"),
+        ([(1, 1), (1, 1), (1, 1)], 1, 1, "aab"),
+        ([(0, 1), (1, 0), (1, 1), (1, 1)], 0, 0, "ckuu"),
+        ([(0, 1), (2, 1), (1, 0), (1, 2)], 1, 1, "cjks"),
+    ]
+    for arities, m, n, names in cases:
+        for labels in (None, dict(enumerate(names, start=1))):
+            first: dict = {}
+            for ng in enumerate_graphs(arities, m, n):
+                first.setdefault(canonical_key(ng.graph, labels), ng.graph)
+            got = list(iso_classes(arities, m, n, labels))
+            assert got == list(first.items()), (arities, labels)
+        reps = [ng.graph for ng in enumerate_graphs(arities, m, n,
+                                                    upto_iso=True)]
+        assert reps == [graph for _, graph in iso_classes(arities, m, n)]
 
 
 def test_enumerate_finds_the_diamond():

@@ -282,6 +282,14 @@ def test_expand_rejects_an_invalid_outer_graph(tmp_path):
         and len(err.splitlines()) == 1
 
 
+def test_expand_rejects_an_inner_field_that_is_not_an_object(tmp_path):
+    f4 = fixture_dict("fig4")
+    f4["inner"] = []
+    rc, out, err = run("expand", write_json(tmp_path / "bad.json", f4))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # algebra commands
 
@@ -294,6 +302,15 @@ def test_map_applies_a_generator_assignment(tmp_path):
     image = json.loads(out)
     assert len(image["vertices"]) == 2
     assert element_from_dict(image) == element_from_dict(UNARY_CHAIN)
+
+
+def test_map_rejects_an_assign_field_that_is_not_an_object(tmp_path):
+    assignment = {"sig": UNARY_SIG, "assign": []}
+    rc, out, err = run("map", write_json(tmp_path / "e.json", UNARY_ELEMENT),
+                       "--assignment",
+                       write_json(tmp_path / "assign.json", assignment))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_eval_contracts_against_an_algebra(tmp_path):

@@ -422,6 +422,17 @@ def test_count_basis_free_action_factorial():
             assert num == iso * _factorial(r), (sig, r)
 
 
+def test_count_basis_without_a_free_action_matches_the_product_loop():
+    from _oracles import product_count_basis
+    closed = Signature([("c", 0, 1), ("k", 1, 0), ("u", 1, 1)])
+    table = count_basis(closed, 0, 0, 4)
+    assert table == {"numbered": [1, 0, 2, 6, 36], "iso": [1, 0, 1, 1, 2]}
+    assert table == product_count_basis(closed, 0, 0, 4)
+    mixed = Signature([("u", 1, 1), ("j", 2, 1), ("s", 1, 2),
+                       ("c", 0, 1), ("k", 1, 0)])
+    assert count_basis(mixed, 1, 1, 4) == product_count_basis(mixed, 1, 1, 4)
+
+
 # ---------------------------------------------------------------------------
 # partial labelings
 
