@@ -350,6 +350,15 @@ class NumberedGraph:
             raise GraphError("numbering must be a bijection onto the vertices")
 
     @classmethod
+    def _trusted(cls, graph: Graph,
+                 order: tuple[int, ...]) -> "NumberedGraph":
+        # the constructor without its check, for a numbering known to be
+        # a bijection onto the vertices
+        ng = object.__new__(cls)
+        ng.__dict__.update(graph=graph, order=order)
+        return ng
+
+    @classmethod
     def from_graph(cls, g: Graph) -> "NumberedGraph":
         return cls(g, tuple(sorted(g.vertex_ids)))
 
@@ -393,12 +402,18 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
                      max_edges: int | None = None):
     """Yield every valid numbered graph on the given vertex profile, in a
     fixed lexicographic order of port matchings (so the stream is
-    deterministic).  With upto_iso, only the first representative of each
-    isomorphism class is emitted (see `iso_classes`)."""
+    deterministic): source ports (inputs, then vertex out-ports by vertex
+    and port) each take the least free target port (outputs, then vertex
+    in-ports) left.  Where the next source starts a vertex's out-ports,
+    the search cuts the branch if it can tell that no acyclic completion
+    extends it; it cuts no branch that holds a graph, so the stream and
+    its order are those of the uncut search.  With upto_iso, only the
+    first representative of each isomorphism class is emitted (see
+    `iso_classes`)."""
     if upto_iso:
         for _, graph in iso_classes(arities, m, n, max_vertices=max_vertices,
                                     max_edges=max_edges):
-            yield NumberedGraph(graph, graph.vertex_ids)
+            yield NumberedGraph._trusted(graph, graph.vertex_ids)
         return
     if m < 0 or n < 0 or any(a < 0 or b < 0 for a, b in arities):
         raise GraphError("negative arity or boundary")
@@ -414,48 +429,140 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     if edge_count != n + sum(a for a, _ in arities):
         return
 
-    vertices = tuple(Vertex(i + 1, a, b) for i, (a, b) in enumerate(arities))
+    # built with the first graph: many calls in a sweep yield none
+    vertices: tuple[Vertex, ...] | None = None
     sources: list[tuple] = [("input", i) for i in range(1, m + 1)]
-    for v in vertices:
-        sources.extend(("vout", v.id, k) for k in range(1, v.n_out + 1))
     targets: list[tuple] = [("output", j) for j in range(1, n + 1)]
-    for v in vertices:
-        targets.extend(("vin", v.id, k) for k in range(1, v.n_in + 1))
+    fed = [0] * n  # the vertex fed by each target, 0 for a graph output
+    free_in = [0]  # unfed in-ports per vertex
+    n_out = [0]
+    starts = []  # (source index, vertex) where each vertex's out-ports start
+    for v, (a, b) in enumerate(arities, start=1):
+        if b:
+            starts.append((len(sources), v))
+        sources += [("vout", v, k) for k in range(1, b + 1)]
+        targets += [("vin", v, k) for k in range(1, a + 1)]
+        fed += [v] * a
+        free_in.append(a)
+        n_out.append(b)
+    width = len(targets)
+    # checks[i]: the owner w of source i where the search asks
+    # completable(w) before placing it, else 0.  Once only the last
+    # owner's ports are left, the search settles a branch about as fast
+    # as the test would, so the test skips that point.
+    checks = [0] * (edge_count + 1)
+    for i, v in starts[:-1]:
+        checks[i] = v
 
-    used = [False] * len(targets)
-    chosen: list[int] = []
+    used = [False] * width
+    chosen: list[Edge] = []
+    # edges[i * width + t]: the edge from source i to target t, built on
+    # first use
+    edges: list[Edge | None] = [None] * (edge_count * width)
     desc = [0] * (r + 1)  # desc[v] = bitmask of vertices reachable from v
-    numbering = tuple(v.id for v in vertices)
+    numbering = tuple(range(1, r + 1))
+
+    def completable(w: int) -> bool:
+        # Called where every input is placed, vertices below w have no
+        # free out-port and vertices from w on have all of theirs.  A
+        # completion exists iff some order of the vertices, topological
+        # for the edges placed so far, feeds each vertex's free in-ports
+        # from free out-ports of the vertices before it (the new edges
+        # then all run forward, so the graph is acyclic).  Build one
+        # greedily: place a ready vertex (no unplaced vertex reaches it)
+        # that is affordable (its free in-ports fit in the free out-ports
+        # placed so far) and frees at least as many ports as it takes.
+        # Moving such a vertex to the front of any valid order keeps it
+        # valid, since every later vertex then has at least as many ports
+        # to draw on, so placing it never loses a completion.  If no ready
+        # vertex is affordable, no order can go on: no completion.  If an
+        # affordable ready vertex takes more than it frees, the greedy
+        # cannot decide: answer maybe (True).  Such a vertex stays ready
+        # and affordable as the greedy goes on, so the answer comes at once.
+        #
+        # Vertices from w on have no out-edge yet, so only vertices below
+        # w reach anything.  One below w with free in-ports (hungry) frees
+        # nothing, so the greedy never places it, nor anything it reaches;
+        # one below w with none is placed for free once ready.  So the
+        # greedy places the vertices from w on that no hungry vertex
+        # reaches, in any order that keeps them affordable.
+        hungry: list[int] = []
+        blocked = 0
+        for c in range(1, w):
+            if free_in[c]:
+                hungry.append(c)
+                blocked |= desc[c]
+        waiting = [v for v in range(w, r + 1) if not (blocked >> v) & 1]
+        pool = 0
+        while waiting:
+            rest = []
+            for v in waiting:
+                take = free_in[v]
+                if take > pool:
+                    rest.append(v)
+                elif n_out[v] < take:
+                    return True
+                else:
+                    pool += n_out[v] - take
+            if len(rest) == len(waiting):
+                break
+            waiting = rest
+        # stuck or done: every vertex still waiting is unaffordable
+        for c in hungry:
+            if free_in[c] <= pool and not (blocked >> c) & 1:
+                return True
+        return not hungry and not waiting
 
     def assign(i: int):
-        if i == len(sources):
-            edges = tuple(Edge(s, targets[t]) for s, t in zip(sources, chosen))
-            yield NumberedGraph(Graph(m, n, vertices, edges), numbering)
+        nonlocal vertices
+        if i == edge_count:
+            if vertices is None:
+                vertices = tuple(Vertex(v, a, b) for v, (a, b)
+                                 in enumerate(arities, start=1))
+            # sources run in sorted order and so do the vertices
+            yield NumberedGraph._trusted(
+                Graph._sorted(m, n, vertices, tuple(chosen)), numbering)
             return
         src = sources[i]
-        for t in range(len(targets)):
+        u = src[1] if src[0] == "vout" else 0
+        row = i * width
+        owner = checks[i + 1]
+        for t in range(width):
             if used[t]:
                 continue
-            dst = targets[t]
+            v = fed[t]
             snapshot = None
-            if src[0] == "vout" and dst[0] == "vin":
-                u, v = src[1], dst[1]
-                if u == v or (desc[v] >> u) & 1:
-                    continue
-                snapshot = desc.copy()
-                gain = desc[v] | (1 << v)
-                for x in range(1, r + 1):
-                    if x == u or (desc[x] >> u) & 1:
-                        desc[x] |= gain
+            if v:
+                if u:
+                    if u == v or (desc[v] >> u) & 1:
+                        continue
+                    snapshot = desc.copy()
+                    gain = desc[v] | (1 << v)
+                    for x in range(1, r + 1):
+                        if x == u or (desc[x] >> u) & 1:
+                            desc[x] |= gain
+                free_in[v] -= 1
+            edge = edges[row + t]
+            if edge is None:
+                edge = edges[row + t] = Edge(src, targets[t])
             used[t] = True
-            chosen.append(t)
-            yield from assign(i + 1)
+            chosen.append(edge)
+            if not owner or completable(owner):
+                yield from assign(i + 1)
             chosen.pop()
             used[t] = False
-            if snapshot is not None:
-                desc[:] = snapshot
+            if v:
+                free_in[v] += 1
+                if snapshot is not None:
+                    desc[:] = snapshot
 
-    yield from assign(0)
+    try:
+        if not checks[0] or completable(checks[0]):
+            yield from assign(0)
+    finally:
+        # assign reaches itself through its closure; unbinding it lets the
+        # search state go by reference counting, not the cycle collector
+        del assign
 
 
 def iso_classes(arities: list[tuple[int, int]], m: int, n: int,

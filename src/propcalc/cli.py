@@ -176,7 +176,14 @@ def _cmd_enum(args) -> int:
     return 0
 
 
+def _at_least(flag: str, value: int | None, low: int) -> None:
+    """Reject a bound below `low` as malformed input (None is no bound)."""
+    if value is not None and value < low:
+        raise FormatError(f"{flag} must be at least {low}, got {value}")
+
+
 def _cmd_count(args) -> int:
+    _at_least("--max-r", args.max_r, 0)
     sig = signature_from_dict(_read_json(args.sig))
     _emit(count_basis(sig, args.m, args.n, args.max_r))
     return 0
@@ -247,9 +254,7 @@ def _cmd_check_morphism(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    if args.max_states < 1:
-        raise FormatError(
-            f"--max-states must be at least 1, got {args.max_states}")
+    _at_least("--max-states", args.max_states, 1)
     g = mixed_from_dict(_read_json(args.file))
     if args.strategy == "greedy":
         _emit(mixed_to_dict(collapse(g, "greedy")))
@@ -260,6 +265,8 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    _at_least("--max-vertices", args.max_vertices, 0)
+    _at_least("--max-p", args.max_p, 0)
     found = non_confluence_witness(max_vertices=args.max_vertices,
                                    max_p=args.max_p)
     if found is None:

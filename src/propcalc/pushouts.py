@@ -350,7 +350,8 @@ def _enumerate_classes(m, n, roles, max_vertices, accept,
                     out[key] = (graph, labels)
                     if len(out) > max_classes:
                         raise LimitError(
-                            "class enumeration exceeds the cap")
+                            f"class enumeration found {len(out)} classes,"
+                            f" cap is {max_classes} (max_classes)")
     return out
 
 

@@ -206,7 +206,7 @@ class AlgebraAssignment:
         if not is_int(dim) or dim < 1:
             raise GraphError("dimension must be a positive integer")
         if dim > cap:
-            raise LimitError(f"dimension {dim} exceeds the cap {cap}")
+            raise LimitError(f"dimension {dim}, cap is {cap} (max_dim)")
         for name, t in matrices.items():
             if not isinstance(t, RatTensor) or len(t.shape) != 2:
                 raise GraphError(f"assignment for {name!r} must be a matrix")
@@ -301,7 +301,7 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
     cap = DEFAULT_MAX_AXES if max_axes is None else max_axes
     if graph.m + graph.n > cap:
         raise LimitError(
-            f"boundary {graph.m}+{graph.n} exceeds the {cap}-axis cap")
+            f"boundary {graph.m}+{graph.n} axes, cap is {cap} (max_axes)")
     d = A.dim
     for v in graph.vertices:
         name = labels.get(v.id)

@@ -139,7 +139,9 @@ def brute_force_graphs(arities: list[tuple[int, int]], m: int,
                        n: int) -> list[Graph]:
     """Every valid numbered graph on the profile, found by enumerating all
     bijections from source ports to target ports and discarding the cyclic
-    ones.  Exponential; keep the port count small."""
+    ones.  The bijections run in lexicographic order over the same source
+    and target lists as `enumerate_graphs`, so the list is its stream,
+    order included.  Exponential; keep the port count small."""
     vertices = [Vertex(i + 1, a, b) for i, (a, b) in enumerate(arities)]
     sources = [("input", i) for i in range(1, m + 1)]
     targets = [("output", j) for j in range(1, n + 1)]

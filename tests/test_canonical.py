@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -300,12 +301,34 @@ def test_enumerate_matches_brute_force():
         ([(2, 4)], 2, 4),
         ([(1, 2), (2, 1)], 1, 1),
         ([(1, 2), (1, 1)], 1, 2),
+        # every vertex has an input, so most prefixes are dead ends
+        ([(1, 2), (2, 1), (1, 2), (1, 1), (1, 1)], 1, 2),
+        ([(2, 1), (1, 1), (1, 2)], 2, 2),
+        ([(1, 1), (1, 1)], 2, 2),
+        # closed: no input to start from, so no graph at all
+        ([(1, 2), (2, 1)], 0, 0),
+        ([(1, 1), (1, 1), (1, 1)], 0, 0),
+        # (0,k) and (k,0) vertices side by side
+        ([(0, 2), (1, 1), (2, 0), (0, 1), (1, 0)], 1, 1),
+        ([(0, 2), (2, 0), (1, 1), (0, 1), (1, 0)], 0, 0),
     ]
     for arities, m, n in profiles:
         ours = [ng.graph for ng in enumerate_graphs(arities, m, n)]
-        theirs = brute_force_graphs(arities, m, n)
-        assert len(ours) == len(theirs), (arities, m, n)
-        assert set(ours) == set(theirs), (arities, m, n)
+        assert ours == brute_force_graphs(arities, m, n), (arities, m, n)
+    assert list(enumerate_graphs([(1, 2), (2, 1)], 0, 0)) == []
+
+
+def test_enumerate_leaves_no_cyclic_garbage():
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        next(enumerate_graphs([(1, 2), (2, 1), (1, 1)], 1, 1))
+        assert len(list(enumerate_graphs([(1, 1), (1, 1)], 1, 1))) == 2
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumerate_unbalanced_profile_is_empty():
@@ -367,6 +390,17 @@ def test_renumber_is_right_action():
     assert renumber(renumber(ng, w1), w2) == renumber(ng, combined)
     with pytest.raises(GraphError):
         renumber(ng, (1, 1, 2, 3, 4))
+
+
+def test_numbered_graph_checks_its_numbering():
+    g = fixtures.fig7()
+    with pytest.raises(GraphError, match="bijection"):
+        NumberedGraph(g, (1, 1, 2, 3, 4))
+    # the enumeration builds its graphs unchecked; they pass the check
+    for ng in enumerate_graphs([(1, 2), (2, 1), (1, 1)], 1, 1):
+        assert ng == NumberedGraph(ng.graph, ng.order)
+        assert ng.graph == make_graph(ng.graph.m, ng.graph.n,
+                                      ng.graph.vertices, ng.graph.edges)
 
 
 def test_renumbering_moves_every_small_graph():

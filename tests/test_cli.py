@@ -263,6 +263,14 @@ def test_count_reports_both_numbered_and_iso_counts(tmp_path):
     assert json.loads(out) == {"numbered": [1, 1, 2, 6], "iso": [1, 1, 1, 1]}
 
 
+def test_count_rejects_a_negative_max_r(tmp_path):
+    sig = write_json(tmp_path / "sig.json", UNARY_SIG)
+    rc, out, err = run("count", "--sig", sig, "--m", "1", "--n", "1",
+                       "--max-r", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: --max-r must be at least 0, got -1\n"
+
+
 def test_expand_flattens_to_the_stored_element():
     rc, out, _ = run("expand", str(fixture_path("fig4")))
     assert rc == 0
@@ -375,6 +383,18 @@ def test_witness_search_finds_and_respects_bounds():
 
     rc, out, _ = run("witness", "--max-vertices", "5", "--max-p", "2")
     assert rc == 0 and json.loads(out) == {"found": False}
+
+
+def test_witness_rejects_negative_max_vertices():
+    rc, out, err = run("witness", "--max-vertices", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: --max-vertices must be at least 0, got -1\n"
+
+
+def test_witness_rejects_a_negative_max_p():
+    rc, out, err = run("witness", "--max-p", "-5")
+    assert rc == 2 and out == ""
+    assert err == "error: --max-p must be at least 0, got -5\n"
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,8 @@ def test_filtration_validates_signatures():
 
 def test_filtration_respects_the_class_cap():
     sig_k, sig_l, base = chain_setup()
-    with pytest.raises(LimitError):
+    with pytest.raises(LimitError,
+                       match=r"found 4 classes, cap is 3 \(max_classes\)"):
         filtration_square_check(sig_k, sig_l, base, 1, 1, max_degree=2,
                                 max_vertices=4, max_classes=3)
 
