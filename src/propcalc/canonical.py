@@ -39,8 +39,8 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .graphs import (Edge, Graph, GraphError, LimitError, Vertex, reverse,
-                     topological_order)
+from .graphs import (Edge, Graph, GraphError, LimitError, Vertex,
+                     check_permutation, reverse, topological_order)
 
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_EDGES = 24
@@ -374,8 +374,7 @@ def numbered_key(ng: NumberedGraph,
 def renumber(ng: NumberedGraph, w: tuple[int, ...]) -> NumberedGraph:
     """Precompose the numbering with w: new number i marks the vertex that
     previously carried number w(i)."""
-    if sorted(w) != list(range(1, len(ng.order) + 1)):
-        raise GraphError(f"not a permutation of 1..{len(ng.order)}: {w}")
+    w = check_permutation(w, len(ng.order))
     return NumberedGraph(ng.graph, tuple(ng.order[wi - 1] for wi in w))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -584,7 +585,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout early (the flush above catches short
+        # output too); point stdout at devnull so the flush at exit stays
+        # quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output ended",
+              file=sys.stderr)
+        return 1
     except FormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

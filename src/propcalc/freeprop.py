@@ -18,11 +18,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Protocol, TypeVar
 
 from .canonical import canonicalize, count_graphs, iso_classes
-from .graphs import (Edge, FormatError, Graph, GraphError, Vertex, check,
-                     check_topological_order, graph_from_dict, graph_to_dict,
-                     hcompose, identity, is_int, permute_inputs,
-                     permute_outputs, topological_order, vcompose)
-from .unionfind import UnionFind
+from .graphs import (Edge, FormatError, Graph, GraphError, Port, Vertex,
+                     check, check_topological_order, graph_from_dict,
+                     graph_to_dict, hcompose, identity, is_int,
+                     permute_inputs, permute_outputs, topological_order,
+                     vcompose)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +228,12 @@ def pelem_permute_outputs(e: PropElement, w: tuple[int, ...]) -> PropElement:
 def expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
     """Substitute an element for every vertex of the host graph.
 
-    Boundary wires are spliced: an inner through-wire (input fed straight
-    to an output) welds the two host edges on either side of its vertex
-    into one, so the welds are closed off with a union-find over host
-    edges.  Every weld class ends up with exactly one genuine source and
-    one genuine target.  Raises GraphError if `outer` is invalid or an
+    Boundary wires are spliced by walking them: each host edge with a
+    genuine source (a host input or an inner vertex's out-port) follows
+    inner through-wires (an input fed straight to an output) and the host
+    edges after them until it reaches a genuine target.  A host edge that
+    leaves a through-wire is passed by the walk from its chain's head, so
+    it is not walked itself.  Raises GraphError if `outer` is invalid or an
     inner element is missing or has the wrong arity.
     """
     return _expand(check(outer), inner)
@@ -253,58 +254,39 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
     rename: dict[tuple[int, int], int] = {}
     vertices: list[Vertex] = []
     labels: dict[int, str] = {}
-    next_id = 1
-    for v in outer.vertices:
-        for iv in inner[v.id].graph.vertices:
-            rename[(v.id, iv.id)] = next_id
-            vertices.append(Vertex(next_id, iv.n_in, iv.n_out))
-            labels[next_id] = inner[v.id].labels[iv.id]
-            next_id += 1
-
-    host = list(outer.edges)
-    into = {e.dst: i for i, e in enumerate(host)}
-    outof = {e.src: i for i, e in enumerate(host)}
-
-    uf = UnionFind(range(len(host)))
-    for v in outer.vertices:
-        for ie in inner[v.id].graph.edges:
-            if ie.src[0] == "input" and ie.dst[0] == "output":
-                uf.union(into[("vin", v.id, ie.src[1])],
-                         outof[("vout", v.id, ie.dst[1])])
-
-    def resolved_src(e: Edge):
-        if e.src[0] == "input":
-            return e.src
-        _, vid, k = e.src
-        ie = inner[vid].graph.edge_into(("output", k))
-        if ie.src[0] == "input":
-            return None
-        return ("vout", rename[(vid, ie.src[1])], ie.src[2])
-
-    def resolved_dst(e: Edge):
-        if e.dst[0] == "output":
-            return e.dst
-        _, vid, k = e.dst
-        ie = inner[vid].graph.edge_from(("input", k))
-        if ie.dst[0] == "output":
-            return None
-        return ("vin", rename[(vid, ie.dst[1])], ie.dst[2])
-
     edges: list[Edge] = []
+
+    def lift(vid: int, port: Port) -> Port:
+        # a port of an inner vertex of host vertex vid, in the result
+        return (port[0], rename[(vid, port[1])], port[2])
+
     for v in outer.vertices:
-        for ie in inner[v.id].graph.edges:
-            if ie.src[0] == "vout" and ie.dst[0] == "vin":
-                edges.append(Edge(("vout", rename[(v.id, ie.src[1])],
-                                   ie.src[2]),
-                                  ("vin", rename[(v.id, ie.dst[1])],
-                                   ie.dst[2])))
-    for members in uf.groups().values():
-        srcs = [s for s in (resolved_src(host[i]) for i in members)
-                if s is not None]
-        dsts = [t for t in (resolved_dst(host[i]) for i in members)
-                if t is not None]
-        assert len(srcs) == 1 and len(dsts) == 1, "weld class must be a chain"
-        edges.append(Edge(srcs[0], dsts[0]))
+        e = inner[v.id]
+        for iv in e.graph.vertices:
+            new = len(vertices) + 1
+            rename[(v.id, iv.id)] = new
+            vertices.append(Vertex(new, iv.n_in, iv.n_out))
+            labels[new] = e.labels[iv.id]
+        edges.extend(Edge(lift(v.id, ie.src), lift(v.id, ie.dst))
+                     for ie in e.graph.edges
+                     if ie.src[0] == "vout" and ie.dst[0] == "vin")
+
+    for he in outer.edges:
+        src = he.src
+        if src[0] == "vout":
+            ie = inner[src[1]].graph.edge_into(("output", src[2]))
+            if ie.src[0] == "input":
+                continue  # a through-wire's far side
+            src = lift(src[1], ie.src)
+        dst = he.dst
+        while dst[0] == "vin":
+            vid = dst[1]
+            ie = inner[vid].graph.edge_from(("input", dst[2]))
+            if ie.dst[0] == "vin":
+                dst = lift(vid, ie.dst)
+                break
+            dst = outer.edge_from(("vout", vid, ie.dst[1])).dst
+        edges.append(Edge(src, dst))
 
     return PropElement._canonical(Graph(outer.m, outer.n, tuple(vertices),
                                         tuple(edges)), labels)

@@ -259,13 +259,10 @@ def algebra_from_dict(d: object,
             "assignment JSON must be {\"dim\": d, \"matrices\": {...}}")
     matrices: dict[str, RatTensor] = {}
     for name, rows in d["matrices"].items():
-        if not isinstance(rows, list) or not rows \
-                or not all(isinstance(r, list) and len(r) == len(rows[0])
-                           and r for r in rows):
-            raise FormatError(f"matrix for {name!r} must be a "
-                              "rectangular array of rationals")
-        matrices[name] = RatTensor([[parse_rational(x) for x in r]
-                                    for r in rows])
+        try:
+            matrices[name] = matrix_from_json(rows)
+        except FormatError as err:
+            raise FormatError(f"matrix for {name!r}: {err}") from None
     try:
         return AlgebraAssignment.build(d["dim"], matrices, sig)
     except GraphError as err:
@@ -322,6 +319,9 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
         order = list(order)
         check_topological_order(graph, order)
 
+    # Each open axis of `state` is named by the port that will consume it:
+    # a vertex in-port ("vin", v, k) until v is contracted, or a boundary
+    # port, ("output", j) or ("input", i), which the final transpose reads.
     state, den = np.array(1, dtype=object), 1
     axes: list[tuple] = []
     for vid in order:
@@ -329,35 +329,30 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
         mat = A.matrices[labels[vid]]
         t = mat._num.reshape((d,) * v.n_out + (d,) * v.n_in)
         den *= mat._den
-        ins = [graph.edge_into(("vin", vid, k))
-               for k in range(1, v.n_in + 1)]
-        spos, tpos = [], []
-        for k, edge in enumerate(ins):
-            if edge.src[0] == "vout":
-                spos.append(axes.index(("e", edge)))
-                tpos.append(v.n_out + k)
+        spos, tpos, opened = [], [], []
+        for k in range(1, v.n_in + 1):
+            src = graph.edge_into(("vin", vid, k)).src
+            if src[0] == "vout":
+                spos.append(axes.index(("vin", vid, k)))
+                tpos.append(v.n_out + k - 1)
+            else:
+                opened.append(src)
         state = np.tensordot(state, t, axes=(spos, tpos))
         taken = set(spos)
         axes = [key for i, key in enumerate(axes) if i not in taken]
-        axes += [("e", graph.edge_from(("vout", vid, j)))
+        axes += [graph.edge_from(("vout", vid, j)).dst
                  for j in range(1, v.n_out + 1)]
-        axes += [("e", edge) for edge in ins if edge.src[0] == "input"]
+        axes += opened
 
     for i in range(1, graph.m + 1):
-        edge = graph.edge_from(("input", i))
-        if edge.dst[0] == "output":
+        dst = graph.edge_from(("input", i)).dst
+        if dst[0] == "output":
             state = np.tensordot(state, np.identity(d, dtype=object),
                                  axes=([], []))
-            axes += [("to", edge), ("ti", edge)]
+            axes += [dst, ("input", i)]
 
-    final = []
-    for j in range(1, graph.n + 1):
-        edge = graph.edge_into(("output", j))
-        final.append(("e", edge) if edge.src[0] == "vout" else ("to", edge))
-    for i in range(1, graph.m + 1):
-        edge = graph.edge_from(("input", i))
-        final.append(("e", edge) if edge.dst[0] == "vin" else ("ti", edge))
-    perm = [axes.index(key) for key in final]
+    perm = [axes.index(("output", j)) for j in range(1, graph.n + 1)]
+    perm += [axes.index(("input", i)) for i in range(1, graph.m + 1)]
     if perm:
         state = state.transpose(perm)
     return RatTensor._of(state.reshape(d ** graph.n, d ** graph.m), den)

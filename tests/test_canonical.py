@@ -388,7 +388,8 @@ def test_renumber_is_right_action():
     w1, w2 = (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)
     combined = tuple(w1[w2[i] - 1] for i in range(5))
     assert renumber(renumber(ng, w1), w2) == renumber(ng, combined)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"not a permutation of 1\.\.5: "
+                                         r"\(1, 1, 2, 3, 4\)"):
         renumber(ng, (1, 1, 2, 3, 4))
 
 

@@ -474,3 +474,18 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+def test_enum_into_a_pipe_closed_early_exits_quietly():
+    # `propcalc enum ... | head -1`: the reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "propcalc.cli", "enum", "--arities",
+         "1:2,2:1,1:2,1:1,1:1", "--m", "1", "--n", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert json.loads(proc.stdout.readline())["m"] == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(err.splitlines()) <= 1
+    assert all(line.startswith("error:") for line in err.splitlines())

@@ -295,6 +295,23 @@ def test_expand_keeps_wires_spliced():
     assert spliced.graph.vertices == ()
 
 
+def test_expand_walks_a_chain_of_crossings():
+    # three crossings in series compose to one crossing; each through-wire
+    # must continue from the host out-port it feeds, not the one beside
+    # its host in-port
+    host = make_graph(2, 2, [(1, 2, 2), (2, 2, 2), (3, 2, 2)],
+                      [(("input", 1), ("vin", 1, 1)),
+                       (("input", 2), ("vin", 1, 2)),
+                       (("vout", 1, 1), ("vin", 2, 1)),
+                       (("vout", 1, 2), ("vin", 2, 2)),
+                       (("vout", 2, 1), ("vin", 3, 1)),
+                       (("vout", 2, 2), ("vin", 3, 2)),
+                       (("vout", 3, 1), ("output", 1)),
+                       (("vout", 3, 2), ("output", 2))])
+    crossing = pelem_permute_outputs(identity_element(2), (2, 1))
+    assert expand(host, {1: crossing, 2: crossing, 3: crossing}) == crossing
+
+
 # ---------------------------------------------------------------------------
 # the universal property
 

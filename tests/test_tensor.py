@@ -12,10 +12,10 @@ import pytest
 from _oracles import (mat_kron, mat_mul, permutation_matrix,
                       wire_permutation)
 from propcalc.canonical import enumerate_graphs
-from propcalc.freeprop import (PropElement, Signature, corolla,
+from propcalc.freeprop import (PropElement, Signature, corolla, expand,
                                extend_morphism, identity_element,
-                               pelem_hcompose, pelem_permute_outputs,
-                               pelem_vcompose)
+                               pelem_hcompose, pelem_permute_inputs,
+                               pelem_permute_outputs, pelem_vcompose)
 from propcalc.graphs import (FormatError, GraphError, LimitError,
                              relabel_vertices, to_json_text)
 from propcalc.tensor import (AlgebraAssignment, Arrow, Diagram, RatTensor,
@@ -236,13 +236,18 @@ def test_assignment_json_round_trip():
     d = json.loads(to_json_text(algebra_to_dict(a)))
     back = algebra_from_dict(d, SIG)
     assert back.dim == a.dim and back.matrices == a.matrices
-    for bad in [{}, {"dim": "2", "matrices": {}},
-                {"dim": True, "matrices": {"a": [[1]]}},
-                {"dim": 1, "matrices": {"a": [[True]]}},
-                {"dim": 2, "matrices": {"a": [[1], [1, 2]]}},
-                {"dim": 2, "matrices": {"a": [["x"]]}},
-                {"dim": 2, "matrices": {"a": []}}]:
-        with pytest.raises(FormatError):
+    shape = r"matrix for 'a': matrix JSON must be a rectangular array"
+    for bad, match in [({}, "assignment JSON"),
+                       ({"dim": "2", "matrices": {}}, "assignment JSON"),
+                       ({"dim": True, "matrices": {"a": [[1]]}},
+                        "assignment JSON"),
+                       ({"dim": 1, "matrices": {"a": [[True]]}},
+                        "matrix for 'a': bad rational True"),
+                       ({"dim": 2, "matrices": {"a": [[1], [1, 2]]}}, shape),
+                       ({"dim": 2, "matrices": {"a": [["x"]]}},
+                        "matrix for 'a': bad rational 'x'"),
+                       ({"dim": 2, "matrices": {"a": []}}, shape)]:
+        with pytest.raises(FormatError, match=match):
             algebra_from_dict(bad)
     with pytest.raises(FormatError):
         algebra_from_dict({"dim": 2, "matrices": {"a": [[1, 2], [3, 4]]}},
@@ -354,6 +359,39 @@ def test_direct_contraction_agrees_with_layer_slicing():
             m, n = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2), (0, 0)])
             e = rand_element(rng, m, n)
             assert evaluate(e, A) == phi(e).tensor
+
+
+HOST_SIG = Signature([("P", 1, 1), ("Q", 2, 2), ("R", 1, 2), ("S", 2, 1)])
+
+
+def rand_inner(rng: random.Random, m: int, n: int) -> PropElement:
+    # an element over SIG of arity (m, n), often a bare wiring
+    if m == n and rng.random() < 0.4:
+        e = identity_element(m)
+    else:
+        e = rand_element(rng, m, n, max_r=2)
+    if n == 2 and rng.random() < 0.5:
+        e = pelem_permute_outputs(e, (2, 1))
+    if m == 2 and rng.random() < 0.5:
+        e = pelem_permute_inputs(e, (2, 1))
+    return e
+
+
+def test_evaluate_of_expand_is_evaluate_of_the_host():
+    # substitution then evaluation equals evaluating the host with each
+    # vertex's matrix taken from its inner element
+    rng = random.Random(53)
+    A = rand_assignment(rng, 2)
+    for trial in range(600):
+        m, n = rng.choice([(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
+        host = rand_element(rng, m, n, HOST_SIG, max_r=3).graph
+        inner = {v.id: rand_inner(rng, v.n_in, v.n_out)
+                 for v in host.vertices}
+        B = AlgebraAssignment.build(2, {f"x{vid}": evaluate(e, A)
+                                        for vid, e in inner.items()})
+        names = {vid: f"x{vid}" for vid in inner}
+        assert evaluate(expand(host, inner), A) == \
+            evaluate((host, names), B), trial
 
 
 def test_tensorops_permutation_matches_oracle():
