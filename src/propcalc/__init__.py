@@ -38,7 +38,7 @@ from .rewrite import (MixedGraph, collapse, expand_all, merge, mergeable,
                       non_confluence_witness)
 from .tensor import (AlgebraAssignment, RatTensor, TensorOps,
                      algebra_from_dict, algebra_to_dict, evaluate,
-                     eval_is_morphism, format_rational, matrix_from_json,
+                     format_rational, matrix_from_json,
                      morphism_prop_membership, parse_rational)
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
     "canonical_key", "canonical_order", "canonicalize", "check",
     "coequalizer_sets", "collapse", "combine_signatures", "corolla",
     "count_basis", "count_graphs", "element_from_dict", "element_to_dict",
-    "enumerate_graphs", "eval_is_morphism", "evaluate", "expand",
+    "enumerate_graphs", "evaluate", "expand",
     "expand_all", "expand_element", "extend_morphism", "faces_commute",
     "filtration_degree", "filtration_square_check", "format_rational",
     "free_action_check", "graph_from_dict", "graph_hash", "graph_to_dict",

@@ -363,14 +363,6 @@ class NumberedGraph:
         return cls(g, tuple(sorted(g.vertex_ids)))
 
 
-def numbered_key(ng: NumberedGraph,
-                 labels: dict[int, str] | None = None) -> tuple:
-    """Serialization of a numbered graph with vertices renamed along its
-    own numbering.  Two numbered graphs agree on this key iff there is a
-    numbering- and port-preserving isomorphism between them."""
-    return _serialize(ng.graph, _render(labels), list(ng.order))
-
-
 def renumber(ng: NumberedGraph, w: tuple[int, ...]) -> NumberedGraph:
     """Precompose the numbering with w: new number i marks the vertex that
     previously carried number w(i)."""

@@ -64,9 +64,6 @@ class Signature:
             raise GraphError(f"unknown generator {name!r}") from None
         return (g.m, g.n)
 
-    def nonempty_inputs(self) -> bool:
-        return all(g.m >= 1 for g in self.generators)
-
     def restrict(self, names: Iterable[str]) -> "Signature":
         keep = set(names)
         missing = keep - set(self.names)
@@ -347,8 +344,8 @@ class FreePropOps:
 FREE_OPS = FreePropOps()
 
 
-def extend_morphism(sig: Signature, assignment: dict[str, T], ops,
-                    order_fn=None):
+def extend_morphism(sig: Signature, assignment: dict[str, T],
+                    ops: PropOps[T], order_fn=None):
     """The unique structure-preserving extension of a generator assignment.
 
     Returns phi mapping elements over sig into the target.  phi slices the
@@ -467,11 +464,6 @@ class PartialLabeledGraph:
 def filtration_degree(p: PartialLabeledGraph) -> int:
     """How many vertices carry labels (open slots do not count)."""
     return len(p.labels)
-
-
-def filter_upto(stream: Iterable[PartialLabeledGraph],
-                e: int) -> Iterator[PartialLabeledGraph]:
-    return (p for p in stream if filtration_degree(p) <= e)
 
 
 # ---------------------------------------------------------------------------

@@ -385,10 +385,6 @@ def vcompose(top: Graph, bottom: Graph) -> Graph:
     return Graph(top.m, bottom.n, vertices, edges)
 
 
-def identity_permutation(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def check_permutation(w: tuple[int, ...], n: int) -> tuple[int, ...]:
     w = tuple(w)
     if sorted(w) != list(range(1, n + 1)):
@@ -401,17 +397,6 @@ def invert_permutation(w: tuple[int, ...]) -> tuple[int, ...]:
     for i, wi in enumerate(w, start=1):
         inv[wi - 1] = i
     return tuple(inv)
-
-
-def compose_permutations(w2: tuple[int, ...],
-                         w1: tuple[int, ...]) -> tuple[int, ...]:
-    """(w2 ∘ w1)(i) = w2(w1(i))."""
-    return tuple(w2[w1[i - 1] - 1] for i in range(1, len(w1) + 1))
-
-
-def block_sum(w1: tuple[int, ...], w2: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(w1)
-    return w1 + tuple(x + k for x in w2)
 
 
 def permute_inputs(g: Graph, w: tuple[int, ...]) -> Graph:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .canonical import canonical_key, iso_classes
 from .freeprop import Signature
 from .graphs import GraphError, LimitError
-from .unionfind import UnionFind
 
 DEFAULT_MAX_CLASSES = 200000
 
@@ -62,14 +61,6 @@ class FiniteSetMap:
             first.source, self.target,
             {x: self(y) for x, y in first.pairs})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteSetMap) \
-            and self.source == other.source and self.target == other.target \
-            and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.pairs))
-
 
 def inclusion_map(sub, whole) -> FiniteSetMap:
     sub, whole = frozenset(sub), frozenset(whole)
@@ -82,16 +73,33 @@ def inclusion_map(sub, whole) -> FiniteSetMap:
 # generic quotients
 
 def quotient_classes(items, pairs) -> list[frozenset]:
-    """Partition `items` by the equivalence generated by `pairs`.  The
-    classes come back in a deterministic order."""
-    pool = list(items)
-    seen = set(pool)
-    uf = UnionFind(pool)
+    """Partition `items` by the equivalence generated by `pairs`, through
+    a union-find forest (union by size, path compression).  The classes
+    come back sorted by the least repr of their members."""
+    parent = {x: x for x in items}
+    size = dict.fromkeys(parent, 1)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
     for a, b in pairs:
-        if a not in seen or b not in seen:
+        if a not in parent or b not in parent:
             raise GraphError("relation mentions an unknown item")
-        uf.union(a, b)
-    classes = [frozenset(members) for members in uf.groups().values()]
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+    groups: dict = {}
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
+    classes = [frozenset(members) for members in groups.values()]
     classes.sort(key=lambda c: min(repr(x) for x in c))
     return classes
 
@@ -227,10 +235,23 @@ class PuncturedColimit:
 
 def punctured_colimit(cube: CubeDiagram) -> PuncturedColimit:
     """Quotient of all sub-terminal cube vertices by the edge maps.  A
-    0-cube has no sub-terminal part, so its colimit is empty."""
+    0-cube has no sub-terminal part, and with K empty every sub-terminal
+    vertex is empty, so both colimits are empty.  The
+    (|K|+|L|)^n - |L|^n elements are counted before any is listed, and
+    more than DEFAULT_MAX_CLASSES raise LimitError."""
     n = cube.n
-    if n == 0:
-        return PuncturedColimit(0, (), ())
+    k_size, l_size = len(cube.i.source), len(cube.i.target)
+    if n == 0 or k_size == 0:
+        return PuncturedColimit(n, (), ())
+    # the count grows with the dimension, so stop at the first one past
+    # the cap rather than raise |K|+|L| to a huge n
+    for j in range(1, n + 1):
+        size = (k_size + l_size) ** j - l_size ** j
+        if size > DEFAULT_MAX_CLASSES:
+            raise LimitError(
+                f"punctured {n}-cube has {'' if j == n else 'over '}"
+                f"{size} elements, cap is {DEFAULT_MAX_CLASSES}"
+                " (DEFAULT_MAX_CLASSES)")
     eps_list = [eps for eps in itertools.product((0, 1), repeat=n)
                 if 0 in eps]
     items = [(eps, t) for eps in eps_list for t in cube.vertex(eps)]
@@ -268,7 +289,8 @@ def iterated_identity_check(i: FiniteSetMap, n: int) -> bool:
     ls = sorted(i.target, key=repr)
     span = [(c, k) for c in range(prev.size) for k in ks]
     left = [(c, x) for c in range(prev.size) for x in ls]
-    right = [(t, k) for t in itertools.product(ls, repeat=n - 1) for k in ks]
+    # k outermost, so an empty K lists no terminal tuples
+    right = [(t, k) for k in ks for t in itertools.product(ls, repeat=n - 1)]
     u = FiniteSetMap.build(span, left, {(c, k): (c, i(k)) for c, k in span})
     s = FiniteSetMap.build(span, right,
                            {(c, k): (prev.lam[c], k) for c, k in span})

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .canonical import enumerate_graphs, key_and_order
 from .freeprop import (PropElement, Signature, _expand, combine_signatures,
@@ -82,13 +81,6 @@ class MixedGraph:
         key, order = key_and_order(graph, _label_text(p_labels, m_labels))
         return cls(graph, atoms, msig, p_labels, m_labels,
                    (key, atoms.generators, msig.generators), tuple(order))
-
-    def alphabet(self, vid: int) -> str:
-        if vid in self.p_labels:
-            return "P"
-        if vid in self.m_labels:
-            return "M"
-        raise GraphError(f"unknown vertex {vid}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MixedGraph) and self.key == other.key

@@ -8,17 +8,14 @@ contraction runs on Python ints and divides once per result;
 `fractions.Fraction` appears only where values are read, written or
 shown.  `TensorOps` exposes the same target through the layer-slicing
 evaluator, giving a second, independent route to every value.  On top
-sit the intertwiner checks: one matrix between two assignments, or a
-whole diagram of them.
+sits the intertwiner check of one matrix between two assignments.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -417,64 +414,6 @@ class TensorOps:
 # ---------------------------------------------------------------------------
 # intertwiner checks
 
-def _axis_permutation_matrix(w: tuple[int, ...], d: int) -> RatTensor:
-    # entry [y, x] = 1 iff y_{w(i)} = x_i for all i; built by index
-    # enumeration, on purpose not via the moveaxis route
-    n = len(w)
-    size = d ** n
-    a = np.zeros((size, size), dtype=object)
-    for x in itertools.product(range(d), repeat=n):
-        y = [0] * n
-        for i in range(n):
-            y[w[i] - 1] = x[i]
-        xi = sum(v * d ** (n - 1 - i) for i, v in enumerate(x))
-        yi = sum(v * d ** (n - 1 - i) for i, v in enumerate(y))
-        a[yi, xi] = 1
-    return RatTensor._of(a, 1)
-
-
-def eval_is_morphism(A: AlgebraAssignment,
-                     pairs: Iterable[tuple[PropElement, PropElement]]) \
-        -> dict:
-    """Check, pair by pair, that evaluation turns the three operations
-    into Kronecker product, matrix product, and axis permutation.  Exact
-    comparisons; any mismatch lands in the violation list."""
-    from .freeprop import (pelem_hcompose, pelem_permute_inputs,
-                           pelem_permute_outputs, pelem_vcompose)
-    report = {"pairs": 0, "hcompose": 0, "vcompose": 0,
-              "permutation": 0, "violations": []}
-
-    def note(kind, a, b):
-        report["violations"].append(
-            {"op": kind, "left": repr(a), "right": repr(b)})
-
-    for a, b in pairs:
-        report["pairs"] += 1
-        ea, eb = evaluate(a, A), evaluate(b, A)
-        h = evaluate(pelem_hcompose(a, b), A)
-        report["hcompose"] += 1
-        if h != rt_kron(ea, eb):
-            note("hcompose", a, b)
-        if a.n == b.m:
-            v = evaluate(pelem_vcompose(a, b), A)
-            report["vcompose"] += 1
-            if v != rt_dot(eb, ea):
-                note("vcompose", a, b)
-        if a.n >= 2:
-            w = (2, 1) + tuple(range(3, a.n + 1))
-            p = evaluate(pelem_permute_outputs(a, w), A)
-            report["permutation"] += 1
-            if p != rt_dot(_axis_permutation_matrix(w, A.dim), ea):
-                note("permute_outputs", a, w)
-        if a.m >= 2:
-            w = (2, 1) + tuple(range(3, a.m + 1))
-            p = evaluate(pelem_permute_inputs(a, w), A)
-            report["permutation"] += 1
-            if p != rt_dot(ea, _axis_permutation_matrix(w, A.dim)):
-                note("permute_inputs", a, w)
-    return report
-
-
 def morphism_prop_membership(f: RatTensor, phiA: AlgebraAssignment,
                              phiB: AlgebraAssignment, name: str) -> bool:
     """Whether f intertwines the two assignments on this generator:
@@ -505,95 +444,3 @@ def conjugate_assignment(phiB: AlgebraAssignment,
                                        kron_power(f, m)))
     return AlgebraAssignment.build(phiB.dim, matrices, phiB.sig)
 
-
-# ---------------------------------------------------------------------------
-# diagrams of assignments
-
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    src: str
-    dst: str
-    matrix: RatTensor
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """Finitely many assignments joined by matrices, with declared
-    composites checked against actual matrix products."""
-
-    objects: dict[str, AlgebraAssignment]
-    arrows: tuple[Arrow, ...]
-    composites: dict[str, tuple[str, str]]
-
-    @classmethod
-    def build(cls, objects: dict[str, AlgebraAssignment],
-              arrows: Iterable[Arrow],
-              composites: dict[str, tuple[str, str]] | None = None) \
-            -> "Diagram":
-        arrows = tuple(arrows)
-        composites = dict(composites or {})
-        if not objects:
-            raise GraphError("a diagram needs at least one object")
-        names = [ar.name for ar in arrows]
-        if len(set(names)) != len(names):
-            raise GraphError("arrow names must be unique")
-        gens = None
-        for obj, A in objects.items():
-            keys = set(A.matrices)
-            if gens is None:
-                gens = keys
-            elif keys != gens:
-                raise GraphError(
-                    f"object {obj!r} assigns a different generator set")
-        by_name = {}
-        for ar in arrows:
-            if ar.src not in objects or ar.dst not in objects:
-                raise GraphError(f"arrow {ar.name!r} touches an unknown "
-                                 "object")
-            want = (objects[ar.dst].dim, objects[ar.src].dim)
-            if ar.matrix.shape != want:
-                raise GraphError(
-                    f"arrow {ar.name!r} has shape {ar.matrix.shape}, "
-                    f"wanted {want}")
-            by_name[ar.name] = ar
-        for name, (first, then) in composites.items():
-            missing = [x for x in (name, first, then) if x not in by_name]
-            if missing:
-                raise GraphError(f"composite {name!r} references unknown "
-                                 f"arrows {missing}")
-            a, b, c = by_name[first], by_name[then], by_name[name]
-            if a.dst != b.src or c.src != a.src or c.dst != b.dst:
-                raise GraphError(
-                    f"composite {name!r} does not type-check")
-            if c.matrix != rt_dot(b.matrix, a.matrix):
-                raise GraphError(
-                    f"composite {name!r} differs from the product of its "
-                    "factors")
-        return cls(dict(objects), arrows, composites)
-
-    def restrict(self, keep: Iterable[str]) -> "Diagram":
-        keep = set(keep)
-        unknown = keep - set(self.objects)
-        if unknown:
-            raise GraphError(f"unknown objects {sorted(unknown)}")
-        objects = {k: v for k, v in self.objects.items() if k in keep}
-        arrows = tuple(ar for ar in self.arrows
-                       if ar.src in keep and ar.dst in keep)
-        names = {ar.name for ar in arrows}
-        composites = {name: pair
-                      for name, pair in self.composites.items()
-                      if name in names and set(pair) <= names}
-        return Diagram.build(objects, arrows, composites)
-
-
-def diagram_end_check(diag: Diagram) -> dict[str, bool]:
-    """Per generator: does every arrow of the diagram intertwine it?"""
-    some = next(iter(diag.objects.values()))
-    out = {}
-    for name in sorted(some.matrices):
-        out[name] = all(
-            morphism_prop_membership(ar.matrix, diag.objects[ar.src],
-                                     diag.objects[ar.dst], name)
-            for ar in diag.arrows)
-    return out

@@ -238,6 +238,15 @@ def permutation_matrix(sigma: list[int], d: int) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
+# permutations in one-line notation, 1-based
+
+def compose_permutations(w2: tuple[int, ...],
+                         w1: tuple[int, ...]) -> tuple[int, ...]:
+    """(w2 ∘ w1)(i) = w2(w1(i))."""
+    return tuple(w2[w1[i - 1] - 1] for i in range(1, len(w1) + 1))
+
+
+# ---------------------------------------------------------------------------
 # counting oracles
 
 def union_formula(l_size: int, l_minus_ik_size: int, n: int) -> int:

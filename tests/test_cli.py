@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -413,6 +414,21 @@ def test_cube_reports_the_counting_identities():
 def test_cube_rejects_tokens_outside_the_larger_set():
     rc, _, err = run("cube", "--K", "a,b", "--L", "a", "--n", "2")
     assert rc == 1 and err
+
+
+def test_cube_counts_its_elements_before_listing_them():
+    # (1 + 2)^30 - 2^30 elements: the count trips the cap at once
+    start = time.perf_counter()
+    rc, out, err = run("cube", "--K", "a", "--L", "a,b", "--n", "30")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "cap is 200000 (DEFAULT_MAX_CLASSES)" in err
+    # an empty K leaves every sub-terminal vertex empty, at any n
+    start = time.perf_counter()
+    rc, out, _ = run("cube", "--K", "", "--L", "a,b", "--n", "40")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0 and json.loads(out)["size"] == 0
 
 
 def test_filtration_check_passes_on_a_small_instance(tmp_path):

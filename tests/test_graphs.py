@@ -9,15 +9,13 @@ import pytest
 
 from propcalc import fixtures
 from propcalc.graphs import (Edge, FormatError, Graph, GraphError, Vertex,
-                             block_sum, check, compose_permutations,
-                             graph_from_dict, graph_to_dict, hcompose,
-                             identity, identity_permutation,
-                             invert_permutation, make_graph, permute_inputs,
-                             permute_outputs, reverse, to_json_text,
-                             topological_order, validate, vcompose,
-                             vertex_successors)
+                             check, graph_from_dict, graph_to_dict, hcompose,
+                             identity, invert_permutation, make_graph,
+                             permute_inputs, permute_outputs, reverse,
+                             to_json_text, topological_order, validate,
+                             vcompose, vertex_successors)
 
-from _oracles import unary_chain, wire_permutation
+from _oracles import compose_permutations, unary_chain, wire_permutation
 
 
 def conditions(violations):
@@ -195,10 +193,8 @@ def test_composites_stay_valid():
 # permutation actions
 
 def test_permutation_helpers():
-    assert identity_permutation(3) == (1, 2, 3)
     assert invert_permutation((2, 3, 1)) == (3, 1, 2)
     assert compose_permutations((2, 3, 1), (3, 1, 2)) == (1, 2, 3)
-    assert block_sum((2, 1), (1, 3, 2)) == (2, 1, 3, 5, 4)
     with pytest.raises(GraphError):
         permute_inputs(identity(3), (1, 1, 2))
 

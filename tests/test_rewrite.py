@@ -3,7 +3,6 @@ failure of confluence."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import sys
@@ -15,8 +14,7 @@ from propcalc.canonical import canonical_key, canonical_order, enumerate_graphs
 from propcalc.freeprop import (PropElement, Signature, combine_signatures,
                                corolla, pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
-from propcalc.graphs import (FormatError, GraphError, Graph, LimitError,
-                             to_json_text)
+from propcalc.graphs import FormatError, GraphError, LimitError, to_json_text
 from propcalc.rewrite import (MixedGraph, _exhaustive, _merge, collapse,
                               expand_all, merge, mergeable, mergeable_pairs,
                               mixed_from_dict, mixed_to_dict,
@@ -56,9 +54,9 @@ def test_mixed_build_validates():
 
 def test_alphabet_lookup():
     g = the_remark()
-    assert g.alphabet(3) == "P" and g.alphabet(4) == "M"
-    with pytest.raises(GraphError):
-        g.alphabet(99)
+    side = {v["id"]: v["alphabet"] for v in mixed_to_dict(g)["vertices"]}
+    assert side[3] == "P" and side[4] == "M"
+    assert set(side) == set(g.graph.vertex_ids)
 
 
 def test_mixed_equality_is_isomorphism_invariant():
