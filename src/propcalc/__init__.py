@@ -9,11 +9,11 @@ colimit checks.
 
 from __future__ import annotations
 
-from .canonical import (CanonicalForm, NumberedGraph, canonical_key,
-                        canonical_order, canonicalize, count_graphs,
-                        enumerate_graphs, free_action_check, graph_hash,
-                        is_isomorphic, iso_classes, max_vertices_cap,
-                        renumber)
+from .canonical import (CanonicalForm, ClassLister, NumberedGraph,
+                        canonical_key, canonical_order, canonicalize,
+                        count_graphs, enumerate_graphs, free_action_check,
+                        graph_hash, is_isomorphic, iso_classes,
+                        max_vertices_cap, renumber)
 from .freeprop import (FREE_OPS, Generator, PartialLabeledGraph, PropElement,
                        Signature, combine_signatures, corolla, count_basis,
                        element_from_dict, element_to_dict, expand,
@@ -42,7 +42,8 @@ from .tensor import (AlgebraAssignment, RatTensor, TensorOps,
                      morphism_prop_membership, parse_rational)
 
 __all__ = [
-    "AlgebraAssignment", "CanonicalForm", "CubeDiagram", "Edge",
+    "AlgebraAssignment", "CanonicalForm", "ClassLister", "CubeDiagram",
+    "Edge",
     "FiniteSetMap", "FormatError", "FREE_OPS", "Generator", "Graph",
     "GraphError", "LimitError", "MixedGraph", "NumberedGraph",
     "PartialLabeledGraph", "PropElement", "PuncturedColimit", "RatTensor",

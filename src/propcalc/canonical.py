@@ -38,6 +38,7 @@ import hashlib
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (Edge, Graph, GraphError, LimitError, Vertex,
                      check_permutation, reverse, topological_order)
@@ -174,7 +175,11 @@ def _serialize(g: Graph, texts: dict[int, str], order: list[int]) -> tuple:
     return (g.m, g.n, vertex_part, tuple(edges))
 
 
-def _traversal_order(g: Graph, texts: dict[int, str]) -> list[int]:
+def _traversal_order(g: Graph, texts: Callable[[], dict[int, str] | None]
+                     ) -> list[int] | None:
+    # Only closed components read labels, so only they ask `texts` for
+    # their text; where it has none (None), the order is None.
+    #
     # the far end (vertex, port) of each vertex port, in-ports first, None
     # standing for a boundary port; every port has exactly one edge, so
     # once a traversal's root is fixed its visiting order is fixed
@@ -200,7 +205,13 @@ def _traversal_order(g: Graph, texts: dict[int, str]) -> list[int]:
     for root in boundary:
         if root is not None and root not in seen:
             order += _sweep(ends, root, seen)
-    closed = [_closed_component(_sweep(ends, v.id, seen), ends, n_in, texts)
+    if len(seen) == len(ends):
+        return order
+    label_texts = texts()
+    if label_texts is None:
+        return None
+    closed = [_closed_component(_sweep(ends, v.id, seen), ends, n_in,
+                                label_texts)
               for v in g.vertices if v.id not in seen]
     for _, block in sorted(closed):
         order += block
@@ -258,16 +269,18 @@ def canonical_order(g: Graph,
     return _route_order(g, lambda: _render(label_key))
 
 
-def _route_order(g: Graph,
-                 texts: Callable[[], dict[int, str]]) -> list[int]:
-    """The canonical order by the route the arities choose.  Only the
-    traversal reads labels, so only it asks `texts` for their text."""
+def _route_order(g: Graph, texts: Callable[[], dict[int, str] | None]
+                 ) -> list[int] | None:
+    """The canonical order by the route the arities choose.  Only closed
+    components of the traversal read labels, so only they ask `texts` for
+    their text.  If `texts` gives None, the order is None exactly where
+    labels would steer it."""
     vertices = g.vertices
     if all(v.n_in for v in vertices):
         return input_path_order(g)
     if all(v.n_out for v in vertices):
         return output_path_order(g)
-    return _traversal_order(g, texts())
+    return _traversal_order(g, texts)
 
 
 @dataclass(frozen=True)
@@ -556,23 +569,126 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
         del assign
 
 
+class Skeleton(NamedTuple):
+    """A numbered graph with its canonical skeleton.  On the input-path
+    and output-path routes, and on the traversal route when every vertex
+    is connected to the boundary, the canonical order reads no labels:
+    `order` is that order, `key` the unlabeled key and `class_id` numbers
+    the distinct unlabeled keys of one stream.  Where the graph has a
+    closed component, whose traversal the labels steer, all three are
+    None."""
+
+    graph: Graph
+    order: tuple[int, ...] | None
+    key: tuple | None
+    class_id: int | None
+
+    def labeled_key(self, labels: dict[int, object] | None = None) -> tuple:
+        """`canonical_key(self.graph, labels)`, from the skeleton where
+        there is one."""
+        texts = _render(labels)
+        if self.order is None:
+            return key_and_order(self.graph, texts)[0]
+        return _with_texts(self.key, _text_column(texts, self.order))
+
+
+def _text_column(texts: dict[int, str], order: tuple[int, ...]) -> tuple:
+    get = texts.get
+    return tuple([get(vid, _NO_LABEL) for vid in order])
+
+
+def _with_texts(key: tuple, column: tuple) -> tuple:
+    # the labeled key is the unlabeled one with its text column replaced:
+    # the order, the arities and the edges do not read labels
+    m, n, vertex_part, edge_part = key
+    return (m, n, tuple([(a, b, text) for (a, b, _), text
+                         in zip(vertex_part, column)]), edge_part)
+
+
+def skeletons(arities: list[tuple[int, int]], m: int, n: int, *,
+              max_vertices: int | None = None,
+              max_edges: int | None = None):
+    """Yield the `Skeleton` of each graph in the numbered stream of
+    `enumerate_graphs`, in stream order."""
+    class_ids: dict[tuple, int] = {}
+    for ng in enumerate_graphs(arities, m, n, max_vertices=max_vertices,
+                               max_edges=max_edges):
+        graph = ng.graph
+        order = _route_order(graph, lambda: None)
+        if order is None:
+            yield Skeleton(graph, None, None, None)
+            continue
+        order = tuple(order)
+        key = _serialize(graph, {}, order)
+        yield Skeleton(graph, order, key,
+                       class_ids.setdefault(key, len(class_ids)))
+
+
+def distinct(stream, labels: dict[int, object] | None = None):
+    """Yield (key, skeleton) for the first skeleton of each isomorphism
+    class in `stream`, in stream order; vertex i carries labels[i], and
+    the key is its `canonical_key`.  Skeletons with a label-free order
+    are told apart by their unlabeled class and the labels read in that
+    order, so only new classes build a key."""
+    texts = _render(labels)
+    seen: set = set()
+    for sk in stream:
+        if sk.order is None:
+            key = key_and_order(sk.graph, texts)[0]
+            if key in seen:
+                continue
+            seen.add(key)
+        else:
+            column = _text_column(texts, sk.order) if texts else ()
+            mark = (sk.class_id, column)
+            if mark in seen:
+                continue
+            seen.add(mark)
+            key = _with_texts(sk.key, column) if texts else sk.key
+        yield key, sk
+
+
+class ClassLister:
+    """Isomorphism classes at one boundary (m, n) over many vertex
+    profiles and labelings.  Each profile's skeleton stream is enumerated
+    once, on first use, and kept for the life of the lister, so a caller
+    that lists one profile under many labelings pays for one enumeration.
+    A lister is meant to live for one call of its owner."""
+
+    def __init__(self, m: int, n: int, *, max_vertices: int | None = None,
+                 max_edges: int | None = None):
+        self.m, self.n = m, n
+        self._caps = dict(max_vertices=max_vertices, max_edges=max_edges)
+        self._streams: dict[tuple, list[Skeleton]] = {}
+
+    def stream(self, arities) -> list[Skeleton]:
+        """The skeletons of the numbered stream on `arities`."""
+        arities = tuple(arities)
+        found = self._streams.get(arities)
+        if found is None:
+            found = self._streams[arities] = list(skeletons(
+                arities, self.m, self.n, **self._caps))
+        return found
+
+    def classes(self, arities, labels: dict[int, object] | None = None):
+        """`distinct` over the stream on `arities`: (key, skeleton) per
+        class."""
+        return distinct(self.stream(arities), labels)
+
+
 def iso_classes(arities: list[tuple[int, int]], m: int, n: int,
                 labels: dict[int, object] | None = None, *,
                 max_vertices: int | None = None,
                 max_edges: int | None = None):
     """Yield (key, graph) for the first graph of each isomorphism class in
     the numbered stream of `enumerate_graphs`, in stream order; vertex i
-    carries labels[i], and the key is its `canonical_key`.  This is the
-    one place that lists classes: every caller that wants them up to
-    isomorphism reads them from here."""
-    texts = _render(labels)
-    seen: set = set()
-    for ng in enumerate_graphs(arities, m, n, max_vertices=max_vertices,
-                               max_edges=max_edges):
-        key = key_and_order(ng.graph, texts)[0]
-        if key not in seen:
-            seen.add(key)
-            yield key, ng.graph
+    carries labels[i], and the key is its `canonical_key`.  Every caller
+    that wants classes reads them from `distinct`, through here or
+    through a `ClassLister`."""
+    for key, sk in distinct(skeletons(arities, m, n,
+                                      max_vertices=max_vertices,
+                                      max_edges=max_edges), labels):
+        yield key, sk.graph
 
 
 def count_graphs(arities: list[tuple[int, int]], m: int, n: int, *,

@@ -23,9 +23,10 @@ from .freeprop import (FREE_OPS, PropElement, Signature, corolla,
 from .graphs import (FormatError, GraphError, LimitError, check,
                      graph_from_dict, graph_to_dict, hcompose, validate,
                      vcompose)
-from .pushouts import (CubeDiagram, FiniteSetMap, filtration_square_check,
-                       inclusion_map, iterated_identity_check,
-                       presentation_matches_pushout, punctured_colimit)
+from .pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram, FiniteSetMap,
+                       filtration_square_check, inclusion_map,
+                       iterated_identity_check, presentation_matches_pushout,
+                       punctured_colimit)
 from .rewrite import (collapse, expand_all, mixed_from_dict, mixed_to_dict,
                       non_confluence_witness, remark_mixed)
 from .tensor import (TensorOps, algebra_from_dict, evaluate,
@@ -310,6 +311,10 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_filtration_check(args) -> int:
+    _at_least("--max-degree", args.max_degree, 1)
+    _at_least("--max-vertices", args.max_vertices, 0)
+    _at_least("--max-arity", args.max_arity, 0)
+    _at_least("--max-classes", args.max_classes, 0)
     sig_k = signature_from_dict(_read_json(args.sigK))
     sig_l = signature_from_dict(_read_json(args.sigL))
     base = signature_from_dict(_read_json(args.base))
@@ -317,7 +322,8 @@ def _cmd_filtration_check(args) -> int:
         sig_k, sig_l, base, args.m, args.n,
         max_degree=args.max_degree, max_vertices=args.max_vertices,
         max_arity=args.max_arity,
-        slot_arities=() if args.no_slots else None)
+        slot_arities=() if args.no_slots else None,
+        max_classes=args.max_classes)
     _emit(report)
     return 0 if report["all_ok"] else 1
 
@@ -574,6 +580,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=int, default=2)
     p.add_argument("--no-slots", action="store_true",
                    help="restrict to fully labeled classes")
+    p.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES,
+                   help="cap on the classes of the envelope and of each"
+                   " corner (max_classes)")
     p.set_defaults(fn=_cmd_filtration_check)
 
     p = sub.add_parser("selftest", help="run the built-in property checks")

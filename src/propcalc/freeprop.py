@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Protocol, TypeVar
 
-from .canonical import canonicalize, count_graphs, iso_classes
+from .canonical import canonicalize, distinct, skeletons
 from .graphs import (Edge, FormatError, Graph, GraphError, Port, Vertex,
                      check, check_topological_order, graph_from_dict,
                      graph_to_dict, hcompose, identity, is_int,
@@ -411,7 +411,8 @@ def count_basis(sig: Signature, m: int, n: int, max_r: int,
     multiset of names is enumerated in sorted order only: renumbering
     carries its graphs bijectively onto those of each of its r!/prod(mult!)
     orderings, and every class over the multiset has a representative
-    numbered in sorted order."""
+    numbered in sorted order.  One pass over each profile's skeleton
+    stream counts both its numbered graphs and its classes."""
     numbered: list[int] = []
     iso: list[int] = []
     for r in range(max_r + 1):
@@ -422,9 +423,9 @@ def count_basis(sig: Signature, m: int, n: int, max_r: int,
             orderings = math.factorial(r)
             for mult in Counter(profile).values():
                 orderings //= math.factorial(mult)
-            total += orderings * count_graphs(arities, m, n, **caps)
-            classes += sum(1 for _ in iso_classes(arities, m, n, labels,
-                                                  **caps))
+            stream = list(skeletons(arities, m, n, **caps))
+            total += orderings * len(stream)
+            classes += sum(1 for _ in distinct(stream, labels))
         numbered.append(total)
         iso.append(classes)
     return {"numbered": numbered, "iso": iso}

@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .canonical import canonical_key, iso_classes
+from .canonical import ClassLister
 from .freeprop import Signature
 from .graphs import GraphError, LimitError
 
@@ -350,26 +350,31 @@ def _slot_menu(max_arity: int, slot_arities) -> tuple:
     return tuple(menu)
 
 
-def _enumerate_classes(m, n, roles, max_vertices, accept,
+def _enumerate_classes(lister: ClassLister, roles, max_vertices, accept,
                        max_classes) -> dict:
-    """Isomorphism classes of (m,n)-graphs whose vertices are drawn from
-    `roles` (pairs of a tag and an arity).  Tags color the vertices for
-    canonical forms; `accept` filters role multisets by tag count."""
+    """Isomorphism classes of the lister's (m,n)-graphs whose vertices
+    are drawn from `roles` (pairs of a tag and an arity), as
+    key -> (skeleton, labels).  Tags color the vertices for canonical
+    forms; `accept` filters role multisets by tag count."""
     out: dict = {}
+    balance = lister.n - lister.m
     for r in range(max_vertices + 1):
         for combo in itertools.combinations_with_replacement(
                 range(len(roles)), r):
+            arities = [roles[k][1] for k in combo]
+            # most combinations hold no graph, as their ports cannot pair
+            # up: skip them before reading their tags
+            if sum(b - a for a, b in arities) != balance:
+                continue
             tags = [roles[k][0] for k in combo]
             if not accept(Counter(tag[0] for tag in tags), tags):
                 continue
-            arities = [roles[k][1] for k in combo]
             labels = {v: tags[v - 1] for v in range(1, r + 1)}
             # one class can recur across combinations: repeated slot
             # arities give two roles the same tag
-            for key, graph in iso_classes(arities, m, n, labels,
-                                          max_vertices=max_vertices):
+            for key, skeleton in lister.classes(arities, labels):
                 if key not in out:
-                    out[key] = (graph, labels)
+                    out[key] = (skeleton, labels)
                     if len(out) > max_classes:
                         raise LimitError(
                             f"class enumeration found {len(out)} classes,"
@@ -378,8 +383,8 @@ def _enumerate_classes(m, n, roles, max_vertices, accept,
 
 
 def _retag(rep, f) -> tuple:
-    graph, labels = rep
-    return canonical_key(graph, {v: f(tag) for v, tag in labels.items()})
+    skeleton, labels = rep
+    return skeleton.labeled_key({v: f(tag) for v, tag in labels.items()})
 
 
 def _subset_with_arities(small: Signature, big: Signature, what: str) -> None:
@@ -394,13 +399,23 @@ def bounded_env_classes(sig_k: Signature, sig_l: Signature,
                         base_sig: Signature, m: int, n: int, *,
                         degree: int, max_vertices: int = 4,
                         max_arity: int = 2, slot_arities=None,
-                        max_classes: int = DEFAULT_MAX_CLASSES) -> dict:
+                        max_classes: int = DEFAULT_MAX_CLASSES,
+                        lister: ClassLister | None = None) -> dict:
     """Classes of partially labeled (m,n)-graphs over the pushout
     signature (base plus the new names of L), with at most `degree`
     vertices carrying a new name.  Unlabeled vertices are open slots,
-    interchangeable within an arity."""
+    interchangeable within an arity.  Returns key -> (skeleton, labels),
+    the `canonical.Skeleton` of one representative and its vertex tags.
+    Each vertex profile is enumerated once, through `lister`: by default
+    one made for the call and dropped with it; callers that list several
+    envelopes at the same (m, n) may pass one to share."""
     new_names = _checked_setup(sig_k, sig_l, base_sig)
     slots = _slot_menu(max_arity, slot_arities)
+    if lister is None:
+        lister = ClassLister(m, n, max_vertices=max_vertices)
+    elif (lister.m, lister.n) != (m, n):
+        raise GraphError(f"the lister lists ({lister.m},{lister.n})-graphs,"
+                         f" not ({m},{n})-graphs")
     roles = [(("slot",) + ar, ar) for ar in slots]
     roles += [(("lab", g.name), (g.m, g.n)) for g in base_sig]
     roles += [(("lab", g.name), (g.m, g.n)) for g in sig_l
@@ -411,7 +426,7 @@ def bounded_env_classes(sig_k: Signature, sig_l: Signature,
                     if tag[0] == "lab" and tag[1] in new_names)
         return fresh <= degree
 
-    return _enumerate_classes(m, n, roles, max_vertices, accept,
+    return _enumerate_classes(lister, roles, max_vertices, accept,
                               max_classes)
 
 
@@ -435,11 +450,14 @@ def filtration_square_check(sig_k: Signature, sig_l: Signature,
     square over class representatives and verify that the generic
     union-find pushout of the span reproduces the next filtration stage,
     together with the cardinality identity |D| = |C| + |V'| - |U'| taken
-    on computed images."""
+    on computed images.  The envelope and the V and U corners of every
+    degree draw their classes from one `ClassLister` that lives for the
+    call, so each vertex profile is enumerated once per call."""
     if max_degree < 1:
         raise GraphError("max_degree must be >= 1")
     new_names = _checked_setup(sig_k, sig_l, base_sig)
     slots = _slot_menu(max_arity, slot_arities)
+    lister = ClassLister(m, n, max_vertices=max_vertices)
     slot_roles = [(("slot",) + ar, ar) for ar in slots]
     base_roles = [(("lab", g.name), (g.m, g.n)) for g in base_sig]
     lf_roles = [(("lf", g.name), (g.m, g.n)) for g in sig_l]
@@ -448,7 +466,7 @@ def filtration_square_check(sig_k: Signature, sig_l: Signature,
     env = bounded_env_classes(sig_k, sig_l, base_sig, m, n,
                               degree=max_degree, max_vertices=max_vertices,
                               max_arity=max_arity, slot_arities=slot_arities,
-                              max_classes=max_classes)
+                              max_classes=max_classes, lister=lister)
 
     def fresh_count(rep) -> int:
         _, labels = rep
@@ -477,10 +495,11 @@ def filtration_square_check(sig_k: Signature, sig_l: Signature,
             return kinds.get("kf", 0) >= 1 \
                 and kinds.get("kf", 0) + kinds.get("lf", 0) == nd
 
-        v_reps = _enumerate_classes(m, n, slot_roles + base_roles + lf_roles,
+        v_reps = _enumerate_classes(lister,
+                                    slot_roles + base_roles + lf_roles,
                                     max_vertices, accept_v, max_classes)
         u_reps = _enumerate_classes(
-            m, n, slot_roles + base_roles + lf_roles + kf_roles,
+            lister, slot_roles + base_roles + lf_roles + kf_roles,
             max_vertices, accept_u, max_classes)
 
         v_into_d = {key: _retag(rep, to_lab) for key, rep in v_reps.items()}
@@ -496,20 +515,24 @@ def filtration_square_check(sig_k: Signature, sig_l: Signature,
         if any(key not in d_keys for key in v_into_d.values()):
             commutes = False
 
-        items = [("C", k) for k in sorted(c_keys, key=repr)]
-        items += [("V", k) for k in sorted(v_reps, key=repr)]
-        pairs = [(("C", u_into_c[key]), ("V", u_lambda[key]))
-                 for key in u_reps]
-        glued = quotient_classes(items, pairs) if commutes else []
-
+        # glue index items: the class order is not part of the report
         pushout_ok = commutes
         seen_d = []
-        for cls in glued:
-            vals = {k if side == "C" else v_into_d[k] for side, k in cls}
-            if len(vals) != 1:
-                pushout_ok = False
-                break
-            seen_d.append(vals.pop())
+        if commutes:
+            c_list, v_list = list(c_keys), list(v_reps)
+            c_at = {k: i for i, k in enumerate(c_list)}
+            v_at = {k: j for j, k in enumerate(v_list)}
+            items = [("C", i) for i in range(len(c_list))]
+            items += [("V", j) for j in range(len(v_list))]
+            pairs = [(("C", c_at[u_into_c[key]]), ("V", v_at[u_lambda[key]]))
+                     for key in u_reps]
+            for cls in quotient_classes(items, pairs):
+                vals = {c_list[i] if side == "C" else v_into_d[v_list[i]]
+                        for side, i in cls}
+                if len(vals) != 1:
+                    pushout_ok = False
+                    break
+                seen_d.append(vals.pop())
         if pushout_ok:
             pushout_ok = len(seen_d) == len(set(seen_d)) \
                 and set(seen_d) == d_keys

@@ -287,6 +287,34 @@ def product_count_basis(sig, m: int, n: int, max_r: int) -> dict:
     return {"numbered": numbered, "iso": iso}
 
 
+def per_combination_env_keys(sig_k, sig_l, base_sig, m: int, n: int, *,
+                             degree: int, max_vertices: int = 4,
+                             max_arity: int = 2, slot_arities=None) -> set:
+    """The key set of `pushouts.bounded_env_classes`, one role combination
+    at a time: each accepted combination enumerates its own numbered
+    graphs, and each graph is keyed in full by `canonical_key` (no shared
+    streams, no skeletons)."""
+    new_names = set(sig_l.names) - set(sig_k.names)
+    if slot_arities is None:
+        slot_arities = [(a, b) for a in range(max_arity + 1)
+                        for b in range(max_arity + 1) if a + b]
+    roles = [(("slot", a, b), (a, b)) for a, b in slot_arities]
+    roles += [(("lab", g.name), (g.m, g.n)) for g in base_sig]
+    roles += [(("lab", g.name), (g.m, g.n)) for g in sig_l
+              if g.name in new_names]
+    keys: set = set()
+    for r in range(max_vertices + 1):
+        for combo in itertools.combinations_with_replacement(roles, r):
+            fresh = sum(1 for tag, _ in combo
+                        if tag[0] == "lab" and tag[1] in new_names)
+            if fresh > degree:
+                continue
+            labels = {v: tag for v, (tag, _) in enumerate(combo, start=1)}
+            for ng in enumerate_graphs([ar for _, ar in combo], m, n):
+                keys.add(canonical_key(ng.graph, labels))
+    return keys
+
+
 # ---------------------------------------------------------------------------
 # a second topological order
 

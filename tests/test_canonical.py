@@ -8,8 +8,9 @@ import itertools
 import pytest
 
 from propcalc import fixtures
-from propcalc.canonical import (NumberedGraph, UnreachableVertexError,
-                                canonical_key, canonical_order, canonicalize,
+from propcalc.canonical import (ClassLister, NumberedGraph,
+                                UnreachableVertexError, canonical_key,
+                                canonical_order, canonicalize,
                                 count_graphs, enumerate_graphs,
                                 free_action_check, graph_hash,
                                 input_path_labels, input_path_order,
@@ -285,6 +286,44 @@ def test_iso_classes_are_the_first_seen_keys_of_the_numbered_stream():
         reps = [ng.graph for ng in enumerate_graphs(arities, m, n,
                                                     upto_iso=True)]
         assert reps == [graph for _, graph in iso_classes(arities, m, n)]
+
+
+def test_skeleton_keys_match_canonical_keys_on_every_route():
+    # each menu takes one route; every graph of it, under no labels and
+    # under every labeling by two letters, keys as canonical_key does.
+    # On the traversal route only graphs with a closed component have no
+    # label-free order, and the menus hold graphs of both kinds.
+    routes = {
+        "input": [([(1, 1), (1, 1), (1, 2), (2, 1)], 1, 1),
+                  ([(1, 1), (1, 1), (1, 1)], 1, 1)],
+        "output": [([(0, 1), (0, 1), (2, 1)], 0, 1),
+                   ([(0, 2), (1, 1), (1, 1)], 0, 2),
+                   ([(0, 1), (1, 2), (2, 1)], 1, 2)],
+        "traversal": [([(0, 1), (1, 0), (1, 1), (1, 1)], 0, 0),
+                      ([(0, 1), (2, 1), (1, 0), (1, 2)], 1, 1)],
+    }
+    for route, menus in routes.items():
+        free_orders = set()
+        for arities, m, n in menus:
+            lister = ClassLister(m, n)
+            stream = lister.stream(arities)
+            graphs = [ng.graph for ng in enumerate_graphs(arities, m, n)]
+            assert graphs and [sk.graph for sk in stream] == graphs
+            free_orders |= {sk.order is not None for sk in stream}
+            labelings = [None] + [
+                dict(enumerate(letters, start=1))
+                for letters in itertools.product("xy", repeat=len(arities))]
+            for labels in labelings:
+                keys = [canonical_key(g, labels) for g in graphs]
+                assert [sk.labeled_key(labels) for sk in stream] == keys
+                first: dict = {}
+                for key, g in zip(keys, graphs):
+                    first.setdefault(key, g)
+                got = [(key, sk.graph)
+                       for key, sk in lister.classes(arities, labels)]
+                assert got == list(first.items()), (arities, labels)
+        assert free_orders == ({True, False} if route == "traversal"
+                               else {True}), route
 
 
 def test_enumerate_finds_the_diamond():

@@ -446,6 +446,55 @@ def test_filtration_check_passes_on_a_small_instance(tmp_path):
     assert [row["identity"] for row in report["degrees"]] == [True, True]
 
 
+def _chain_signatures(tmp_path) -> list[str]:
+    k = write_json(tmp_path / "k.json", {"generators": []})
+    lsig = write_json(tmp_path / "l.json",
+                      {"generators": [{"name": "l", "m": 1, "n": 1}]})
+    base = write_json(tmp_path / "m0.json",
+                      {"generators": [{"name": "o", "m": 1, "n": 1}]})
+    return ["--sigK", k, "--sigL", lsig, "--base", base]
+
+
+def test_filtration_check_rejects_a_negative_vertex_bound(tmp_path):
+    rc, out, err = run("filtration-check", *_chain_signatures(tmp_path),
+                       "--max-vertices", "-1")
+    assert (rc, out) == (2, "")
+    assert err == "error: --max-vertices must be at least 0, got -1\n"
+
+
+def test_filtration_check_rejects_a_negative_arity_bound(tmp_path):
+    rc, out, err = run("filtration-check", *_chain_signatures(tmp_path),
+                       "--max-arity", "-1")
+    assert (rc, out) == (2, "")
+    assert err == "error: --max-arity must be at least 0, got -1\n"
+
+
+def test_filtration_check_rejects_a_degree_below_one(tmp_path):
+    for degree in ("0", "-3"):
+        rc, out, err = run("filtration-check", *_chain_signatures(tmp_path),
+                           "--max-degree", degree)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --max-degree must be at least 1, got {degree}\n"
+
+
+def test_filtration_check_caps_its_classes(tmp_path):
+    args = ["filtration-check", *_chain_signatures(tmp_path),
+            "--max-vertices", "4"]
+    rc, out, err = run(*args, "--max-classes", "3")
+    assert (rc, out) == (1, "")
+    assert err == ("error: class enumeration found 4 classes, cap is 3"
+                   " (max_classes)\n")
+    rc, _, err = run(*args, "--max-classes", "-1")
+    assert rc == 2
+    assert err == "error: --max-classes must be at least 0, got -1\n"
+    # the cap bounds each enumeration, the envelope being the largest
+    rc, out, _ = run(*args, "--no-slots", "--max-classes", "25")
+    assert rc == 0 and json.loads(out)["env_sizes"] == [5, 15, 25]
+    rc, _, err = run(*args, "--no-slots", "--max-classes", "24")
+    assert rc == 1 and err.endswith("found 25 classes, cap is 24"
+                                    " (max_classes)\n")
+
+
 # ---------------------------------------------------------------------------
 # selftest and the exit-code contract
 

@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from propcalc import canonical
+from propcalc.canonical import ClassLister
 from propcalc.freeprop import Signature
 from propcalc.graphs import GraphError, LimitError
 from propcalc.pushouts import (CubeDiagram, FiniteSetMap,
@@ -19,7 +22,8 @@ from propcalc.pushouts import (CubeDiagram, FiniteSetMap,
                                punctured_colimit, pushout_sets,
                                quotient_classes, reflexive_presentation)
 
-from _oracles import chain_label_count, union_formula
+from _oracles import (chain_label_count, per_combination_env_keys,
+                      union_formula)
 
 
 def one_in_two() -> FiniteSetMap:
@@ -390,3 +394,74 @@ def test_env_classes_nest_and_exhaust():
     unconstrained = set(bounded_env_classes(sig_k, sig_l, base, 1, 1,
                                             degree=7, **caps))
     assert stages[3] == unconstrained
+
+
+# the filtration instances of this file and of acceptance criterion 09,
+# as (K, L, base, m, n, filtration_square_check keywords)
+ENV_INSTANCES = [
+    (*chain_setup(), 1, 1, dict(max_degree=2, max_vertices=4,
+                                slot_arities=())),
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
+     Signature([("k", 1, 1), ("o", 2, 1)]), 1, 1,
+     dict(max_degree=2, max_vertices=3, max_arity=1)),
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 2, 1)]),
+     Signature([("k", 1, 1), ("o", 1, 2)]), 1, 1,
+     dict(max_degree=2, max_vertices=3, max_arity=1)),
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
+     Signature([("k", 1, 1), ("o", 1, 1)]), 1, 1,
+     dict(max_degree=2, max_vertices=4, max_arity=2)),
+    (Signature([("k", 2, 1)]), Signature([("k", 2, 1), ("l", 1, 2)]),
+     Signature([("k", 2, 1), ("o", 1, 2)]), 1, 2,
+     dict(max_degree=2, max_vertices=3, max_arity=2)),
+]
+
+
+def test_env_classes_match_the_per_combination_oracle():
+    for sig_k, sig_l, base, m, n, kw in ENV_INSTANCES:
+        kw = dict(kw)
+        degree = kw.pop("max_degree")
+        got = bounded_env_classes(sig_k, sig_l, base, m, n, degree=degree,
+                                  **kw)
+        assert set(got) == per_combination_env_keys(
+            sig_k, sig_l, base, m, n, degree=degree, **kw)
+
+
+def test_env_classes_share_a_lister_at_their_boundary():
+    sig_k, sig_l, base, m, n, kw = ENV_INSTANCES[1]
+    caps = dict(max_vertices=3, max_arity=1)
+    lister = ClassLister(m, n, max_vertices=3)
+    for degree in range(3):
+        shared = bounded_env_classes(sig_k, sig_l, base, m, n,
+                                     degree=degree, lister=lister, **caps)
+        own = bounded_env_classes(sig_k, sig_l, base, m, n, degree=degree,
+                                  **caps)
+        assert set(shared) == set(own)
+    with pytest.raises(GraphError, match="lists"):
+        bounded_env_classes(sig_k, sig_l, base, 1, 2, degree=1,
+                            lister=lister, **caps)
+
+
+def test_filtration_enumerates_each_profile_once(monkeypatch):
+    calls: Counter = Counter()
+    enumerate_graphs = canonical.enumerate_graphs
+
+    def counted(arities, *args, **kwargs):
+        calls[tuple(arities)] += 1
+        return enumerate_graphs(arities, *args, **kwargs)
+
+    monkeypatch.setattr(canonical, "enumerate_graphs", counted)
+    for sig_k, sig_l, base, m, n, kw in ENV_INSTANCES[1:3]:
+        calls.clear()
+        rep = filtration_square_check(sig_k, sig_l, base, m, n, **kw)
+        assert rep["all_ok"]
+        assert calls and max(calls.values()) == 1
+
+
+def test_filtration_skips_profiles_whose_ports_cannot_pair_up():
+    # two 1->13 vertices at (1,1) hold 27 edges, past the edge cap, but no
+    # graph: the audit skips them instead of tripping the cap
+    sig_k, _, base = chain_setup()
+    wide = Signature([("l", 1, 13)])
+    rep = filtration_square_check(sig_k, wide, base, 1, 1, max_degree=2,
+                                  max_vertices=2, slot_arities=())
+    assert rep["all_ok"] and rep["env_sizes"] == [3, 3, 3]
