@@ -413,7 +413,8 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     extends it; it cuts no branch that holds a graph, so the stream and
     its order are those of the uncut search.  With upto_iso, only the
     first representative of each isomorphism class is emitted (see
-    `iso_classes`)."""
+    `iso_classes`).  A profile whose ports cannot pair up yields nothing,
+    before the vertex and edge caps are checked."""
     if upto_iso:
         for _, graph in iso_classes(arities, m, n, max_vertices=max_vertices,
                                     max_edges=max_edges):
@@ -421,17 +422,17 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
         return
     if m < 0 or n < 0 or any(a < 0 or b < 0 for a, b in arities):
         raise GraphError("negative arity or boundary")
+    edge_count = m + sum(b for _, b in arities)
+    if edge_count != n + sum(a for a, _ in arities):
+        return  # the ports cannot pair up, so there is nothing to cap
     r = len(arities)
     cap = max_vertices_cap(max_vertices)
     if r > cap:
         raise LimitError(f"profile has {r} vertices, cap is {cap} "
                          "(max_vertices, PROPCALC_MAX_VERTICES)")
-    edge_count = m + sum(b for _, b in arities)
     edge_cap = DEFAULT_MAX_EDGES if max_edges is None else max_edges
     if edge_count > edge_cap:
         raise LimitError(f"{edge_count} edges, cap is {edge_cap} (max_edges)")
-    if edge_count != n + sum(a for a, _ in arities):
-        return
 
     # built with the first graph: many calls in a sweep yield none
     vertices: tuple[Vertex, ...] | None = None

@@ -148,14 +148,14 @@ def merge(g: MixedGraph, u: int, v: int) -> MixedGraph:
     """
     if not mergeable(g, u, v):
         raise GraphError(f"vertices {u} and {v} cannot be merged")
-    return _merge(g, u, v, {})
+    fusion = _fusion(g, u, v)
+    return _merge(g, u, v, fusion, _fused_label(g, u, v, fusion))
 
 
-def _merge(g: MixedGraph, u: int, v: int,
-           memo: dict[tuple, PropElement]) -> MixedGraph:
-    """`merge` of a pair already known to be mergeable.  `memo` maps
-    (two-vertex host, u's label key, v's label key) to the merged label;
-    equal keys mean equal labels, so a hit is exact."""
+def _fusion(g: MixedGraph, u: int, v: int) -> tuple:
+    """How u and v fuse: (the fresh id of the merged vertex, the pair's
+    mutual edges, its surviving in-ports, its surviving out-ports), the
+    ports listed u's first, then v's, each in port order."""
     gu, gv = g.graph.vertex(u), g.graph.vertex(v)
     pair = {u, v}
     mutual = [e for e in g.graph.edges
@@ -169,7 +169,14 @@ def _merge(g: MixedGraph, u: int, v: int,
     ext_out = [("vout", x, k)
                for x, deg in ((u, gu.n_out), (v, gv.n_out))
                for k in range(1, deg + 1) if ("vout", x, k) not in used]
+    return max(g.graph.vertex_ids) + 1, mutual, ext_in, ext_out
 
+
+def _fused_label(g: MixedGraph, u: int, v: int, fusion: tuple) -> PropElement:
+    """The merged label: the two-vertex subgraph of u and v, with their
+    mutual wiring and `fusion`'s port order, expanded into one element."""
+    _, mutual, ext_in, ext_out = fusion
+    gu, gv = g.graph.vertex(u), g.graph.vertex(v)
     side = {u: 1, v: 2}
     host_edges = [Edge(("input", pos), ("vin", side[p[1]], p[2]))
                   for pos, p in enumerate(ext_in, start=1)]
@@ -180,13 +187,14 @@ def _merge(g: MixedGraph, u: int, v: int,
     host = Graph(len(ext_in), len(ext_out),
                  (Vertex(1, gu.n_in, gu.n_out), Vertex(2, gv.n_in, gv.n_out)),
                  tuple(host_edges))
-    lu, lv = g.p_labels[u], g.p_labels[v]
-    memo_key = (host, lu.key, lv.key)
-    label = memo.get(memo_key)
-    if label is None:
-        label = memo[memo_key] = _expand(host, {1: lu, 2: lv})
+    return _expand(host, {1: g.p_labels[u], 2: g.p_labels[v]})
 
-    w = max(g.graph.vertex_ids) + 1
+
+def _merge(g: MixedGraph, u: int, v: int, fusion: tuple,
+           label: PropElement) -> MixedGraph:
+    """`merge` of a pair already known to be mergeable, given its
+    `_fusion` and its merged label."""
+    w, mutual, ext_in, ext_out = fusion
     in_pos = {p: k for k, p in enumerate(ext_in, start=1)}
     out_pos = {p: k for k, p in enumerate(ext_out, start=1)}
     dropped = set(mutual)
@@ -197,6 +205,7 @@ def _merge(g: MixedGraph, u: int, v: int,
         src = ("vout", w, out_pos[e.src]) if e.src in out_pos else e.src
         dst = ("vin", w, in_pos[e.dst]) if e.dst in in_pos else e.dst
         edges.append(Edge(src, dst))
+    pair = {u, v}
     vertices = tuple(x for x in g.graph.vertices if x.id not in pair) \
         + (Vertex(w, len(ext_in), len(ext_out)),)
     merged = Graph(g.graph.m, g.graph.n, vertices, tuple(edges))
@@ -235,7 +244,9 @@ def collapse(g: MixedGraph, strategy: str = "greedy",
             pairs = mergeable_pairs(cur)
             if not pairs:
                 return cur
-            cur = _merge(cur, *pairs[0], {})
+            u, v = pairs[0]
+            fusion = _fusion(cur, u, v)
+            cur = _merge(cur, u, v, fusion, _fused_label(cur, u, v, fusion))
     if strategy == "exhaustive":
         forms, _ = _exhaustive(g, max_states)
         return forms
@@ -245,26 +256,60 @@ def collapse(g: MixedGraph, strategy: str = "greedy",
 def _exhaustive(g: MixedGraph,
                 max_states: int = DEFAULT_MAX_STATES) -> tuple[list, list]:
     """All irreducible forms plus, for each, one merge sequence that
-    reaches it.  States are deduplicated by canonical key."""
+    reaches it.
+
+    States are deduplicated twice.  Each state carries its block shape:
+    per composite vertex, the set of original vertices it holds and the
+    original (vertex, port) pairs behind its in-ports and its out-ports,
+    in port order.  Merging disjoint pairs in either order reaches the
+    same shape, and equal shapes are the same mixed graph up to vertex
+    ids, so a child whose shape was reached before is dropped before its
+    label is expanded or its graph built; the merged labels are memoized
+    by the fused block's shape for the same reason.  Children that pass
+    are deduplicated by canonical key, which also catches isomorphic
+    states of different shapes.  A child dropped by its shape would have
+    been dropped by its key, so the states, their order and the count
+    held against `max_states` are those of the key test alone."""
+    blocks = {v.id: (frozenset((v.id,)),
+                     tuple((v.id, i) for i in range(1, v.n_in + 1)),
+                     tuple((v.id, k) for k in range(1, v.n_out + 1)))
+              for v in g.graph.vertices if v.id in g.p_labels}
     seen = {g.key}
-    memo: dict[tuple, PropElement] = {}  # merged labels, see _merge
-    stack = [(g, [])]
+    shapes = {frozenset(blocks.values())}
+    memo: dict[tuple, PropElement] = {}  # fused block -> merged label
+    stack = [(g, blocks, [])]
     irreducible: dict[tuple, tuple[MixedGraph, list]] = {}
     while stack:
-        cur, seq = stack.pop()
+        cur, blocks, seq = stack.pop()
         pairs = mergeable_pairs(cur)
         if not pairs:
             irreducible.setdefault(cur.key, (cur, seq))
             continue
         for a, b in pairs:
-            child = _merge(cur, a, b, memo)
+            fusion = _fusion(cur, a, b)
+            w, _, ext_in, ext_out = fusion
+            pair = {a: blocks[a], b: blocks[b]}
+            fused = (pair[a][0] | pair[b][0],
+                     tuple(pair[x][1][i - 1] for _, x, i in ext_in),
+                     tuple(pair[x][2][k - 1] for _, x, k in ext_out))
+            rest = {vid: blk for vid, blk in blocks.items()
+                    if vid != a and vid != b}
+            shape = frozenset((*rest.values(), fused))
+            if shape in shapes:
+                continue
+            shapes.add(shape)
+            label = memo.get(fused)
+            if label is None:
+                label = memo[fused] = _fused_label(cur, a, b, fusion)
+            child = _merge(cur, a, b, fusion, label)
             if child.key in seen:
                 continue
             if len(seen) >= max_states:
                 raise LimitError(f"merge search exceeded the cap of "
                                  f"{max_states} states (--max-states)")
             seen.add(child.key)
-            stack.append((child, seq + [(a, b)]))
+            rest[w] = fused
+            stack.append((child, rest, seq + [(a, b)]))
     items = sorted(irreducible.items(), key=lambda kv: repr(kv[0]))
     return ([form for _, (form, _) in items],
             [seq for _, (_, seq) in items])

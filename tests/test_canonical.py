@@ -372,6 +372,9 @@ def test_enumerate_leaves_no_cyclic_garbage():
 def test_enumerate_unbalanced_profile_is_empty():
     assert list(enumerate_graphs([(1, 1)], 1, 2)) == []
     assert list(enumerate_graphs([(2, 1)], 1, 1)) == []
+    # no graph exists, so the caps do not apply
+    assert list(enumerate_graphs([(1, 13)] * 2, 0, 0)) == []
+    assert list(enumerate_graphs([(1, 1)] * 3, 0, 1, max_vertices=2)) == []
 
 
 def test_enumerate_is_deterministic():

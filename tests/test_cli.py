@@ -257,6 +257,13 @@ def test_enum_honors_the_vertex_cap(monkeypatch):
     assert rc == 1 and "PROPCALC_MAX_VERTICES" in err
 
 
+def test_enum_of_an_unbalanced_profile_is_empty_whatever_the_caps():
+    # 26 out-ports cannot pair with 2 in-ports: no graph, so no cap error
+    rc, out, err = run("enum", "--arities", "1:13,1:13", "--m", "0",
+                       "--n", "0")
+    assert (rc, out, err) == (0, "", "0 graphs\n")
+
+
 def test_count_reports_both_numbered_and_iso_counts(tmp_path):
     rc, out, _ = run("count", "--sig", write_json(tmp_path / "sig.json", UNARY_SIG),
                      "--m", "1", "--n", "1", "--max-r", "3")

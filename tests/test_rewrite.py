@@ -9,14 +9,14 @@ import sys
 
 import pytest
 
-from propcalc import fixtures
+from propcalc import fixtures, rewrite
 from propcalc.canonical import canonical_key, canonical_order, enumerate_graphs
 from propcalc.freeprop import (PropElement, Signature, combine_signatures,
                                corolla, pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
 from propcalc.graphs import FormatError, GraphError, LimitError, to_json_text
-from propcalc.rewrite import (MixedGraph, _exhaustive, _merge, collapse,
-                              expand_all, merge, mergeable, mergeable_pairs,
+from propcalc.rewrite import (MixedGraph, _exhaustive, collapse, expand_all,
+                              merge, mergeable, mergeable_pairs,
                               mixed_from_dict, mixed_to_dict,
                               non_confluence_witness, remark_mixed)
 
@@ -324,19 +324,56 @@ def test_exhaustive_collapse_matches_the_oracle():
         done += 1
 
 
-def _merge_states(g: MixedGraph) -> list[MixedGraph]:
-    """Every state the exhaustive search reaches, built as it builds
-    them: through `_merge`, with one label memo."""
-    memo: dict = {}
+def test_port_free_blocks_match_the_oracle():
+    # blocks that keep no port differ only in the vertices they hold
+    atoms = Signature([("o", 0, 0), ("cup", 0, 2), ("cap", 2, 0)])
+    names = {(0, 0): "o", (0, 2): "cup", (2, 0): "cap"}
+    hosts = [ng.graph for profile in ([(0, 0)] * 3,
+                                      [(0, 2), (2, 0)] * 2,
+                                      [(0, 2), (2, 0), (0, 0)])
+             for ng in enumerate_graphs(profile, 0, 0, upto_iso=True)]
+    for host in hosts:
+        g = MixedGraph.build(host, atoms, Signature([]),
+                             {v.id: corolla(atoms, names[(v.n_in, v.n_out)])
+                              for v in host.vertices}, {})
+        _same_as_the_oracle(g)
+        assert len(collapse(g, "exhaustive")) == 1
+
+
+@pytest.mark.parametrize("r, merges", [(3, 3), (4, 7)])
+def test_commuting_merges_are_built_once(monkeypatch, r, merges):
+    # on a chain, merging disjoint pairs in either order meets in one
+    # state, which is built only the first time
+    atoms = Signature([("a", 1, 1)])
+    g = MixedGraph.build(unary_chain(r), atoms, Signature([]),
+                         {v: corolla(atoms, "a") for v in range(1, r + 1)},
+                         {})
+    calls = []
+    real = rewrite._merge
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "_merge", counting)
+    assert len(collapse(g, "exhaustive")) == 1
+    assert len(calls) == merges
+
+
+def _merge_states(g: MixedGraph, monkeypatch) -> list[MixedGraph]:
+    """Every state the exhaustive search builds, as it builds them:
+    through `_merge`, with its label memo and its shape test."""
     states = {g.key: g}
-    stack = [g]
-    while stack:
-        cur = stack.pop()
-        for a, b in mergeable_pairs(cur):
-            child = _merge(cur, a, b, memo)
-            if child.key not in states:
-                states[child.key] = child
-                stack.append(child)
+    real = rewrite._merge
+
+    def recording(*args):
+        child = real(*args)
+        states.setdefault(child.key, child)
+        return child
+
+    monkeypatch.setattr(rewrite, "_merge", recording)
+    _exhaustive(g)
+    monkeypatch.undo()
     return list(states.values())
 
 
@@ -362,9 +399,9 @@ def _same_as_checked(state: MixedGraph) -> None:
     assert PropElement.build(whole.graph, whole.labels, sig).key == whole.key
 
 
-def test_merge_states_match_the_checked_path():
+def test_merge_states_match_the_checked_path(monkeypatch):
     # merged states, merged labels and expansions skip the checks
-    for state in _merge_states(the_remark()):
+    for state in _merge_states(the_remark(), monkeypatch):
         _same_as_checked(state)
     rng = random.Random(61)
     cache: dict = {}
@@ -373,7 +410,7 @@ def test_merge_states_match_the_checked_path():
         g = _random_mixed(rng, cache)
         if g is None or not mergeable_pairs(g):
             continue
-        for state in _merge_states(g):
+        for state in _merge_states(g, monkeypatch):
             _same_as_checked(state)
         done += 1
 
