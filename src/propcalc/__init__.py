@@ -25,8 +25,7 @@ from .freeprop import (FREE_OPS, Generator, PartialLabeledGraph, PropElement,
 from .graphs import (Edge, FormatError, Graph, GraphError, LimitError,
                      Vertex, check, graph_from_dict, graph_to_dict,
                      hcompose, identity, make_graph, permute_inputs,
-                     permute_outputs, reverse, to_json_text, validate,
-                     vcompose)
+                     permute_outputs, to_json_text, validate, vcompose)
 from .pushouts import (CubeDiagram, FiniteSetMap, PuncturedColimit,
                        bounded_env_classes, coequalizer_sets, faces_commute,
                        filtration_square_check, inclusion_map,
@@ -65,7 +64,7 @@ __all__ = [
     "pelem_permute_inputs", "pelem_permute_outputs", "pelem_vcompose",
     "permute_inputs", "permute_outputs", "presentation_matches_pushout",
     "punctured_colimit", "pushout_sets", "quotient_classes",
-    "reflexive_presentation", "renumber", "reverse", "signature_from_dict",
+    "reflexive_presentation", "renumber", "signature_from_dict",
     "signature_to_dict", "to_json_text", "validate", "vcompose",
 ]
 

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (Edge, Graph, GraphError, LimitError, Vertex,
-                     check_permutation, reverse, topological_order)
+                     check_permutation, topological_order)
 
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_EDGES = 24
@@ -74,23 +73,44 @@ def max_vertices_cap(explicit: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # path labels and orders
 
+def _port_map(g: Graph) -> tuple[list, dict[int, list], dict[int, list]]:
+    """The far port of every port, from one pass over the edges: the ends
+    of inputs 1..m then outputs 1..n, and per vertex the ends of its
+    in-ports and of its out-ports, each in port order.  Every port has
+    exactly one edge, so every slot is filled."""
+    m = g.m
+    boundary: list = [None] * (m + g.n)
+    ins: dict[int, list] = {}
+    outs: dict[int, list] = {}
+    for v in g.vertices:
+        ins[v.id] = [None] * v.n_in
+        outs[v.id] = [None] * v.n_out
+    for src, dst in g.edges:
+        if src[0] == "input":
+            boundary[src[1] - 1] = dst
+        else:
+            outs[src[1]][src[2] - 1] = dst
+        if dst[0] == "output":
+            boundary[m + dst[1] - 1] = src
+        else:
+            ins[dst[1]][dst[2] - 1] = src
+    return boundary, ins, outs
+
+
 def input_path_labels(g: Graph) -> dict[int, tuple[int, ...]]:
     """Minimal edge-path label per vertex, in one pass in topological order
     (a minimum extends a predecessor's minimum).  Raises
     UnreachableVertexError if some vertex has no path from a graph input."""
-    in_edges: dict[int, list[Edge]] = {v.id: [] for v in g.vertices}
-    for e in g.edges:
-        if e.dst[0] == "vin":
-            in_edges[e.dst[1]].append(e)
+    ins = _port_map(g)[1]
     labels: dict[int, tuple[int, ...]] = {}
     unreachable: list[int] = []
     for vid in topological_order(g):
         best: tuple[int, ...] | None = None
-        for e in in_edges[vid]:
-            if e.src[0] == "input":
-                cand = (e.src[1], e.dst[2])
-            elif e.src[1] in labels:
-                cand = labels[e.src[1]] + (e.src[2], e.dst[2])
+        for k, src in enumerate(ins[vid], start=1):
+            if src[0] == "input":
+                cand = (src[1], k)
+            elif src[1] in labels:
+                cand = labels[src[1]] + (src[2], k)
             else:
                 continue
             if best is None or cand < best:
@@ -109,40 +129,39 @@ def input_path_order(g: Graph) -> list[int]:
     computed as a depth-first preorder: roots by input index, children by
     out-port.  Raises UnreachableVertexError if some vertex has no path
     from a graph input."""
-    # the vertex behind each source port, None standing for a graph output
-    roots: list[int | None] = [None] * g.m
-    succ: dict[int, list[int | None]] = {v.id: [None] * v.n_out
-                                         for v in g.vertices}
-    for e in g.edges:
-        src, dst = e.src, e.dst
-        w = dst[1] if dst[0] == "vin" else None
-        if src[0] == "input":
-            roots[src[1] - 1] = w
-        else:
-            succ[src[1]][src[2] - 1] = w
+    return _path_order(g, "input")
+
+
+def output_path_order(g: Graph) -> list[int]:
+    """The mirrored order: paths from vertices down to graph outputs,
+    walked up from the outputs by output index, children by in-port."""
+    return _path_order(g, "output")
+
+
+def _path_order(g: Graph, side: str) -> list[int]:
+    # one depth-first preorder from the `side` ports in index order: down
+    # the out-ports from the inputs, or up the in-ports from the outputs
+    boundary, ins, outs = _port_map(g)
+    if side == "input":
+        roots, ends = boundary[:g.m], outs
+    else:
+        roots, ends = boundary[g.m:], ins
     seen: set[int] = set()
     order: list[int] = []
     stack = [iter(roots)]
     while stack:
-        for w in stack[-1]:
-            if w is not None and w not in seen:
+        for far in stack[-1]:
+            if far[0] in _VERTEX_PORTS and far[1] not in seen:
+                w = far[1]
                 seen.add(w)
                 order.append(w)
-                stack.append(iter(succ[w]))
+                stack.append(iter(ends[w]))
                 break
         else:
             stack.pop()
-    if len(order) < len(succ):
-        raise UnreachableVertexError(sorted(succ.keys() - seen))
+    if len(order) < len(ends):
+        raise UnreachableVertexError(sorted(ends.keys() - seen), side)
     return order
-
-
-def output_path_order(g: Graph) -> list[int]:
-    """The mirrored order: paths from vertices down to graph outputs."""
-    try:
-        return input_path_order(reverse(g))
-    except UnreachableVertexError as err:
-        raise UnreachableVertexError(err.vertices, side="output") from None
 
 
 # ---------------------------------------------------------------------------
@@ -175,69 +194,51 @@ def _serialize(g: Graph, texts: dict[int, str], order: list[int]) -> tuple:
     return (g.m, g.n, vertex_part, tuple(edges))
 
 
-def _traversal_order(g: Graph, texts: Callable[[], dict[int, str] | None]
+def _traversal_order(g: Graph, texts: dict[int, str] | None
                      ) -> list[int] | None:
-    # Only closed components read labels, so only they ask `texts` for
-    # their text; where it has none (None), the order is None.
-    #
-    # the far end (vertex, port) of each vertex port, in-ports first, None
-    # standing for a boundary port; every port has exactly one edge, so
-    # once a traversal's root is fixed its visiting order is fixed
-    n_in = {v.id: v.n_in for v in g.vertices}
-    ends: dict[int, list] = {v.id: [None] * (v.n_in + v.n_out)
-                             for v in g.vertices}
-    boundary = [None] * (g.m + g.n)  # vertex on input i, then on output j
-    for e in g.edges:
-        src, dst = e.src, e.dst
-        u = src[1] if src[0] == "vout" else None
-        w = dst[1] if dst[0] == "vin" else None
-        if u is None:
-            boundary[src[1] - 1] = w
-        else:
-            ends[u][n_in[u] + src[2] - 1] = None if w is None else (w, dst[2])
-        if w is None:
-            boundary[g.m + dst[1] - 1] = u
-        else:
-            ends[w][dst[2] - 1] = None if u is None else (u, src[2])
-
+    # Only closed components read labels; where their text is unknown
+    # (None), the order is None.  Every port has exactly one edge, so once
+    # a traversal's root is fixed its visiting order is fixed.
+    boundary, ins, outs = _port_map(g)
     seen: set[int] = set()
     order: list[int] = []
-    for root in boundary:
-        if root is not None and root not in seen:
-            order += _sweep(ends, root, seen)
-    if len(seen) == len(ends):
+    for far in boundary:
+        if far[0] in _VERTEX_PORTS and far[1] not in seen:
+            order += _sweep(ins, outs, far[1], seen)
+    if len(seen) == len(ins):
         return order
-    label_texts = texts()
-    if label_texts is None:
+    if texts is None:
         return None
-    closed = [_closed_component(_sweep(ends, v.id, seen), ends, n_in,
-                                label_texts)
+    closed = [_closed_component(_sweep(ins, outs, v.id, seen), ins, outs,
+                                texts)
               for v in g.vertices if v.id not in seen]
     for _, block in sorted(closed):
         order += block
     return order
 
 
-def _sweep(ends: dict[int, list], root: int, seen: set[int]) -> list[int]:
+def _sweep(ins: dict[int, list], outs: dict[int, list], root: int,
+           seen: set[int]) -> list[int]:
     """Vertices of root's component not yet seen, breadth first, each
-    vertex's neighbours taken in port order; marks them seen."""
+    vertex's neighbours taken in port order, in-ports first; marks them
+    seen."""
     seen.add(root)
     found = [root]
     for u in found:
-        for end in ends[u]:
-            if end is not None and end[0] not in seen:
-                seen.add(end[0])
-                found.append(end[0])
+        for far in ins[u] + outs[u]:
+            if far[0] in _VERTEX_PORTS and far[1] not in seen:
+                seen.add(far[1])
+                found.append(far[1])
     return found
 
 
-def _closed_component(component: list[int], ends: dict[int, list],
-                      n_in: dict[int, int], texts: dict[int, str]) -> tuple:
+def _closed_component(component: list[int], ins: dict[int, list],
+                      outs: dict[int, list], texts: dict[int, str]) -> tuple:
     """(key, order) of a component that touches no boundary port: the
     minimal local serialization over traversals rooted at each vertex of
     its smallest colour class, and the order that gives it."""
-    color = {vid: (n_in[vid], len(ends[vid]) - n_in[vid],
-                   texts.get(vid, _NO_LABEL)) for vid in component}
+    color = {vid: (len(ins[vid]), len(outs[vid]), texts.get(vid, _NO_LABEL))
+             for vid in component}
     if len(component) == 1:
         return ((color[component[0]],), ()), component
     classes: dict[tuple, list[int]] = {}
@@ -246,12 +247,12 @@ def _closed_component(component: list[int], ends: dict[int, list],
     roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
     best = None
     for root in roots:
-        found = _sweep(ends, root, set())
+        found = _sweep(ins, outs, root, set())
         pos = {vid: i for i, vid in enumerate(found)}
         # each edge once, from its source's out-port; already sorted
         edges = tuple((pos[u], k, pos[w], port)
                       for u in found
-                      for k, (w, port) in enumerate(ends[u][n_in[u]:]))
+                      for k, (_, w, port) in enumerate(outs[u]))
         key = (tuple(color[u] for u in found), edges)
         if best is None or key < best[0]:
             best = (key, found)
@@ -266,15 +267,13 @@ def canonical_order(g: Graph,
     every vertex has an output, else the port-ordered traversal (boundary
     components from the boundary ports in index order, then closed
     components sorted by their minimal serialization)."""
-    return _route_order(g, lambda: _render(label_key))
+    return _route_order(g, _render(label_key))
 
 
-def _route_order(g: Graph, texts: Callable[[], dict[int, str] | None]
-                 ) -> list[int] | None:
+def _route_order(g: Graph, texts: dict[int, str] | None) -> list[int] | None:
     """The canonical order by the route the arities choose.  Only closed
-    components of the traversal read labels, so only they ask `texts` for
-    their text.  If `texts` gives None, the order is None exactly where
-    labels would steer it."""
+    components of the traversal read labels.  If `texts` is None (labels
+    unknown), the order is None exactly where labels would steer it."""
     vertices = g.vertices
     if all(v.n_in for v in vertices):
         return input_path_order(g)
@@ -313,7 +312,7 @@ def key_and_order(g: Graph,
     text: `key_and_order(g, {v: repr(lab) ...})` is
     `(canonical_key(g, labels), canonical_order(g, labels))`.  A caller
     that keeps its labels' text rendered saves rendering it per call."""
-    order = _route_order(g, lambda: texts)
+    order = _route_order(g, texts)
     return _serialize(g, texts, order), order
 
 
@@ -461,9 +460,6 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
 
     used = [False] * width
     chosen: list[Edge] = []
-    # edges[i * width + t]: the edge from source i to target t, built on
-    # first use
-    edges: list[Edge | None] = [None] * (edge_count * width)
     desc = [0] * (r + 1)  # desc[v] = bitmask of vertices reachable from v
     numbering = tuple(range(1, r + 1))
 
@@ -530,7 +526,6 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
             return
         src = sources[i]
         u = src[1] if src[0] == "vout" else 0
-        row = i * width
         owner = checks[i + 1]
         for t in range(width):
             if used[t]:
@@ -547,11 +542,8 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
                         if x == u or (desc[x] >> u) & 1:
                             desc[x] |= gain
                 free_in[v] -= 1
-            edge = edges[row + t]
-            if edge is None:
-                edge = edges[row + t] = Edge(src, targets[t])
             used[t] = True
-            chosen.append(edge)
+            chosen.append(Edge(src, targets[t]))
             if not owner or completable(owner):
                 yield from assign(i + 1)
             chosen.pop()
@@ -615,7 +607,7 @@ def skeletons(arities: list[tuple[int, int]], m: int, n: int, *,
     for ng in enumerate_graphs(arities, m, n, max_vertices=max_vertices,
                                max_edges=max_edges):
         graph = ng.graph
-        order = _route_order(graph, lambda: None)
+        order = _route_order(graph, None)
         if order is None:
             yield Skeleton(graph, None, None, None)
             continue

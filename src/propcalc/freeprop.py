@@ -19,10 +19,9 @@ from typing import Iterable, Iterator, Protocol, TypeVar
 
 from .canonical import canonicalize, distinct, skeletons
 from .graphs import (Edge, FormatError, Graph, GraphError, Port, Vertex,
-                     check, check_topological_order, graph_from_dict,
-                     graph_to_dict, hcompose, identity, is_int,
-                     permute_inputs, permute_outputs, topological_order,
-                     vcompose)
+                     check, graph_from_dict, graph_to_dict, hcompose,
+                     identity, is_int, permute_inputs, permute_outputs,
+                     topological_order, vcompose)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +344,14 @@ FREE_OPS = FreePropOps()
 
 
 def extend_morphism(sig: Signature, assignment: dict[str, T],
-                    ops: PropOps[T], order_fn=None):
+                    ops: PropOps[T]):
     """The unique structure-preserving extension of a generator assignment.
 
     Returns phi mapping elements over sig into the target.  phi slices the
     element's graph along a wire frontier: vertices are consumed one at a
     time in topological order, with a permutation layer routing the
     vertex's input wires to the front and a `generator (x) identity` layer
-    consuming them.  `order_fn` may pick the vertex order (the result
-    never depends on it).
+    consuming them.
     """
     for name in sig.names:
         if name not in assignment:
@@ -368,9 +366,6 @@ def extend_morphism(sig: Signature, assignment: dict[str, T],
         for name in e.labels.values():
             if name not in assignment:
                 raise GraphError(f"element uses unassigned label {name!r}")
-        order = list(order_fn(graph)) if order_fn is not None \
-            else topological_order(graph)
-        check_topological_order(graph, order)
 
         def route(live: list[Edge], want: list[Edge], acc: T) -> tuple:
             if live == want:
@@ -382,7 +377,7 @@ def extend_morphism(sig: Signature, assignment: dict[str, T],
 
         live = [graph.edge_from(("input", i)) for i in range(1, graph.m + 1)]
         acc = ops.identity(graph.m)
-        for vid in order:
+        for vid in topological_order(graph):
             v = graph.vertex(vid)
             ins = [graph.edge_into(("vin", vid, k))
                    for k in range(1, v.n_in + 1)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -45,15 +45,13 @@ SRC_KINDS = ("input", "vout")
 DST_KINDS = ("output", "vin")
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     n_in: int
     n_out: int
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     src: Port
     dst: Port
 
@@ -426,20 +424,6 @@ def permute_outputs(g: Graph, w: tuple[int, ...]) -> Graph:
 
     return Graph(g.m, g.n, g.vertices,
                  tuple(Edge(e.src, move(e.dst)) for e in g.edges))
-
-
-def reverse(g: Graph) -> Graph:
-    """Mirror the graph top-to-bottom: inputs become outputs, every edge
-    flips, every vertex swaps its port sides.  Used for output-path
-    canonical ordering."""
-    flip = {"input": "output", "output": "input", "vout": "vin", "vin": "vout"}
-
-    def move(p: Port) -> Port:
-        return (flip[p[0]],) + p[1:]
-
-    return Graph(g.n, g.m,
-                 tuple(Vertex(v.id, v.n_out, v.n_in) for v in g.vertices),
-                 tuple(Edge(move(e.dst), move(e.src)) for e in g.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,23 @@ def topo_latest_first(graph):
 
 
 # ---------------------------------------------------------------------------
+# mirroring
+
+def mirror(g: Graph) -> Graph:
+    """g upside down: inputs become outputs, every edge flips and every
+    vertex swaps its port sides.  The output-path order of g is, by its
+    definition, the input-path order of its mirror."""
+    flip = {"input": "output", "output": "input", "vout": "vin", "vin": "vout"}
+
+    def move(p):
+        return (flip[p[0]],) + p[1:]
+
+    return Graph(g.n, g.m,
+                 tuple(Vertex(v.id, v.n_out, v.n_in) for v in g.vertices),
+                 tuple(Edge(move(e.dst), move(e.src)) for e in g.edges))
+
+
+# ---------------------------------------------------------------------------
 # deep inputs
 
 def unary_chain(r: int) -> Graph:

@@ -105,6 +105,19 @@ def test_unreachable_vertices_are_listed_sorted():
     assert by_order.value.vertices == by_labels.value.vertices == [4, 9]
 
 
+def test_vertices_that_reach_no_output_are_listed_sorted():
+    # input 2 -> 4 -> 9 ends in a vertex with no output; 2 feeds output 1
+    g = make_graph(2, 1, [(9, 1, 0), (4, 1, 1), (2, 1, 1)],
+                   [(("input", 1), ("vin", 2, 1)),
+                    (("vout", 2, 1), ("output", 1)),
+                    (("input", 2), ("vin", 4, 1)),
+                    (("vout", 4, 1), ("vin", 9, 1))])
+    with pytest.raises(UnreachableVertexError) as err:
+        output_path_order(g)
+    assert err.value.vertices == [4, 9]
+    assert str(err.value) == "vertices unreachable from graph outputs: [4, 9]"
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 

@@ -1,0 +1,108 @@
+"""Canonical keys do not see vertex numbering, and the output-path order
+is the input-path order of the mirrored graph, on random small graphs of
+all three canonical routes."""
+
+from __future__ import annotations
+
+import pytest
+
+from propcalc.canonical import (UnreachableVertexError, canonical_key,
+                                input_path_order, output_path_order)
+from propcalc.graphs import Edge, Graph, Vertex, relabel_vertices, validate
+
+from _oracles import mirror
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(derandomize=True, database=None,
+                               deadline=None, max_examples=200)
+LABELS = st.text("ab", min_size=2, max_size=2)
+
+
+def route_of(g: Graph) -> str:
+    if all(v.n_in for v in g.vertices):
+        return "input"
+    if all(v.n_out for v in g.vertices):
+        return "output"
+    return "traversal"
+
+
+@st.composite
+def port_graphs(draw, route: str):
+    """A valid graph for the given route: at most 7 vertices of arity and
+    coarity at most 2, a boundary of at most 3 on each side.  Vertices are
+    placed one at a time, each taking its in-ports from the sources
+    (inputs and out-ports) still free, so every edge runs forward; the
+    sources left at the end feed the outputs in a drawn order.  An
+    output-route graph is the mirror of an input-route one.  A "closed"
+    graph is a traversal-route graph with no boundary: its free sources
+    feed sinks, two at a time, so every component is closed and the
+    traversal roots each at its smallest colour class."""
+    if route == "output":
+        return mirror(draw(port_graphs("input")))
+    closed = route == "closed"
+    m = 0 if closed else draw(st.integers(1 if route == "input" else 0, 3))
+    free = draw(st.permutations([("input", i) for i in range(1, m + 1)]))
+    vertices, edges = [], []
+
+    def place(a: int, b: int) -> None:
+        v = len(vertices) + 1
+        vertices.append(Vertex(v, a, b))
+        edges.extend(Edge(free.pop(), ("vin", v, k)) for k in range(1, a + 1))
+        free.extend(("vout", v, k) for k in range(1, b + 1))
+
+    least_in = 1 if route == "input" else 0
+    for _ in range(draw(st.integers(0, 7))):
+        if len(free) < least_in:
+            break  # the input route has run out of sources
+        a = draw(st.integers(least_in, min(2, len(free))))
+        # isolated vertices say nothing new about closed components
+        place(a, draw(st.integers(1 if closed and not a else 0, 2)))
+        free[:] = draw(st.permutations(free))
+    while closed and free:
+        place(min(2, len(free)), 0)
+    hypothesis.assume(len(vertices) <= 7 and len(free) <= 3)
+    edges += [Edge(src, ("output", j)) for j, src in enumerate(free, 1)]
+    g = Graph(m, len(free), tuple(vertices), tuple(edges))
+    if route == "traversal":
+        hypothesis.assume(route_of(g) == "traversal")
+    return g
+
+
+def any_route_graphs():
+    return st.sampled_from(["input", "output", "traversal", "closed"]
+                           ).flatmap(port_graphs)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_canonical_key_ignores_the_numbering(data):
+    g = data.draw(any_route_graphs())
+    assert validate(g) == []
+    labels = {vid: data.draw(LABELS) for vid in g.vertex_ids}
+    r = len(g.vertices)
+    ids = data.draw(st.lists(st.integers(1, 50), min_size=r, max_size=r,
+                             unique=True))
+    # a drawn renumbering, and the reversal of the placement order
+    for new_ids in (ids, range(r, 0, -1)):
+        rename = dict(zip(g.vertex_ids, new_ids))
+        h = relabel_vertices(g, rename)
+        assert canonical_key(h) == canonical_key(g)
+        moved = {rename[vid]: lab for vid, lab in labels.items()}
+        assert canonical_key(h, moved) == canonical_key(g, labels)
+
+
+@SETTINGS
+@hypothesis.given(any_route_graphs())
+def test_output_path_order_is_the_mirrored_input_path_order(g):
+    try:
+        want = input_path_order(mirror(g))
+    except UnreachableVertexError as err:
+        assert route_of(g) != "output"
+        with pytest.raises(UnreachableVertexError) as ours:
+            output_path_order(g)
+        assert ours.value.vertices == err.vertices
+        assert str(ours.value) == str(err).replace("inputs", "outputs")
+    else:
+        assert output_path_order(g) == want

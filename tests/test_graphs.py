@@ -11,9 +11,9 @@ from propcalc import fixtures
 from propcalc.graphs import (Edge, FormatError, Graph, GraphError, Vertex,
                              check, graph_from_dict, graph_to_dict, hcompose,
                              identity, invert_permutation, make_graph,
-                             permute_inputs, permute_outputs, reverse,
-                             to_json_text, topological_order, validate,
-                             vcompose, vertex_successors)
+                             permute_inputs, permute_outputs, to_json_text,
+                             topological_order, validate, vcompose,
+                             vertex_successors)
 
 from _oracles import compose_permutations, unary_chain, wire_permutation
 
@@ -250,23 +250,6 @@ def test_permutation_actions_keep_graphs_valid():
     for w in itertools.permutations(range(1, 4)):
         assert validate(permute_outputs(g, w)) == []
         assert validate(permute_inputs(g, w)) == []
-
-
-# ---------------------------------------------------------------------------
-# mirroring
-
-def test_reverse_swaps_boundary():
-    g = fixtures.fig1()
-    r = reverse(g)
-    assert (r.m, r.n) == (g.n, g.m)
-    assert validate(r) == []
-    assert {(v.n_in, v.n_out) for v in r.vertices} == \
-        {(v.n_out, v.n_in) for v in g.vertices}
-
-
-def test_reverse_is_involution():
-    for g in (fixtures.fig1(), identity(3), fixtures.nonacyclic_p2()):
-        assert reverse(reverse(g)) == g
 
 
 # ---------------------------------------------------------------------------
