@@ -266,8 +266,11 @@ def canonical_order(g: Graph,
     order if every vertex has an input, else the output-path order if
     every vertex has an output, else the port-ordered traversal (boundary
     components from the boundary ports in index order, then closed
-    components sorted by their minimal serialization)."""
-    return _route_order(g, _render(label_key))
+    components sorted by their minimal serialization).  Labels are
+    rendered only for a graph with a closed component, the one case that
+    reads them."""
+    order = _route_order(g, None)
+    return order if order is not None else _route_order(g, _render(label_key))
 
 
 def _route_order(g: Graph, texts: dict[int, str] | None) -> list[int] | None:

@@ -29,8 +29,9 @@ from .pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram, FiniteSetMap,
                        punctured_colimit)
 from .rewrite import (collapse, expand_all, mixed_from_dict, mixed_to_dict,
                       non_confluence_witness, remark_mixed)
-from .tensor import (TensorOps, algebra_from_dict, evaluate,
-                     matrix_from_json, morphism_prop_membership)
+from .tensor import (DEFAULT_MAX_AXES, DEFAULT_MAX_DIM, TensorOps,
+                     algebra_from_dict, evaluate, matrix_from_json,
+                     morphism_prop_membership)
 
 
 def _read_json(path: str):
@@ -226,9 +227,11 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    alg = algebra_from_dict(_read_json(args.algebra))
+    _at_least("--max-axes", args.max_axes, 1)
+    _at_least("--max-dim", args.max_dim, 1)
+    alg = algebra_from_dict(_read_json(args.algebra), max_dim=args.max_dim)
     elem = element_from_dict(_read_json(args.file))
-    t = evaluate(elem, alg)
+    t = evaluate(elem, alg, max_axes=args.max_axes)
     _emit({"m": elem.m, "n": elem.n, "dim": alg.dim,
            "shape": list(t.shape), "rows": t.rows()})
     return 0
@@ -540,6 +543,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="contract an element against an algebra")
     p.add_argument("file")
     p.add_argument("--algebra", required=True)
+    p.add_argument("--max-axes", type=int, default=DEFAULT_MAX_AXES,
+                   help="cap on the element's boundary axes (max_axes)")
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+                   help="cap on the algebra's dimension (max_dim)")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("check-morphism",

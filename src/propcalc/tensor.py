@@ -4,11 +4,15 @@ A dimension-d assignment sends each generator to a matrix acting on
 tensor powers of a d-dimensional space; `evaluate` contracts a labeled
 graph as a tensor network, wire by wire, with zero tolerance.  A tensor
 is held as integer numerators over one common denominator, so the
-contraction runs on Python ints and divides once per result;
-`fractions.Fraction` appears only where values are read, written or
-shown.  `TensorOps` exposes the same target through the layer-slicing
-evaluator, giving a second, independent route to every value.  On top
-sits the intertwiner check of one matrix between two assignments.
+contraction runs on integers and divides once per result.  Numerators
+are numpy int64 while every entry fits, and each product runs in int64
+only while a bound on its largest partial sum stays below 2**63; past
+that bound both operands become object arrays of Python ints, the one
+exact route at any size.  `fractions.Fraction` appears only where values
+are read, written or shown.  `TensorOps` exposes the same target through
+the layer-slicing evaluator, giving a second, independent route to every
+value.  On top sits the intertwiner check of one matrix between two
+assignments.
 """
 
 from __future__ import annotations
@@ -56,14 +60,51 @@ def _entry(x: object) -> Fraction:
     raise GraphError(f"entry {x!r} is not an exact rational")
 
 
-class RatTensor:
-    """An immutable dense tensor of exact rationals: an object array of
-    Python int numerators over one positive int denominator, always in
-    lowest terms (gcd(den, *num) == 1, so a zero tensor has den == 1).
-    That normal form makes equality and hashing exact on (shape, den,
-    num)."""
+# numpy's int64 arithmetic wraps silently at this magnitude
+_INT64_LIMIT = 2 ** 63
 
-    __slots__ = ("_num", "_den")
+
+def _normal(num: np.ndarray, den: int) -> tuple[np.ndarray, int, int]:
+    """(num, den, top) in lowest terms, top = max |num|, with num int64
+    iff top < 2**63 (else an object array of Python ints)."""
+    if num.dtype == object:
+        top = max(map(abs, num.flat), default=0)
+        g = math.gcd(den, *num.flat)
+        if g != 1:
+            num, den, top = num // g, den // g, top // g
+        if top < _INT64_LIMIT:
+            num = num.astype(np.int64)
+    else:
+        top = int(np.abs(num).max()) if num.size else 0
+        if top == 0:
+            return num, 1, 0
+        # g <= top, so it fits in int64
+        g = math.gcd(den, int(np.gcd.reduce(num, None)))
+        if g != 1:
+            num, den, top = num // g, den // g, top // g
+    return num, den, top
+
+
+def _operands(a: np.ndarray, top_a: int, b: np.ndarray, top_b: int,
+              terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """a and b ready to multiply exactly into sums of `terms` products:
+    as they are while top_a * top_b * terms < 2**63 bounds every partial
+    sum, else both as object arrays of Python ints."""
+    if top_a * top_b * terms < _INT64_LIMIT:
+        return a, b
+    return a.astype(object, copy=False), b.astype(object, copy=False)
+
+
+class RatTensor:
+    """An immutable dense tensor of exact rationals: integer numerators
+    over one positive int denominator, always in lowest terms
+    (gcd(den, *num) == 1, so a zero tensor has den == 1).  The numerators
+    are an int64 array when their largest magnitude `top` is below 2**63
+    and an object array of Python ints otherwise, so the dtype follows
+    from the value.  That normal form makes equality and hashing exact on
+    (shape, den, num)."""
+
+    __slots__ = ("_num", "_den", "_top")
 
     def __init__(self, array):
         src = np.asarray(array, dtype=object)
@@ -72,25 +113,26 @@ class RatTensor:
         num = np.empty(src.shape, dtype=object)
         num.reshape(-1)[:] = [x.numerator * (den // x.denominator)
                               for x in entries]
+        num, self._den, self._top = _normal(num, den)
         num.setflags(write=False)
-        self._num, self._den = num, den
+        self._num = num
 
     @classmethod
     def _of(cls, num: np.ndarray, den: int) -> "RatTensor":
-        """Wrap int numerators over a positive den, reducing once."""
-        g = math.gcd(den, *num.flat)
-        if g != 1:
-            num, den = num // g, den // g
+        """Wrap int numerators (int64 or object) over a positive den,
+        reducing once and choosing the dtype."""
+        num, den, top = _normal(num, den)
         num.setflags(write=False)
         t = cls.__new__(cls)
-        t._num, t._den = num, den
+        t._num, t._den, t._top = num, den, top
         return t
 
     @property
     def array(self) -> np.ndarray:
         """A fresh read-only object array of `Fraction` entries."""
         a = np.empty(self._num.shape, dtype=object)
-        a.reshape(-1)[:] = [Fraction(x, self._den) for x in self._num.flat]
+        a.reshape(-1)[:] = [Fraction(x, self._den)
+                            for x in self._num.ravel().tolist()]
         a.setflags(write=False)
         return a
 
@@ -100,11 +142,11 @@ class RatTensor:
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> "RatTensor":
-        return cls._of(np.zeros(shape, dtype=object), 1)
+        return cls._of(np.zeros(shape, dtype=np.int64), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RatTensor":
-        return cls._of(np.identity(n, dtype=object), 1)
+        return cls._of(np.identity(n, dtype=np.int64), 1)
 
     def rows(self) -> list[list[str]]:
         if self._num.ndim != 2:
@@ -117,7 +159,8 @@ class RatTensor:
             and bool((self._num == other._num).all())
 
     def __hash__(self) -> int:
-        return hash((self.shape, self._den, tuple(self._num.flat)))
+        return hash((self.shape, self._den,
+                     tuple(self._num.ravel().tolist())))
 
     def __repr__(self) -> str:
         return f"RatTensor{self.shape}"
@@ -132,13 +175,15 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rt_dot(a: RatTensor, b: RatTensor) -> RatTensor:
     if a.shape[-1] != b.shape[0]:
         raise GraphError(f"cannot multiply {a.shape} by {b.shape}")
-    return RatTensor._of(np.dot(a._num, b._num), a._den * b._den)
+    x, y = _operands(a._num, a._top, b._num, b._top, a.shape[-1])
+    return RatTensor._of(np.dot(x, y), a._den * b._den)
 
 
 def rt_kron(a: RatTensor, b: RatTensor) -> RatTensor:
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise GraphError("kron needs matrices")
-    return RatTensor._of(_kron(a._num, b._num), a._den * b._den)
+    x, y = _operands(a._num, a._top, b._num, b._top, 1)
+    return RatTensor._of(_kron(x, y), a._den * b._den)
 
 
 def kron_power(a: RatTensor, k: int) -> RatTensor:
@@ -146,9 +191,12 @@ def kron_power(a: RatTensor, k: int) -> RatTensor:
         raise GraphError("negative tensor power")
     if len(a.shape) != 2:
         raise GraphError("kron needs matrices")
-    num = np.ones((1, 1), dtype=object)
-    for _ in range(k):
-        num = _kron(num, a._num)
+    if k == 0:
+        return RatTensor.identity(1)
+    num, top, factor = a._num, a._top, a._num
+    for _ in range(k - 1):
+        num, factor = _operands(num, top, factor, a._top, 1)
+        num, top = _kron(num, factor), top * a._top
     return RatTensor._of(num, a._den ** k)
 
 
@@ -248,8 +296,8 @@ def algebra_to_dict(a: AlgebraAssignment) -> dict:
                          for name, t in sorted(a.matrices.items())}}
 
 
-def algebra_from_dict(d: object,
-                      sig: Signature | None = None) -> AlgebraAssignment:
+def algebra_from_dict(d: object, sig: Signature | None = None,
+                      max_dim: int | None = None) -> AlgebraAssignment:
     if not isinstance(d, dict) or not is_int(d.get("dim")) \
             or not isinstance(d.get("matrices"), dict):
         raise FormatError(
@@ -261,7 +309,7 @@ def algebra_from_dict(d: object,
         except FormatError as err:
             raise FormatError(f"matrix for {name!r}: {err}") from None
     try:
-        return AlgebraAssignment.build(d["dim"], matrices, sig)
+        return AlgebraAssignment.build(d["dim"], matrices, sig, max_dim)
     except GraphError as err:
         raise FormatError(str(err)) from None
 
@@ -319,7 +367,9 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
     # Each open axis of `state` is named by the port that will consume it:
     # a vertex in-port ("vin", v, k) until v is contracted, or a boundary
     # port, ("output", j) or ("input", i), which the final transpose reads.
-    state, den = np.array(1, dtype=object), 1
+    # `top` bounds |entry| of `state`; it is carried along the products so
+    # that the int64 guard reads the entries only when the bound trips.
+    state, den, top = np.array(1, dtype=np.int64), 1, 1
     axes: list[tuple] = []
     for vid in order:
         v = graph.vertex(vid)
@@ -334,7 +384,15 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
                 tpos.append(v.n_out + k - 1)
             else:
                 opened.append(src)
+        terms = d ** len(spos)
+        if top * mat._top * terms >= _INT64_LIMIT and state.dtype != object:
+            # the carried bound grows by `terms` per step even where the
+            # entries do not (a deep chain of signed permutations), so
+            # read the true top before leaving int64
+            top = int(np.abs(state).max())
+        state, t = _operands(state, top, t, mat._top, terms)
         state = np.tensordot(state, t, axes=(spos, tpos))
+        top *= mat._top * terms
         taken = set(spos)
         axes = [key for i, key in enumerate(axes) if i not in taken]
         axes += [graph.edge_from(("vout", vid, j)).dst
@@ -344,7 +402,9 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
     for i in range(1, graph.m + 1):
         dst = graph.edge_from(("input", i)).dst
         if dst[0] == "output":
-            state = np.tensordot(state, np.identity(d, dtype=object),
+            # a 0/1 factor keeps every entry's size (numpy promotes it
+            # to object beside an object state)
+            state = np.tensordot(state, np.identity(d, dtype=np.int64),
                                  axes=([], []))
             axes += [dst, ("input", i)]
 

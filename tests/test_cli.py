@@ -339,6 +339,39 @@ def test_eval_contracts_against_an_algebra(tmp_path):
     assert report["rows"] == [["1", "1/2"], ["0", "1"]]
 
 
+def test_eval_boundary_axes_cap(tmp_path):
+    # four through wires: 8 boundary axes, past the default cap of 6
+    wires = {"m": 4, "n": 4, "vertices": [],
+             "edges": [wire(["input", i], ["output", i])
+                       for i in range(1, 5)]}
+    elem = write_json(tmp_path / "e.json", wires)
+    alg = write_json(tmp_path / "alg.json", {"dim": 2, "matrices": {}})
+    rc, out, err = run("eval", elem, "--algebra", alg)
+    assert rc == 1 and out == ""
+    assert err == "error: boundary 4+4 axes, cap is 6 (max_axes)\n"
+    rc, out, _ = run("eval", elem, "--algebra", alg, "--max-axes", "8")
+    assert rc == 0 and json.loads(out)["shape"] == [16, 16]
+    for bad in ("0", "-3"):
+        rc, out, err = run("eval", elem, "--algebra", alg, "--max-axes", bad)
+        assert rc == 2 and out == ""
+        assert err == f"error: --max-axes must be at least 1, got {bad}\n"
+
+
+def test_eval_dimension_cap(tmp_path):
+    elem = write_json(tmp_path / "e.json", UNARY_ELEMENT)
+    eye = [[str(int(i == j)) for j in range(5)] for i in range(5)]
+    alg = write_json(tmp_path / "alg.json", {"dim": 5, "matrices": {"a": eye}})
+    rc, out, err = run("eval", elem, "--algebra", alg)
+    assert rc == 1 and out == ""
+    assert err == "error: dimension 5, cap is 4 (max_dim)\n"
+    rc, out, _ = run("eval", elem, "--algebra", alg, "--max-dim", "5")
+    assert rc == 0 and json.loads(out)["rows"] == eye
+    for bad in ("0", "-3"):
+        rc, out, err = run("eval", elem, "--algebra", alg, "--max-dim", bad)
+        assert rc == 2 and out == ""
+        assert err == f"error: --max-dim must be at least 1, got {bad}\n"
+
+
 def test_check_morphism_accepts_an_intertwiner(tmp_path):
     algebra = {"dim": 2, "matrices": {"a": [["1", "1/2"], ["0", "1"]]}}
     alg = write_json(tmp_path / "alg.json", algebra)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from _oracles import (mat_kron, mat_mul, permutation_matrix,
@@ -16,6 +18,7 @@ from propcalc.freeprop import (PropElement, Signature, corolla, expand,
                                extend_morphism, identity_element,
                                pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
+from propcalc import tensor
 from propcalc.graphs import (FormatError, GraphError, LimitError,
                              relabel_vertices, to_json_text)
 from propcalc.tensor import (AlgebraAssignment, RatTensor, TensorOps,
@@ -124,9 +127,28 @@ def test_equal_values_share_one_representation():
               rt_dot(RatTensor([["3/5", "1/10"]]), RatTensor([["1/3"], [3]]))]
     zeros = [RatTensor.zeros((1, 1)), RatTensor([[0]]),
              rt_dot(RatTensor([["1/3", "1/3"]]), RatTensor([[1], [-1]])),
-             rt_kron(RatTensor([["1/7"]]), RatTensor([["0/5"]]))]
-    for same in (halves, zeros):
-        assert all(t == same[0] and hash(t) == hash(same[0]) for t in same)
+             rt_kron(RatTensor([["1/7"]]), RatTensor([["0/5"]])),
+             rt_dot(RatTensor([[F(1, 2 ** 70)]]), RatTensor([[0]]))]
+    # numerators past 2^63 that the gcd reduces to small ones, and small
+    # numerators whose product stays past 2^63
+    small = [RatTensor([[3, "3/2"]]),
+             rt_dot(RatTensor([[F(1, 2 ** 70)]]),
+                    RatTensor([[3 * 2 ** 70, 3 * 2 ** 69]])),
+             rt_kron(RatTensor([[F(3, 2 ** 66)]]),
+                     RatTensor([[2 ** 66, 2 ** 65]]))]
+    big = [RatTensor([[2 ** 70, F(1, 2)]]),
+           rt_kron(RatTensor([[2 ** 35]]),
+                   RatTensor([[2 ** 35, F(1, 2 ** 36)]])),
+           rt_dot(RatTensor([[2 ** 35]]),
+                  RatTensor([[2 ** 35, F(1, 2 ** 36)]]))]
+    # kron powers, inside int64 and past it
+    powers = [RatTensor([["4/9", "8/9", "8/9", "16/9"]]),
+              kron_power(RatTensor([["2/3", "4/3"]]), 2)]
+    big_powers = [RatTensor([[F(2 ** 70, 3 ** 70)]]),
+                  kron_power(RatTensor([["2/3"]]), 70)]
+    for same in (halves, zeros, small, big, powers, big_powers):
+        assert all(t == same[0] and hash(t) == hash(same[0])
+                   and t._num.dtype == same[0]._num.dtype for t in same)
     assert halves[0] != zeros[0] and halves[0] != RatTensor([["1/3"]])
     # a nilpotent generator squares to zero through the contraction
     nil = AlgebraAssignment.build(2, {"a": RatTensor([[0, "1/3"], [0, 0]])})
@@ -136,14 +158,32 @@ def test_equal_values_share_one_representation():
     assert hash(got) == hash(RatTensor.zeros((2, 2)))
 
 
+def int_matrix(rng: random.Random, r: int, c: int, low: int,
+               high: int) -> RatTensor:
+    return RatTensor([[rng.randint(low, high) for _ in range(c)]
+                      for _ in range(r)])
+
+
 def test_products_past_64_bits_match_the_oracles():
     rng = random.Random(9)
-    A = AlgebraAssignment.build(
-        2, {g.name: big_matrix(rng, 2 ** g.n, 2 ** g.m) for g in SIG}, SIG)
 
     def rows(t):
         return [list(r) for r in t.array]
 
+    def assignment(make):
+        return AlgebraAssignment.build(
+            2, {g.name: make(2 ** g.n, 2 ** g.m) for g in SIG}, SIG)
+
+    def chain(A):
+        # a, then c, then b: the contractions sum 1, 2 and 4 terms
+        a, b, c = (rows(A.matrices[x]) for x in "abc")
+        return (evaluate(pelem_vcompose(pelem_vcompose(corolla(SIG, "a"),
+                                                       corolla(SIG, "c")),
+                                        corolla(SIG, "b")), A),
+                mat_mul(mat_mul(b, c), a))
+
+    # rationals near 2^40: products pass 2^63 from the first one
+    A = assignment(lambda r, c: big_matrix(rng, r, c))
     a, b, c = (rows(A.matrices[x]) for x in "abc")
     cases = [
         (rt_dot(A.matrices["b"], A.matrices["c"]), mat_mul(b, c)),
@@ -153,15 +193,68 @@ def test_products_past_64_bits_match_the_oracles():
          mat_mul(b, c)),
         (evaluate(pelem_hcompose(corolla(SIG, "a"), corolla(SIG, "b")), A),
          mat_kron(a, b)),
-        (evaluate(pelem_vcompose(pelem_vcompose(corolla(SIG, "a"),
-                                                corolla(SIG, "c")),
-                                 corolla(SIG, "b")), A),
-         mat_mul(mat_mul(b, c), a)),
+        chain(A),
     ]
+    # integers near 2^30: the third factor of a kron power or of the chain
+    # is the first product past 2^63
+    A = assignment(lambda r, c: int_matrix(rng, r, c, 2 ** 30 - 2 ** 20,
+                                           2 ** 30))
+    a = rows(A.matrices["a"])
+    cases += [(kron_power(A.matrices["a"], 3), mat_kron(mat_kron(a, a), a)),
+              chain(A)]
+    # integers just below sqrt(2^63): each product fits in int64 but a sum
+    # of two does not, so only the count of summed terms shows the overflow
+    edge = math.isqrt(2 ** 63 - 1)
+    A = assignment(lambda r, c: int_matrix(rng, r, c, edge - 2 ** 10, edge))
+    b, c = (rows(A.matrices[x]) for x in "bc")
+    cases += [
+        (rt_dot(A.matrices["b"], A.matrices["c"]), mat_mul(b, c)),
+        (evaluate(pelem_vcompose(corolla(SIG, "c"), corolla(SIG, "b")), A),
+         mat_mul(b, c)),
+        chain(A),
+    ]
+    # integers near 2^20: each chain entry sums 8 triple products and a
+    # sum of 4 would fit in int64, so the chain's bound must count the
+    # terms of every contraction, not of the last one alone
+    A = assignment(lambda r, c: int_matrix(rng, r, c, 1_100_000, 1_300_000))
+    cases.append(chain(A))
     for got, want in cases:
         assert got == RatTensor(want)
         assert max(max(abs(x.numerator), x.denominator)
                    for x in got.array.flat) > 2 ** 63
+
+
+def test_a_deep_chain_reads_its_bound_from_the_entries(monkeypatch):
+    # at d = 2 every grafted wire doubles evaluate's carried bound, so a
+    # chain of 200 signed permutations passes 2^63 on the bound alone; the
+    # entries stay in {-1, 0, 1} and so must every product's dtype
+    sig = Signature([("r", 1, 1), ("j", 1, 1)])
+    mats = {"r": RatTensor([[0, -1], [1, 0]]), "j": RatTensor([[1, 1], [1, 1]])}
+    A = AlgebraAssignment.build(2, mats, sig)
+
+    def chain(names):
+        elem, want = corolla(sig, names[0]), [list(r) for r in
+                                              mats[names[0]].array]
+        for name in names[1:]:
+            elem = pelem_vcompose(elem, corolla(sig, name))
+            want = mat_mul([list(r) for r in mats[name].array], want)
+        return evaluate(elem, A), RatTensor(want)
+
+    dtypes = set()
+
+    def spy(*args):
+        out = operands(*args)
+        dtypes.update(x.dtype for x in out)
+        return out
+
+    operands = tensor._operands
+    monkeypatch.setattr(tensor, "_operands", spy)
+    got, want = chain(["r"] * 200)
+    assert got == want and dtypes == {np.dtype(np.int64)}
+    # j^k = 2^(k-1) j: after the bound was read from the entries, the
+    # true entries pass 2^63 and the chain must still leave int64 in time
+    got, want = chain(["r"] * 100 + ["j"] * 70)
+    assert got == want and max(got.array.flat) == 2 ** 69
 
 
 def test_kron_power_unit():
