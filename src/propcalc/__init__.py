@@ -27,11 +27,10 @@ from .graphs import (Edge, FormatError, Graph, GraphError, LimitError,
                      hcompose, identity, make_graph, permute_inputs,
                      permute_outputs, to_json_text, validate, vcompose)
 from .pushouts import (CubeDiagram, FiniteSetMap, PuncturedColimit,
-                       bounded_env_classes, coequalizer_sets, faces_commute,
+                       bounded_env_classes, faces_commute,
                        filtration_square_check, inclusion_map,
-                       iterated_identity_check, presentation_matches_pushout,
-                       punctured_colimit, pushout_sets, quotient_classes,
-                       reflexive_presentation)
+                       iterated_identity_check, punctured_colimit,
+                       pushout_sets, quotient_classes)
 from .rewrite import (MixedGraph, collapse, expand_all, merge, mergeable,
                       mergeable_pairs, mixed_from_dict, mixed_to_dict,
                       non_confluence_witness)
@@ -49,7 +48,7 @@ __all__ = [
     "Signature", "TensorOps", "Vertex",
     "algebra_from_dict", "algebra_to_dict", "bounded_env_classes",
     "canonical_key", "canonical_order", "canonicalize", "check",
-    "coequalizer_sets", "collapse", "combine_signatures", "corolla",
+    "collapse", "combine_signatures", "corolla",
     "count_basis", "count_graphs", "element_from_dict", "element_to_dict",
     "enumerate_graphs", "evaluate", "expand",
     "expand_all", "expand_element", "extend_morphism", "faces_commute",
@@ -62,9 +61,9 @@ __all__ = [
     "morphism_prop_membership", "non_confluence_witness", "parse_rational",
     "partial_from_dict", "partial_to_dict", "pelem_hcompose",
     "pelem_permute_inputs", "pelem_permute_outputs", "pelem_vcompose",
-    "permute_inputs", "permute_outputs", "presentation_matches_pushout",
+    "permute_inputs", "permute_outputs",
     "punctured_colimit", "pushout_sets", "quotient_classes",
-    "reflexive_presentation", "renumber", "signature_from_dict",
+    "renumber", "signature_from_dict",
     "signature_to_dict", "to_json_text", "validate", "vcompose",
 ]
 

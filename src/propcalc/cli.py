@@ -10,28 +10,24 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
-from . import fixtures
 from .canonical import (canonicalize, enumerate_graphs, graph_hash,
                         is_isomorphic)
-from .freeprop import (FREE_OPS, PropElement, Signature, corolla,
-                       count_basis, element_from_dict, element_to_dict,
-                       expand, extend_morphism, partial_from_dict,
-                       pelem_hcompose, pelem_vcompose, signature_from_dict)
+from .freeprop import (FREE_OPS, count_basis, element_from_dict,
+                       element_to_dict, expand, extend_morphism,
+                       partial_from_dict, pelem_hcompose, pelem_vcompose,
+                       signature_from_dict)
 from .graphs import (FormatError, GraphError, LimitError, check,
                      graph_from_dict, graph_to_dict, hcompose, validate,
                      vcompose)
-from .pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram, FiniteSetMap,
+from .pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram,
                        filtration_square_check, inclusion_map,
-                       iterated_identity_check, presentation_matches_pushout,
-                       punctured_colimit)
-from .rewrite import (collapse, expand_all, mixed_from_dict, mixed_to_dict,
-                      non_confluence_witness, remark_mixed)
-from .tensor import (DEFAULT_MAX_AXES, DEFAULT_MAX_DIM, TensorOps,
-                     algebra_from_dict, evaluate, matrix_from_json,
-                     morphism_prop_membership)
+                       iterated_identity_check, punctured_colimit)
+from .rewrite import (collapse, mixed_from_dict, mixed_to_dict,
+                      non_confluence_witness)
+from .tensor import (DEFAULT_MAX_AXES, DEFAULT_MAX_DIM, algebra_from_dict,
+                     evaluate, matrix_from_json, morphism_prop_membership)
 
 
 def _read_json(path: str):
@@ -332,162 +328,6 @@ def _cmd_filtration_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# self test
-
-def _fixture_dict(name: str) -> dict:
-    return fixtures.fixture_dicts()[name]
-
-
-def _check_fixtures_validate() -> None:
-    for name, d in fixtures.fixture_dicts().items():
-        for path, sub in _walk_graph_dicts(d, name):
-            kind, obj = _classify(sub)
-            if kind == "graph":
-                violations = validate(obj)
-                assert not violations, f"{path}: {violations}"
-
-
-def _check_canonical_order() -> None:
-    graph, _ = graph_from_dict(_fixture_dict("fig7"))
-    assert list(canonicalize(graph).order) == [1, 4, 2, 5, 3]
-
-
-def _check_figure_composites() -> None:
-    for name, op in (("fig2h", hcompose), ("fig2v", vcompose)):
-        d = _fixture_dict(name)
-        parts = {key: graph_from_dict(d[key])[0]
-                 for key in d if isinstance(d[key], dict)}
-        left, right = ("left", "right") if name == "fig2h" else \
-                      ("top", "bottom")
-        got = op(parts[left], parts[right])
-        assert is_isomorphic(got, parts["result"])
-
-
-def _check_expansion_figure() -> None:
-    d = _fixture_dict("fig4")
-    sig = signature_from_dict(d["sig"])
-    outer, _ = graph_from_dict(d["outer"])
-    inner = {int(k): element_from_dict(v, sig) for k, v in d["inner"].items()}
-    flat = element_from_dict(d["flat"], sig)
-    assert expand(outer, inner) == flat
-
-
-def _random_element(rng: random.Random, sig: Signature,
-                    m: int | None = None) -> PropElement:
-    from .freeprop import identity_element
-    for _ in range(20):
-        names = [rng.choice(sig.names) for _ in range(rng.randint(1, 2))]
-        arities = [sig.arity(x) for x in names]
-        delta = sum(a for a, _ in arities) - sum(b for _, b in arities)
-        m_range = range(0, 4) if m is None else (m,)
-        for mm in m_range:
-            n = mm - delta
-            if not 0 <= n <= 3:
-                continue
-            graphs = list(enumerate_graphs(arities, mm, n))
-            if graphs:
-                ng = rng.choice(graphs)
-                labels = {i: names[i - 1] for i in range(1, len(names) + 1)}
-                return PropElement.build(ng.graph, labels, sig)
-    return corolla(sig, sig.names[0]) if m is None else identity_element(m)
-
-
-def _check_interchange() -> None:
-    sig = Signature([("a", 1, 1), ("b", 2, 1), ("c", 1, 2)])
-    rng = random.Random(5)
-    for _ in range(5):
-        a, b = _random_element(rng, sig), _random_element(rng, sig)
-        c, d = _random_element(rng, sig, a.n), _random_element(rng, sig, b.n)
-        left = pelem_vcompose(pelem_hcompose(a, b), pelem_hcompose(c, d))
-        right = pelem_hcompose(pelem_vcompose(a, c), pelem_vcompose(b, d))
-        assert left == right
-
-
-def _check_rewrite_remark() -> None:
-    g = remark_mixed(fixtures.remark_witness())
-    forms = collapse(g, "exhaustive")
-    assert len(forms) == 2
-    expanded = {expand_all(f) for f in forms}
-    assert len(expanded) == 1 and expand_all(g) in expanded
-
-
-def _check_tensor_routes() -> None:
-    sig = Signature([("a", 1, 1), ("b", 2, 1)])
-    alg = algebra_from_dict({
-        "dim": 2,
-        "matrices": {"a": [["1", "2"], ["0", "1"]],
-                     "b": [["1", "0", "0", "1"], ["0", "1", "1", "0"]]},
-    }, sig)
-    rng = random.Random(7)
-    ops = TensorOps(2)
-    phi = extend_morphism(sig, ops.of_assignment(alg, sig), ops)
-    for _ in range(4):
-        e = _random_element(rng, sig)
-        assert evaluate(e, alg) == phi(e).tensor
-
-
-def _check_cube_formula() -> None:
-    pool = ["x", "y", "z"]
-    for l_size in range(1, 4):
-        for k_size in range(l_size + 1):
-            i = inclusion_map(pool[:k_size], pool[:l_size])
-            for n in range(1, 4):
-                pc = punctured_colimit(CubeDiagram(n, i))
-                assert pc.size == l_size ** n - (l_size - k_size) ** n
-                if n >= 2:
-                    assert iterated_identity_check(i, n)
-
-
-def _check_pushout_presentation() -> None:
-    rng = random.Random(9)
-    for _ in range(10):
-        src = [f"s{i}" for i in range(rng.randint(0, 4))]
-        a_pool = [f"a{i}" for i in range(rng.randint(1, 4))]
-        t_pool = [f"t{i}" for i in range(rng.randint(1, 4))]
-        u = FiniteSetMap.build(src, a_pool,
-                               {x: rng.choice(a_pool) for x in src})
-        s = FiniteSetMap.build(src, t_pool,
-                               {x: rng.choice(t_pool) for x in src})
-        assert presentation_matches_pushout(u, s)
-
-
-def _check_filtration_chains() -> None:
-    report = filtration_square_check(
-        Signature([]), Signature([("l", 1, 1)]), Signature([("o", 1, 1)]),
-        1, 1, max_degree=2, max_vertices=3, slot_arities=())
-    assert report["all_ok"]
-
-
-_SELFTEST = [
-    ("fixtures-validate", _check_fixtures_validate),
-    ("canonical-order", _check_canonical_order),
-    ("figure-composites", _check_figure_composites),
-    ("expansion-figure", _check_expansion_figure),
-    ("interchange", _check_interchange),
-    ("rewrite-remark", _check_rewrite_remark),
-    ("tensor-routes", _check_tensor_routes),
-    ("cube-formula", _check_cube_formula),
-    ("pushout-presentation", _check_pushout_presentation),
-    ("filtration-chains", _check_filtration_chains),
-]
-
-
-def _cmd_selftest(args) -> int:
-    passed, failed = [], []
-    for name, fn in _SELFTEST:
-        try:
-            fn()
-            passed.append(name)
-        except Exception as err:  # noqa: BLE001 - report, do not crash
-            failed.append({"check": name, "error": str(err)})
-    _emit({"passed": passed, "failed": failed})
-    if failed:
-        print(f"{len(failed)} selftest checks failed", file=sys.stderr)
-        return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument wiring
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -591,9 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap on the classes of the envelope and of each"
                    " corner (max_classes)")
     p.set_defaults(fn=_cmd_filtration_check)
-
-    p = sub.add_parser("selftest", help="run the built-in property checks")
-    p.set_defaults(fn=_cmd_selftest)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Built-in example graphs used by the test suite, the demos and the CLI.
+"""Built-in example graphs used by the test suite and the demos.
 
 Each builder returns plain library objects.  `fixture_dicts` produces the
 JSON-ready forms, each tagged with a short `source` note saying what the

@@ -23,9 +23,10 @@ package and the permutation actions on the boundary.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -134,14 +135,11 @@ def _port_violations(g: Graph, by_id: dict[int, Vertex]) -> list[dict]:
                 out.append({"condition": "reference",
                             "detail": f"{side} port {port!r} has bad kind"})
                 continue
-            if port[0] == "input":
-                if not (len(port) == 2 and 1 <= port[1] <= g.m):
-                    out.append({"condition": "reference",
-                                "detail": f"input index out of range: {port!r}"})
-            elif port[0] == "output":
-                if not (len(port) == 2 and 1 <= port[1] <= g.n):
-                    out.append({"condition": "reference",
-                                "detail": f"output index out of range: {port!r}"})
+            if port[0] in ("input", "output"):
+                bound = g.m if port[0] == "input" else g.n
+                if not (len(port) == 2 and _index_in(port[1], bound)):
+                    out.append({"condition": "reference", "detail":
+                                f"{port[0]} index out of range: {port!r}"})
             else:
                 if len(port) != 3 or port[1] not in by_id:
                     out.append({"condition": "reference",
@@ -149,24 +147,51 @@ def _port_violations(g: Graph, by_id: dict[int, Vertex]) -> list[dict]:
                     continue
                 v = by_id[port[1]]
                 bound = v.n_out if port[0] == "vout" else v.n_in
-                if not 1 <= port[2] <= bound:
+                if not _index_in(port[2], bound):
                     out.append({"condition": "reference",
                                 "detail": f"port index out of range: {port!r}"})
     return out
 
 
-def source_ports(g: Graph) -> list[Port]:
-    ports: list[Port] = [("input", i) for i in range(1, g.m + 1)]
-    for v in g.vertices:
-        ports.extend(("vout", v.id, k) for k in range(1, v.n_out + 1))
-    return ports
+def _index_in(x, bound) -> bool:
+    # an index equal to a whole number in 1..bound names a declared port
+    return 1 <= x <= bound and x == int(x)
 
 
-def target_ports(g: Graph) -> list[Port]:
-    ports: list[Port] = [("output", j) for j in range(1, g.n + 1)]
+def source_ports(g: Graph) -> Iterator[Port]:
+    """The declared source ports in order, walked lazily."""
+    yield from (("input", i) for i in range(1, g.m + 1))
     for v in g.vertices:
-        ports.extend(("vin", v.id, k) for k in range(1, v.n_in + 1))
-    return ports
+        yield from (("vout", v.id, k) for k in range(1, v.n_out + 1))
+
+
+def target_ports(g: Graph) -> Iterator[Port]:
+    """The declared target ports in order, walked lazily."""
+    yield from (("output", j) for j in range(1, g.n + 1))
+    for v in g.vertices:
+        yield from (("vin", v.id, k) for k in range(1, v.n_in + 1))
+
+
+_MAX_PORT_RECORDS = 20
+
+
+def _edge_count_violations(ports: Iterator[Port], declared: int,
+                           seen: dict[Port, int], side: str,
+                           verb: str) -> list[dict]:
+    """Records for the declared ports not met by exactly one edge, in port
+    order, up to _MAX_PORT_RECORDS and then one counting the rest.  Every
+    edge end is a declared port, so that count needs no walk."""
+    bad = declared - sum(1 for c in seen.values() if c == 1)
+    want = min(bad, _MAX_PORT_RECORDS)
+    faulty = (p for p in ports if seen.get(p, 0) != 1)
+    out = [{"condition": f"{side}-port",
+            "detail": f"port {p!r} {verb} {seen.get(p, 0)} edges (want 1)"}
+           for p in itertools.islice(faulty, want)]
+    if bad > want:
+        out.append({"condition": f"{side}-port", "count": bad - want,
+                    "detail": f"{bad - want} more {side} ports with a number"
+                              " of edges other than 1"})
+    return out
 
 
 def vertex_successors(g: Graph) -> dict[int, set[int]]:
@@ -186,6 +211,7 @@ def validate(g: Graph) -> list[dict]:
         out.append({"condition": "reference", "detail": "negative boundary"})
         return out
     by_id: dict[int, Vertex] = {}
+    n_src, n_dst = g.m, g.n
     for v in g.vertices:
         if v.n_in < 0 or v.n_out < 0:
             out.append({"condition": "reference",
@@ -194,6 +220,8 @@ def validate(g: Graph) -> list[dict]:
             out.append({"condition": "reference",
                         "detail": f"duplicate vertex id {v.id}"})
         by_id[v.id] = v
+        n_src += v.n_out
+        n_dst += v.n_in
     out.extend(_port_violations(g, by_id))
     if out:
         return out
@@ -203,22 +231,10 @@ def validate(g: Graph) -> list[dict]:
     for e in g.edges:
         src_seen[e.src] = src_seen.get(e.src, 0) + 1
         dst_seen[e.dst] = dst_seen.get(e.dst, 0) + 1
-    for p in source_ports(g):
-        count = src_seen.pop(p, 0)
-        if count != 1:
-            out.append({"condition": "source-port",
-                        "detail": f"port {p!r} feeds {count} edges (want 1)"})
-    for p, count in sorted(src_seen.items()):
-        out.append({"condition": "source-port",
-                    "detail": f"edge from nonexistent port {p!r}"})
-    for p in target_ports(g):
-        count = dst_seen.pop(p, 0)
-        if count != 1:
-            out.append({"condition": "target-port",
-                        "detail": f"port {p!r} receives {count} edges (want 1)"})
-    for p, count in sorted(dst_seen.items()):
-        out.append({"condition": "target-port",
-                    "detail": f"edge into nonexistent port {p!r}"})
+    out += _edge_count_violations(source_ports(g), n_src, src_seen,
+                                  "source", "feeds")
+    out += _edge_count_violations(target_ports(g), n_dst, dst_seen,
+                                  "target", "receives")
 
     try:
         topological_order(g)
@@ -231,9 +247,9 @@ def check(g: Graph) -> Graph:
     """Raise GraphError if g is invalid; otherwise return g."""
     violations = validate(g)
     if violations:
+        more = sum(v.get("count", 1) for v in violations[1:])
         raise GraphError(f"invalid graph: {violations[0]['detail']}"
-                         + (f" (+{len(violations) - 1} more)"
-                            if len(violations) > 1 else ""))
+                         + (f" (+{more} more)" if more else ""))
     return g
 
 

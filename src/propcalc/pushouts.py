@@ -115,49 +115,6 @@ def pushout_sets(u: FiniteSetMap, s: FiniteSetMap) -> list[frozenset]:
     return quotient_classes(items, pairs)
 
 
-def coequalizer_sets(d0: FiniteSetMap, d1: FiniteSetMap) -> list[frozenset]:
-    if d0.source != d1.source or d0.target != d1.target:
-        raise GraphError("parallel maps must share source and target")
-    items = sorted(d0.target, key=repr)
-    pairs = [(d0(x), d1(x)) for x in sorted(d0.source, key=repr)]
-    return quotient_classes(items, pairs)
-
-
-def reflexive_presentation(u: FiniteSetMap, s: FiniteSetMap):
-    """The fork T|S|A => T|A (with its common section) whose coequalizer
-    presents the pushout of T <-s- S -u-> A."""
-    if u.source != s.source:
-        raise GraphError("the span legs must share a source")
-    wide = [("T", t) for t in sorted(s.target, key=repr)]
-    wide += [("S", x) for x in sorted(u.source, key=repr)]
-    wide += [("A", a) for a in sorted(u.target, key=repr)]
-    narrow = [("T", t) for t in sorted(s.target, key=repr)]
-    narrow += [("A", a) for a in sorted(u.target, key=repr)]
-
-    def fold(via):
-        out = {}
-        for node in wide:
-            tag, x = node
-            out[node] = ("A", u(x)) if tag == "S" and via == "u" else \
-                        ("T", s(x)) if tag == "S" else node
-        return FiniteSetMap.build(wide, narrow, out)
-
-    d0 = fold("u")
-    d1 = fold("s")
-    s0 = FiniteSetMap.build(narrow, wide, {x: x for x in narrow})
-    return d0, d1, s0
-
-
-def presentation_matches_pushout(u: FiniteSetMap, s: FiniteSetMap) -> bool:
-    """Pushout and reflexive-coequalizer presentation give the same
-    partition of A | T."""
-    d0, d1, s0 = reflexive_presentation(u, s)
-    for x in s0.source:
-        if d0(s0(x)) != x or d1(s0(x)) != x:
-            return False
-    return set(coequalizer_sets(d0, d1)) == set(pushout_sets(u, s))
-
-
 # ---------------------------------------------------------------------------
 # punctured cubes
 

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a different algorithm than
 the library uses: brute-force backtracking instead of canonical orders,
 raw permutation enumeration instead of pruned matching search, pure-python
-fraction matrices instead of numpy tensors, a memo-free state search over
+fraction matrices instead of numpy tensors, a reflexive coequalizer
+instead of the direct pushout quotient, a memo-free state search over
 the public merge instead of the library's exhaustive collapse.  Tests
 freeze their expected values against these.
 """
@@ -14,7 +15,9 @@ import itertools
 from fractions import Fraction
 
 from propcalc.canonical import canonical_key, enumerate_graphs
-from propcalc.graphs import Edge, Graph, Vertex, vertex_successors
+from propcalc.graphs import (Edge, Graph, GraphError, Vertex,
+                             vertex_successors)
+from propcalc.pushouts import FiniteSetMap, pushout_sets, quotient_classes
 from propcalc.rewrite import MixedGraph, merge, mergeable_pairs
 
 
@@ -244,6 +247,53 @@ def compose_permutations(w2: tuple[int, ...],
                          w1: tuple[int, ...]) -> tuple[int, ...]:
     """(w2 ∘ w1)(i) = w2(w1(i))."""
     return tuple(w2[w1[i - 1] - 1] for i in range(1, len(w1) + 1))
+
+
+# ---------------------------------------------------------------------------
+# pushouts presented as reflexive coequalizers
+
+def coequalizer_sets(d0: FiniteSetMap, d1: FiniteSetMap) -> list[frozenset]:
+    """Coequalizer of two parallel maps, as a partition of their target."""
+    if d0.source != d1.source or d0.target != d1.target:
+        raise GraphError("parallel maps must share source and target")
+    items = sorted(d0.target, key=repr)
+    pairs = [(d0(x), d1(x)) for x in sorted(d0.source, key=repr)]
+    return quotient_classes(items, pairs)
+
+
+def reflexive_presentation(u: FiniteSetMap, s: FiniteSetMap):
+    """The fork T|S|A => T|A (with its common section) whose coequalizer
+    presents the pushout of T <-s- S -u-> A."""
+    if u.source != s.source:
+        raise GraphError("the span legs must share a source")
+    wide = [("T", t) for t in sorted(s.target, key=repr)]
+    wide += [("S", x) for x in sorted(u.source, key=repr)]
+    wide += [("A", a) for a in sorted(u.target, key=repr)]
+    narrow = [("T", t) for t in sorted(s.target, key=repr)]
+    narrow += [("A", a) for a in sorted(u.target, key=repr)]
+
+    def fold(via):
+        out = {}
+        for node in wide:
+            tag, x = node
+            out[node] = ("A", u(x)) if tag == "S" and via == "u" else \
+                        ("T", s(x)) if tag == "S" else node
+        return FiniteSetMap.build(wide, narrow, out)
+
+    d0 = fold("u")
+    d1 = fold("s")
+    s0 = FiniteSetMap.build(narrow, wide, {x: x for x in narrow})
+    return d0, d1, s0
+
+
+def presentation_matches_pushout(u: FiniteSetMap, s: FiniteSetMap) -> bool:
+    """Pushout and reflexive-coequalizer presentation give the same
+    partition of A | T."""
+    d0, d1, s0 = reflexive_presentation(u, s)
+    for x in s0.source:
+        if d0(s0(x)) != x or d1(s0(x)) != x:
+            return False
+    return set(coequalizer_sets(d0, d1)) == set(pushout_sets(u, s))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Every demo script runs to completion, and every public library name
-has a caller outside the tests."""
+"""Every demo script runs to completion, every public library name has a
+caller outside the tests, and no library check is an assert."""
 
 from __future__ import annotations
 
@@ -81,3 +81,13 @@ def test_every_public_name_has_a_caller():
     names = propcalc.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(propcalc, name)] == []
+
+
+def test_library_makes_no_check_with_assert():
+    """`python -O` strips assert statements, so a check written as one
+    would vanish; the library raises its errors explicitly."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -64,6 +64,9 @@ def test_validate_flags_port_out_of_range():
                    [(("input", 1), ("vin", 1, 2)),
                     (("vout", 1, 1), ("output", 1))])
     assert "reference" in conditions(validate(g))
+    # an index between two ports names neither
+    g = Graph(1, 1, (), (Edge(("input", 1.5), ("output", 1)),))
+    assert conditions(validate(g)) == {"reference"}
 
 
 def test_validate_flags_unused_and_doubled_ports():
@@ -77,6 +80,26 @@ def test_validate_flags_unused_and_doubled_ports():
                                        base.edges[1].dst),))
     conds = conditions(validate(doubled))
     assert "source-port" in conds and "target-port" in conds
+
+
+def test_validate_lists_port_faults_in_order_then_counts_the_rest():
+    # output 1 is fed twice, outputs 2..25 not at all, input 3 feeds nothing
+    g = make_graph(3, 25, [], [(("input", 1), ("output", 1)),
+                               (("input", 2), ("output", 1))])
+    violations = validate(g)
+    assert violations[0] == {
+        "condition": "source-port",
+        "detail": "port ('input', 3) feeds 0 edges (want 1)"}
+    details = [v["detail"] for v in violations[1:]]
+    assert details[:2] == ["port ('output', 1) receives 2 edges (want 1)",
+                           "port ('output', 2) receives 0 edges (want 1)"]
+    assert details[19] == "port ('output', 20) receives 0 edges (want 1)"
+    assert violations[21] == {
+        "condition": "target-port", "count": 5,
+        "detail": "5 more target ports with a number of edges other than 1"}
+    assert len(violations) == 22
+    with pytest.raises(GraphError, match=r"\(\+25 more\)$"):
+        check(g)
 
 
 def test_validate_flags_cycle():

@@ -15,14 +15,14 @@ from propcalc.canonical import ClassLister
 from propcalc.freeprop import Signature
 from propcalc.graphs import GraphError, LimitError
 from propcalc.pushouts import (CubeDiagram, FiniteSetMap,
-                               bounded_env_classes, coequalizer_sets,
-                               faces_commute, filtration_square_check,
-                               inclusion_map, iterated_identity_check,
-                               presentation_matches_pushout,
-                               punctured_colimit, pushout_sets,
-                               quotient_classes, reflexive_presentation)
+                               bounded_env_classes, faces_commute,
+                               filtration_square_check, inclusion_map,
+                               iterated_identity_check, punctured_colimit,
+                               pushout_sets, quotient_classes)
 
-from _oracles import (chain_label_count, per_combination_env_keys,
+from _oracles import (chain_label_count, coequalizer_sets,
+                      per_combination_env_keys,
+                      presentation_matches_pushout, reflexive_presentation,
                       union_formula)
 
 
