@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (Edge, Graph, GraphError, LimitError, Vertex,
-                     check_permutation, topological_order)
+                     check_permutation, port_map, topological_order)
 
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_EDGES = 24
@@ -73,35 +73,11 @@ def max_vertices_cap(explicit: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # path labels and orders
 
-def _port_map(g: Graph) -> tuple[list, dict[int, list], dict[int, list]]:
-    """The far port of every port, from one pass over the edges: the ends
-    of inputs 1..m then outputs 1..n, and per vertex the ends of its
-    in-ports and of its out-ports, each in port order.  Every port has
-    exactly one edge, so every slot is filled."""
-    m = g.m
-    boundary: list = [None] * (m + g.n)
-    ins: dict[int, list] = {}
-    outs: dict[int, list] = {}
-    for v in g.vertices:
-        ins[v.id] = [None] * v.n_in
-        outs[v.id] = [None] * v.n_out
-    for src, dst in g.edges:
-        if src[0] == "input":
-            boundary[src[1] - 1] = dst
-        else:
-            outs[src[1]][src[2] - 1] = dst
-        if dst[0] == "output":
-            boundary[m + dst[1] - 1] = src
-        else:
-            ins[dst[1]][dst[2] - 1] = src
-    return boundary, ins, outs
-
-
 def input_path_labels(g: Graph) -> dict[int, tuple[int, ...]]:
     """Minimal edge-path label per vertex, in one pass in topological order
     (a minimum extends a predecessor's minimum).  Raises
     UnreachableVertexError if some vertex has no path from a graph input."""
-    ins = _port_map(g)[1]
+    ins = port_map(g)[1]
     labels: dict[int, tuple[int, ...]] = {}
     unreachable: list[int] = []
     for vid in topological_order(g):
@@ -141,7 +117,7 @@ def output_path_order(g: Graph) -> list[int]:
 def _path_order(g: Graph, side: str) -> list[int]:
     # one depth-first preorder from the `side` ports in index order: down
     # the out-ports from the inputs, or up the in-ports from the outputs
-    boundary, ins, outs = _port_map(g)
+    boundary, ins, outs = port_map(g)
     if side == "input":
         roots, ends = boundary[:g.m], outs
     else:
@@ -199,7 +175,7 @@ def _traversal_order(g: Graph, texts: dict[int, str] | None
     # Only closed components read labels; where their text is unknown
     # (None), the order is None.  Every port has exactly one edge, so once
     # a traversal's root is fixed its visiting order is fixed.
-    boundary, ins, outs = _port_map(g)
+    boundary, ins, outs = port_map(g)
     seen: set[int] = set()
     order: list[int] = []
     for far in boundary:

@@ -24,8 +24,8 @@ from .graphs import (FormatError, GraphError, LimitError, check,
 from .pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram,
                        filtration_square_check, inclusion_map,
                        iterated_identity_check, punctured_colimit)
-from .rewrite import (collapse, mixed_from_dict, mixed_to_dict,
-                      non_confluence_witness)
+from .rewrite import (DEFAULT_MAX_STATES, collapse, mixed_from_dict,
+                      mixed_to_dict, non_confluence_witness)
 from .tensor import (DEFAULT_MAX_AXES, DEFAULT_MAX_DIM, algebra_from_dict,
                      evaluate, matrix_from_json, morphism_prop_membership)
 
@@ -401,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--strategy", choices=("greedy", "exhaustive"),
                    default="greedy")
-    p.add_argument("--max-states", type=int, default=20000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p.set_defaults(fn=_cmd_collapse)
 
     p = sub.add_parser("witness", help="search for a non-confluent mixed graph")

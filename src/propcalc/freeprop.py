@@ -21,7 +21,7 @@ from .canonical import canonicalize, distinct, skeletons
 from .graphs import (Edge, FormatError, Graph, GraphError, Port, Vertex,
                      check, graph_from_dict, graph_to_dict, hcompose,
                      identity, is_int, permute_inputs, permute_outputs,
-                     topological_order, vcompose)
+                     port_map, topological_order, vcompose)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +252,11 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
     labels: dict[int, str] = {}
     edges: list[Edge] = []
 
+    # per host vertex v and inner boundary index: the far end of inner
+    # input i, and the source that feeds inner output j
+    after_input: dict[tuple[int, int], Port] = {}
+    before_output: dict[tuple[int, int], Port] = {}
+
     def lift(vid: int, port: Port) -> Port:
         # a port of an inner vertex of host vertex vid, in the result
         return (port[0], rename[(vid, port[1])], port[2])
@@ -263,25 +268,28 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
             rename[(v.id, iv.id)] = new
             vertices.append(Vertex(new, iv.n_in, iv.n_out))
             labels[new] = e.labels[iv.id]
-        edges.extend(Edge(lift(v.id, ie.src), lift(v.id, ie.dst))
-                     for ie in e.graph.edges
-                     if ie.src[0] == "vout" and ie.dst[0] == "vin")
+        for src, dst in e.graph.edges:
+            if src[0] == "input":
+                after_input[v.id, src[1]] = dst
+            if dst[0] == "output":
+                before_output[v.id, dst[1]] = src
+            elif src[0] == "vout":
+                edges.append(Edge(lift(v.id, src), lift(v.id, dst)))
 
-    for he in outer.edges:
-        src = he.src
+    host_dst = dict(outer.edges)
+    for src, dst in outer.edges:
         if src[0] == "vout":
-            ie = inner[src[1]].graph.edge_into(("output", src[2]))
-            if ie.src[0] == "input":
+            far = before_output[src[1], src[2]]
+            if far[0] == "input":
                 continue  # a through-wire's far side
-            src = lift(src[1], ie.src)
-        dst = he.dst
+            src = lift(src[1], far)
         while dst[0] == "vin":
             vid = dst[1]
-            ie = inner[vid].graph.edge_from(("input", dst[2]))
-            if ie.dst[0] == "vin":
-                dst = lift(vid, ie.dst)
+            far = after_input[vid, dst[2]]
+            if far[0] == "vin":
+                dst = lift(vid, far)
                 break
-            dst = outer.edge_from(("vout", vid, ie.dst[1])).dst
+            dst = host_dst["vout", vid, far[1]]
         edges.append(Edge(src, dst))
 
     return PropElement._canonical(Graph(outer.m, outer.n, tuple(vertices),
@@ -367,30 +375,28 @@ def extend_morphism(sig: Signature, assignment: dict[str, T],
             if name not in assignment:
                 raise GraphError(f"element uses unassigned label {name!r}")
 
-        def route(live: list[Edge], want: list[Edge], acc: T) -> tuple:
+        # a live wire is named by its source port, which has one edge
+        def route(live: list[Port], want: list[Port], acc: T) -> tuple:
             if live == want:
                 return live, acc
-            target_pos = {edge: i for i, edge in enumerate(want, start=1)}
-            w = tuple(target_pos[edge] for edge in live)
+            target_pos = {port: i for i, port in enumerate(want, start=1)}
+            w = tuple(target_pos[port] for port in live)
             twist = ops.permute_outputs(ops.identity(len(live)), w)
             return want, ops.vcompose(acc, twist)
 
-        live = [graph.edge_from(("input", i)) for i in range(1, graph.m + 1)]
+        boundary, ins, outs = port_map(graph)
+        live = [("input", i) for i in range(1, graph.m + 1)]
         acc = ops.identity(graph.m)
         for vid in topological_order(graph):
-            v = graph.vertex(vid)
-            ins = [graph.edge_into(("vin", vid, k))
-                   for k in range(1, v.n_in + 1)]
-            rest = [edge for edge in live if edge not in ins]
-            live, acc = route(live, ins + rest, acc)
+            rest = [port for port in live if port not in ins[vid]]
+            live, acc = route(live, ins[vid] + rest, acc)
             block = assignment[e.labels[vid]]
             if rest:
                 block = ops.hcompose(block, ops.identity(len(rest)))
             acc = ops.vcompose(acc, block)
-            live = [graph.edge_from(("vout", vid, k))
-                    for k in range(1, v.n_out + 1)] + rest
-        outs = [graph.edge_into(("output", j)) for j in range(1, graph.n + 1)]
-        live, acc = route(live, outs, acc)
+            live = [("vout", vid, k)
+                    for k in range(1, len(outs[vid]) + 1)] + rest
+        live, acc = route(live, boundary[graph.m:], acc)
         return acc
 
     return phi

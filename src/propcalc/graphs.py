@@ -83,24 +83,6 @@ class Graph:
     def vertex_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices)
 
-    def vertex(self, vid: int) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise GraphError(f"no vertex with id {vid}")
-
-    def edge_from(self, src: Port) -> Edge:
-        for e in self.edges:
-            if e.src == src:
-                return e
-        raise GraphError(f"no edge out of port {src}")
-
-    def edge_into(self, dst: Port) -> Edge:
-        for e in self.edges:
-            if e.dst == dst:
-                return e
-        raise GraphError(f"no edge into port {dst}")
-
 
 def make_graph(m: int, n: int, vertices: Iterable[Vertex | tuple],
                edges: Iterable[Edge | tuple]) -> Graph:
@@ -201,6 +183,30 @@ def vertex_successors(g: Graph) -> dict[int, set[int]]:
         if e.src[0] == "vout" and e.dst[0] == "vin":
             succ[e.src[1]].add(e.dst[1])
     return succ
+
+
+def port_map(g: Graph) -> tuple[list, dict[int, list], dict[int, list]]:
+    """The far port of every port, from one pass over the edges: the ends
+    of inputs 1..m then outputs 1..n, and per vertex the ends of its
+    in-ports and of its out-ports, each in port order.  g must be valid:
+    then every port has exactly one edge, so every slot is filled."""
+    m = g.m
+    boundary: list = [None] * (m + g.n)
+    ins: dict[int, list] = {}
+    outs: dict[int, list] = {}
+    for v in g.vertices:
+        ins[v.id] = [None] * v.n_in
+        outs[v.id] = [None] * v.n_out
+    for src, dst in g.edges:
+        if src[0] == "input":
+            boundary[src[1] - 1] = dst
+        else:
+            outs[src[1]][src[2] - 1] = dst
+        if dst[0] == "output":
+            boundary[m + dst[1] - 1] = src
+        else:
+            ins[dst[1]][dst[2] - 1] = src
+    return boundary, ins, outs
 
 
 def validate(g: Graph) -> list[dict]:

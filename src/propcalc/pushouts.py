@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .canonical import ClassLister
 from .freeprop import Signature
@@ -29,6 +29,10 @@ class FiniteSetMap:
     source: frozenset
     target: frozenset
     pairs: tuple
+    _values: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_values", dict(self.pairs))
 
     @classmethod
     def build(cls, source, target, mapping) -> "FiniteSetMap":
@@ -42,10 +46,10 @@ class FiniteSetMap:
         return cls(src, tgt, tuple(sorted(mp.items(), key=repr)))
 
     def __call__(self, x):
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise GraphError(f"{x!r} is not in the source")
+        try:
+            return self._values[x]
+        except KeyError:
+            raise GraphError(f"{x!r} is not in the source") from None
 
     def is_injective(self) -> bool:
         return len({b for _, b in self.pairs}) == len(self.pairs)

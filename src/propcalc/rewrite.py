@@ -156,7 +156,8 @@ def _fusion(g: MixedGraph, u: int, v: int) -> tuple:
     """How u and v fuse: (the fresh id of the merged vertex, the pair's
     mutual edges, its surviving in-ports, its surviving out-ports), the
     ports listed u's first, then v's, each in port order."""
-    gu, gv = g.graph.vertex(u), g.graph.vertex(v)
+    # a composite label's arity is its vertex's (`MixedGraph.build`)
+    lu, lv = g.p_labels[u], g.p_labels[v]
     pair = {u, v}
     mutual = [e for e in g.graph.edges
               if e.src[0] == "vout" and e.src[1] in pair
@@ -164,10 +165,10 @@ def _fusion(g: MixedGraph, u: int, v: int) -> tuple:
     fed = {e.dst for e in mutual}
     used = {e.src for e in mutual}
     ext_in = [("vin", x, i)
-              for x, deg in ((u, gu.n_in), (v, gv.n_in))
+              for x, deg in ((u, lu.m), (v, lv.m))
               for i in range(1, deg + 1) if ("vin", x, i) not in fed]
     ext_out = [("vout", x, k)
-               for x, deg in ((u, gu.n_out), (v, gv.n_out))
+               for x, deg in ((u, lu.n), (v, lv.n))
                for k in range(1, deg + 1) if ("vout", x, k) not in used]
     return max(g.graph.vertex_ids) + 1, mutual, ext_in, ext_out
 
@@ -176,7 +177,7 @@ def _fused_label(g: MixedGraph, u: int, v: int, fusion: tuple) -> PropElement:
     """The merged label: the two-vertex subgraph of u and v, with their
     mutual wiring and `fusion`'s port order, expanded into one element."""
     _, mutual, ext_in, ext_out = fusion
-    gu, gv = g.graph.vertex(u), g.graph.vertex(v)
+    lu, lv = g.p_labels[u], g.p_labels[v]
     side = {u: 1, v: 2}
     host_edges = [Edge(("input", pos), ("vin", side[p[1]], p[2]))
                   for pos, p in enumerate(ext_in, start=1)]
@@ -185,9 +186,9 @@ def _fused_label(g: MixedGraph, u: int, v: int, fusion: tuple) -> PropElement:
     host_edges += [Edge(("vout", side[p[1]], p[2]), ("output", pos))
                    for pos, p in enumerate(ext_out, start=1)]
     host = Graph(len(ext_in), len(ext_out),
-                 (Vertex(1, gu.n_in, gu.n_out), Vertex(2, gv.n_in, gv.n_out)),
+                 (Vertex(1, lu.m, lu.n), Vertex(2, lv.m, lv.n)),
                  tuple(host_edges))
-    return _expand(host, {1: g.p_labels[u], 2: g.p_labels[v]})
+    return _expand(host, {1: lu, 2: lv})
 
 
 def _merge(g: MixedGraph, u: int, v: int, fusion: tuple,
@@ -434,6 +435,10 @@ def mixed_from_dict(d: object) -> MixedGraph:
     atoms = signature_from_dict(d["atoms"])
     msig = signature_from_dict(d["msig"])
     graph, extras = graph_from_dict(d)
+    try:
+        check(graph)
+    except GraphError as err:
+        raise FormatError(str(err)) from None
     p_labels: dict[int, PropElement] = {}
     m_labels: dict[int, str] = {}
     for v in graph.vertices:
@@ -441,12 +446,19 @@ def mixed_from_dict(d: object) -> MixedGraph:
         side = ex.get("alphabet")
         lab = ex.get("label")
         if side == "P":
-            # a bare atom name abbreviates its one-vertex element
+            # a bare atom name abbreviates its one-vertex element, built
+            # only once the graph is valid and the atom's arity is the
+            # vertex's, so the file's edges bound its ports
             if isinstance(lab, str):
                 try:
-                    p_labels[v.id] = corolla(atoms, lab)
+                    m, n = atoms.arity(lab)
                 except GraphError as err:
                     raise FormatError(str(err)) from None
+                if (m, n) != (v.n_in, v.n_out):
+                    raise FormatError(
+                        f"vertex {v.id} has arity {(v.n_in, v.n_out)}, "
+                        f"composite label is ({m},{n})")
+                p_labels[v.id] = corolla(atoms, lab)
             elif isinstance(lab, dict):
                 p_labels[v.id] = element_from_dict(lab, atoms)
             else:

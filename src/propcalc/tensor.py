@@ -23,10 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import canonical_order
 from .freeprop import PropElement, Signature
-from .graphs import (FormatError, GraphError, LimitError, check,
-                     check_permutation, check_topological_order, is_int,
+from .graphs import (FormatError, GraphError, LimitError, check_permutation,
+                     check_topological_order, is_int, port_map,
                      topological_order)
 
 DEFAULT_MAX_DIM = 4
@@ -325,30 +324,26 @@ def matrix_from_json(data: object) -> RatTensor:
 # ---------------------------------------------------------------------------
 # evaluation by direct network contraction
 
-def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
+def evaluate(e: PropElement, A: AlgebraAssignment,
+             order: list[int] | None = None,
              max_axes: int | None = None) -> RatTensor:
-    """Contract the labeled graph against the assignment.
+    """Contract the element's labeled graph against the assignment.
 
-    Accepts a PropElement or a (graph, labels) pair.  Vertices are
-    consumed in a topological order (any such order gives the same
-    tensor); each internal wire is summed over 1..d, and the result is
-    returned as a d^n x d^m matrix with output multi-indices on rows,
-    earlier boundary index most significant.
+    Vertices are consumed in a topological order (any such order gives
+    the same tensor; by default ties go to the smaller vertex id, which
+    in a canonical element is the canonical order); each internal wire
+    is summed over 1..d, and the result is returned as a d^n x d^m
+    matrix with output multi-indices on rows, earlier boundary index
+    most significant.
     """
-    if isinstance(e, PropElement):
-        graph, labels = e.graph, e.labels
-    else:
-        graph, labels = e
-        check(graph)
+    graph, labels = e.graph, e.labels
     cap = DEFAULT_MAX_AXES if max_axes is None else max_axes
     if graph.m + graph.n > cap:
         raise LimitError(
             f"boundary {graph.m}+{graph.n} axes, cap is {cap} (max_axes)")
     d = A.dim
     for v in graph.vertices:
-        name = labels.get(v.id)
-        if name is None:
-            raise GraphError(f"vertex {v.id} has no label")
+        name = labels[v.id]
         t = A.matrices.get(name)
         if t is None:
             raise GraphError(f"no matrix assigned to {name!r}")
@@ -357,12 +352,11 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
                 f"matrix for {name!r} has shape {t.shape}, vertex {v.id} "
                 f"needs {(d ** v.n_out, d ** v.n_in)}")
     if order is None:
-        # ties between ready vertices go by the canonical vertex order
-        rank = {vid: i for i, vid in enumerate(canonical_order(graph, labels))}
-        order = topological_order(graph, key=rank.__getitem__)
+        order = topological_order(graph)
     else:
         order = list(order)
         check_topological_order(graph, order)
+    boundary, ins, outs = port_map(graph)
 
     # Each open axis of `state` is named by the port that will consume it:
     # a vertex in-port ("vin", v, k) until v is contracted, or a boundary
@@ -372,16 +366,15 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
     state, den, top = np.array(1, dtype=np.int64), 1, 1
     axes: list[tuple] = []
     for vid in order:
-        v = graph.vertex(vid)
+        n_out = len(outs[vid])
         mat = A.matrices[labels[vid]]
-        t = mat._num.reshape((d,) * v.n_out + (d,) * v.n_in)
+        t = mat._num.reshape((d,) * (n_out + len(ins[vid])))
         den *= mat._den
         spos, tpos, opened = [], [], []
-        for k in range(1, v.n_in + 1):
-            src = graph.edge_into(("vin", vid, k)).src
+        for k, src in enumerate(ins[vid], start=1):
             if src[0] == "vout":
                 spos.append(axes.index(("vin", vid, k)))
-                tpos.append(v.n_out + k - 1)
+                tpos.append(n_out + k - 1)
             else:
                 opened.append(src)
         terms = d ** len(spos)
@@ -395,12 +388,10 @@ def evaluate(e, A: AlgebraAssignment, order: list[int] | None = None,
         top *= mat._top * terms
         taken = set(spos)
         axes = [key for i, key in enumerate(axes) if i not in taken]
-        axes += [graph.edge_from(("vout", vid, j)).dst
-                 for j in range(1, v.n_out + 1)]
+        axes += outs[vid]
         axes += opened
 
-    for i in range(1, graph.m + 1):
-        dst = graph.edge_from(("input", i)).dst
+    for i, dst in enumerate(boundary[:graph.m], start=1):
         if dst[0] == "output":
             # a 0/1 factor keeps every entry's size (numpy promotes it
             # to object beside an object state)

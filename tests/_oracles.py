@@ -63,6 +63,7 @@ def brute_force_isomorphic(g: Graph, h: Graph,
             touching[e.dst[1]].append(e)
 
     gids = [v.id for v in g.vertices]
+    g_by_id = {v.id: v for v in g.vertices}
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
@@ -87,7 +88,7 @@ def brute_force_isomorphic(g: Graph, h: Graph,
         if k == len(gids):
             return True
         vid = gids[k]
-        color = _color(g.vertex(vid), labels_g)
+        color = _color(g_by_id[vid], labels_g)
         for target in h_by_color.get(color, []):
             if target in used:
                 continue
@@ -129,7 +130,8 @@ def brute_force_nontrivial_automorphism(g: Graph,
 
 
 def _bijections(gids, by_color, labels, g):
-    per_vertex = [by_color[_color(g.vertex(vid), labels)] for vid in gids]
+    by_id = {v.id: v for v in g.vertices}
+    per_vertex = [by_color[_color(by_id[vid], labels)] for vid in gids]
     for choice in itertools.product(*per_vertex):
         if len(set(choice)) == len(choice):
             yield dict(zip(gids, choice))

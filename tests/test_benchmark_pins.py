@@ -1,7 +1,8 @@
 """The benchmark's pinned answers, checked on every test run: one seed-1
-pass of the `contract` workload must digest to its pin, so the exact
-tensor arithmetic (int64 below its bound, Python ints past it) gives the
-same matrices as when the pin was taken."""
+pass of each workload must digest to its pin, so class counts, evaluated
+matrices (int64 below their bound, Python ints past it), irreducible-form
+counts and circuit values are what they were when the pins were
+taken."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,13 +24,15 @@ def load_runner_module():
     return module
 
 
-def test_contract_seed_1_matches_its_pin(monkeypatch):
+@pytest.mark.parametrize("workload",
+                         ["classes", "contract", "rewrite", "circuits"])
+def test_seed_1_matches_its_pin(monkeypatch, workload):
     run = load_runner_module()
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    contract = importlib.import_module("workloads.contract")
-    runner = run.Runner(contract.setup(1))
+    module = importlib.import_module(f"workloads.{workload}")
+    runner = run.Runner(module.setup(1))
     values: list = []
     runner.timed_pass(values)
     assert runner.failed == 0, runner.errors
     pins = json.loads((PERFBENCH / "pins.json").read_text())
-    assert runner.digest(values) == pins["contract"]["1"]
+    assert runner.digest(values) == pins[workload]["1"]

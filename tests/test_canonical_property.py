@@ -1,14 +1,17 @@
-"""Canonical keys do not see vertex numbering, and the output-path order
-is the input-path order of the mirrored graph, on random small graphs of
-all three canonical routes."""
+"""Canonical keys do not see vertex numbering, a canonical graph is
+numbered in its canonical order, and the output-path order is the
+input-path order of the mirrored graph, on random small graphs of all
+three canonical routes."""
 
 from __future__ import annotations
 
 import pytest
 
 from propcalc.canonical import (UnreachableVertexError, canonical_key,
+                                canonical_order, canonicalize,
                                 input_path_order, output_path_order)
-from propcalc.graphs import Edge, Graph, Vertex, relabel_vertices, validate
+from propcalc.graphs import (Edge, Graph, Vertex, hcompose, relabel_vertices,
+                             validate)
 
 from _oracles import mirror
 
@@ -91,6 +94,24 @@ def test_canonical_key_ignores_the_numbering(data):
         assert canonical_key(h) == canonical_key(g)
         moved = {rename[vid]: lab for vid, lab in labels.items()}
         assert canonical_key(h, moved) == canonical_key(g, labels)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_a_canonical_graph_is_numbered_in_its_canonical_order(data):
+    # `evaluate` relies on this: on an element, the topological order that
+    # breaks ties by vertex id is the one that breaks them canonically
+    g = data.draw(any_route_graphs())
+    labels = {vid: data.draw(LABELS) for vid in g.vertex_ids}
+    # g beside itself has two isomorphic copies of each component
+    twice = hcompose(g, g)
+    shift = max(g.vertex_ids, default=0)
+    labels_twice = labels | {vid + shift: lab for vid, lab in labels.items()}
+    for graph, lab in ((g, None), (g, labels), (twice, None),
+                       (twice, labels_twice)):
+        cf = canonicalize(graph, lab)
+        r = len(graph.vertices)
+        assert canonical_order(cf.graph, cf.labels) == list(range(1, r + 1))
 
 
 @SETTINGS

@@ -458,6 +458,14 @@ def test_cube_reports_the_counting_identities():
     assert report["lam_injective"] is True
     assert report["union_formula"] == 3 and report["union_formula_ok"] is True
     assert report["decomposition_ok"] is True
+    # 100 tokens on each side: 10,000 tuples per cube vertex, each mapped
+    # along every edge of the cube
+    tokens = ",".join(f"t{i}" for i in range(100))
+    rc, out, _ = run("cube", "--K", tokens, "--L", tokens, "--n", "2")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["size"] == 10_000 and report["union_formula_ok"] is True
+    assert report["decomposition_ok"] is True
 
 
 def test_cube_rejects_tokens_outside_the_larger_set():
@@ -576,6 +584,17 @@ def test_unknown_subcommand_is_a_usage_error():
         assert rc == 2, command
 
 
+def _huge_atom_mixed(n_in: int) -> dict:
+    # one (n_in, 1) vertex labeled by the atom p: 2^70 -> 1, wired as (1,1)
+    return {"atoms": {"generators": [{"name": "p", "m": 2 ** 70, "n": 1}]},
+            "msig": {"generators": []},
+            "m": 1, "n": 1,
+            "vertices": [{"id": 1, "in": n_in, "out": 1, "label": "p",
+                          "alphabet": "P"}],
+            "edges": [{"src": ["input", 1], "dst": ["vin", 1, 1]},
+                      {"src": ["vout", 1, 1], "dst": ["output", 1]}]}
+
+
 # graphs declaring far more ports than any list of them could hold
 HUGE_ARITY = {
     "n-2^70": {"m": 0, "n": 2 ** 70, "vertices": [], "edges": []},
@@ -583,7 +602,12 @@ HUGE_ARITY = {
     "out-2^70": {"m": 0, "n": 0,
                  "vertices": [{"id": 1, "in": 0, "out": 2 ** 70}],
                  "edges": []},
+    # mixed graphs whose composite label is an atom of arity 2^70 -> 1
+    "atom-2^70": _huge_atom_mixed(1),
+    "atom-2^70-vertex-in-2^70": _huge_atom_mixed(2 ** 70),
 }
+_GRAPH_FILES = ["n-2^70", "n-10^7", "out-2^70"]
+_MIXED_FILES = ["atom-2^70", "atom-2^70-vertex-in-2^70"]
 
 
 def _cap_address_space() -> None:
@@ -591,8 +615,12 @@ def _cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-@pytest.mark.parametrize("command", ["validate", "canon"])
-@pytest.mark.parametrize("name", HUGE_ARITY)
+@pytest.mark.parametrize(
+    "name, command",
+    [(name, command) for name in _GRAPH_FILES
+     for command in ("validate", "canon")]
+    + [(name, command) for name in _MIXED_FILES
+       for command in ("validate", "collapse")])
 def test_huge_declared_arity_fails_in_one_line_under_a_memory_cap(
         tmp_path, name, command):
     path = write_json(tmp_path / "huge.json", HUGE_ARITY[name])
@@ -600,7 +628,9 @@ def test_huge_declared_arity_fails_in_one_line_under_a_memory_cap(
         [sys.executable, "-m", "propcalc.cli", command, path],
         capture_output=True, text=True, timeout=120,
         preexec_fn=_cap_address_space)
-    assert proc.returncode == 1, proc.stderr
+    # an invalid graph fails validation; a mixed file that cannot be
+    # loaded is a format error
+    assert proc.returncode == (2 if name in _MIXED_FILES else 1), proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
 
