@@ -26,8 +26,9 @@ from .pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram,
                        iterated_identity_check, punctured_colimit)
 from .rewrite import (DEFAULT_MAX_STATES, collapse, mixed_from_dict,
                       mixed_to_dict, non_confluence_witness)
-from .tensor import (DEFAULT_MAX_AXES, DEFAULT_MAX_DIM, algebra_from_dict,
-                     evaluate, matrix_from_json, morphism_prop_membership)
+from .tensor import (DEFAULT_MAX_AXES, DEFAULT_MAX_DIM, DEFAULT_MAX_ENTRIES,
+                     algebra_from_dict, evaluate, matrix_from_json,
+                     morphism_prop_membership)
 
 
 def _read_json(path: str):
@@ -225,9 +226,11 @@ def _cmd_map(args) -> int:
 def _cmd_eval(args) -> int:
     _at_least("--max-axes", args.max_axes, 1)
     _at_least("--max-dim", args.max_dim, 1)
+    _at_least("--max-entries", args.max_entries, 1)
     alg = algebra_from_dict(_read_json(args.algebra), max_dim=args.max_dim)
     elem = element_from_dict(_read_json(args.file))
-    t = evaluate(elem, alg, max_axes=args.max_axes)
+    t = evaluate(elem, alg, max_axes=args.max_axes,
+                 max_entries=args.max_entries)
     _emit({"m": elem.m, "n": elem.n, "dim": alg.dim,
            "shape": list(t.shape), "rows": t.rows()})
     return 0
@@ -387,6 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap on the element's boundary axes (max_axes)")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                    help="cap on the algebra's dimension (max_dim)")
+    p.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
+                   help="cap on the entries of the widest intermediate "
+                        "tensor (max_entries)")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("check-morphism",

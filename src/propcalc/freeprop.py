@@ -128,7 +128,10 @@ def signature_from_dict(d: object) -> Signature:
 @dataclass(frozen=True)
 class PropElement:
     """A labeled (m, n)-graph in canonical form.  Equality and hashing go
-    through the canonical key, so they decide equality in the free prop."""
+    through the canonical key, so they decide equality in the free prop.
+    What is derived from the graph and labels alone and kept for reuse
+    (`key_text`, and `tensor.evaluate`'s contraction plan) lives in the
+    instance dict, outside equality, hashing, repr and serialization."""
 
     m: int
     n: int

@@ -2,7 +2,13 @@
 
 A dimension-d assignment sends each generator to a matrix acting on
 tensor powers of a d-dimensional space; `evaluate` contracts a labeled
-graph as a tensor network, wire by wire, with zero tolerance.  A tensor
+graph as a tensor network, wire by wire, with zero tolerance.  The
+wiring is compiled once into a plan (vertex order, contracted axis pairs
+per step, through wires, final transpose, peak live axes) that depends
+on neither d nor the matrices, so an element keeps its default-order
+plan and reuses it under every assignment; executing a plan only calls
+numpy.  The plan's peak, d ** peak_axes entries, is held to a named cap
+(`max_entries`) before anything is allocated.  A tensor
 is held as integer numerators over one common denominator, so the
 contraction runs on integers and divides once per result.  Numerators
 are numpy int64 while every entry fits, and each product runs in int64
@@ -20,16 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .freeprop import PropElement, Signature
-from .graphs import (FormatError, GraphError, LimitError, check_permutation,
-                     check_topological_order, is_int, port_map,
-                     topological_order)
+from .graphs import (FormatError, Graph, GraphError, LimitError,
+                     check_permutation, check_topological_order, is_int,
+                     port_map, topological_order)
 
 DEFAULT_MAX_DIM = 4
 DEFAULT_MAX_AXES = 6
+DEFAULT_MAX_ENTRIES = 2 ** 22
 
 
 def parse_rational(text: object) -> Fraction:
@@ -324,9 +332,75 @@ def matrix_from_json(data: object) -> RatTensor:
 # ---------------------------------------------------------------------------
 # evaluation by direct network contraction
 
+class _Plan(NamedTuple):
+    """How to contract one labeled graph in one vertex order, with nothing
+    that depends on the dimension or the matrices.  Each step is
+    (vid, label, n_out, n_in, state_axes, tensor_axes, contracted): the
+    vertex's matrix, viewed as a tensor with its out-axes first, is
+    multiplied into the state over the `contracted` axis pairs.  Then
+    `through` input-to-output wires each add an identity factor, `perm`
+    puts the outputs then the inputs in boundary order, and `peak_axes`
+    is the most axes the state ever holds."""
+
+    steps: tuple[tuple, ...]
+    through: int
+    perm: tuple[int, ...]
+    peak_axes: int
+
+
+def _compile(graph: Graph, labels: dict[int, str], order: list[int]) -> _Plan:
+    """The plan for contracting `graph` vertex by vertex in `order`, which
+    must be a topological order."""
+    boundary, ins, outs = port_map(graph)
+    # Each open axis of the state is named by the port that will consume
+    # it: a vertex in-port ("vin", v, k) until v is contracted, or a
+    # boundary port, ("output", j) or ("input", i), which `perm` reads.
+    axes: list[tuple] = []
+    steps, peak = [], 0
+    for vid in order:
+        n_out, n_in = len(outs[vid]), len(ins[vid])
+        spos, tpos, opened = [], [], []
+        for k, src in enumerate(ins[vid], start=1):
+            if src[0] == "vout":
+                spos.append(axes.index(("vin", vid, k)))
+                tpos.append(n_out + k - 1)
+            else:
+                opened.append(src)
+        steps.append((vid, labels[vid], n_out, n_in, tuple(spos),
+                      tuple(tpos), len(spos)))
+        taken = set(spos)
+        axes = [key for i, key in enumerate(axes) if i not in taken]
+        axes += outs[vid]
+        axes += opened
+        if len(axes) > peak:
+            peak = len(axes)
+    through = 0
+    for i, dst in enumerate(boundary[:graph.m], start=1):
+        if dst[0] == "output":
+            through += 1
+            axes += [dst, ("input", i)]
+    perm = [axes.index(("output", j)) for j in range(1, graph.n + 1)]
+    perm += [axes.index(("input", i)) for i in range(1, graph.m + 1)]
+    return _Plan(tuple(steps), through, tuple(perm), max(peak, len(axes)))
+
+
+def _default_plan(e: PropElement) -> _Plan:
+    """The element's plan in its default topological order, compiled on
+    first use and kept in the element's instance dict (as `key_text` is),
+    so it lives as long as the element and stays out of its equality,
+    hash, repr and serialization."""
+    memo = vars(e)
+    plan = memo.get("_plan")
+    if plan is None:
+        plan = memo["_plan"] = _compile(e.graph, e.labels,
+                                        topological_order(e.graph))
+    return plan
+
+
 def evaluate(e: PropElement, A: AlgebraAssignment,
              order: list[int] | None = None,
-             max_axes: int | None = None) -> RatTensor:
+             max_axes: int | None = None,
+             max_entries: int | None = None) -> RatTensor:
     """Contract the element's labeled graph against the assignment.
 
     Vertices are consumed in a topological order (any such order gives
@@ -335,49 +409,49 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
     is summed over 1..d, and the result is returned as a d^n x d^m
     matrix with output multi-indices on rows, earlier boundary index
     most significant.
+
+    The wiring is compiled into a plan that depends on neither d nor
+    the matrices; the default order's plan is kept on the element, so
+    it serves every assignment and dimension, while an explicit `order`
+    is checked and planned on each call.  Every call still checks each
+    vertex's matrix.  Before the first product, the plan's widest state,
+    d ** peak_axes entries, is held to `max_entries`.
     """
-    graph, labels = e.graph, e.labels
+    graph = e.graph
     cap = DEFAULT_MAX_AXES if max_axes is None else max_axes
     if graph.m + graph.n > cap:
         raise LimitError(
             f"boundary {graph.m}+{graph.n} axes, cap is {cap} (max_axes)")
-    d = A.dim
-    for v in graph.vertices:
-        name = labels[v.id]
-        t = A.matrices.get(name)
+    d, matrices = A.dim, A.matrices
+    plan = _default_plan(e)
+    # a canonical element's default order is its vertex order, so this
+    # names the same first bad vertex whatever `order` is
+    for vid, name, n_out, n_in, _, _, _ in plan.steps:
+        t = matrices.get(name)
         if t is None:
             raise GraphError(f"no matrix assigned to {name!r}")
-        if t.shape != (d ** v.n_out, d ** v.n_in):
+        if t.shape != (d ** n_out, d ** n_in):
             raise GraphError(
-                f"matrix for {name!r} has shape {t.shape}, vertex {v.id} "
-                f"needs {(d ** v.n_out, d ** v.n_in)}")
-    if order is None:
-        order = topological_order(graph)
-    else:
+                f"matrix for {name!r} has shape {t.shape}, vertex {vid} "
+                f"needs {(d ** n_out, d ** n_in)}")
+    if order is not None:
         order = list(order)
         check_topological_order(graph, order)
-    boundary, ins, outs = port_map(graph)
+        plan = _compile(graph, e.labels, order)
+    cap = DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
+    if d ** plan.peak_axes > cap:
+        raise LimitError(
+            f"contraction peaks at {d}**{plan.peak_axes} entries, "
+            f"cap is {cap} (max_entries, --max-entries)")
 
-    # Each open axis of `state` is named by the port that will consume it:
-    # a vertex in-port ("vin", v, k) until v is contracted, or a boundary
-    # port, ("output", j) or ("input", i), which the final transpose reads.
     # `top` bounds |entry| of `state`; it is carried along the products so
     # that the int64 guard reads the entries only when the bound trips.
     state, den, top = np.array(1, dtype=np.int64), 1, 1
-    axes: list[tuple] = []
-    for vid in order:
-        n_out = len(outs[vid])
-        mat = A.matrices[labels[vid]]
-        t = mat._num.reshape((d,) * (n_out + len(ins[vid])))
+    for _, name, n_out, n_in, spos, tpos, contracted in plan.steps:
+        mat = matrices[name]
+        t = mat._num.reshape((d,) * (n_out + n_in))
         den *= mat._den
-        spos, tpos, opened = [], [], []
-        for k, src in enumerate(ins[vid], start=1):
-            if src[0] == "vout":
-                spos.append(axes.index(("vin", vid, k)))
-                tpos.append(n_out + k - 1)
-            else:
-                opened.append(src)
-        terms = d ** len(spos)
+        terms = d ** contracted
         if top * mat._top * terms >= _INT64_LIMIT and state.dtype != object:
             # the carried bound grows by `terms` per step even where the
             # entries do not (a deep chain of signed permutations), so
@@ -386,23 +460,14 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
         state, t = _operands(state, top, t, mat._top, terms)
         state = np.tensordot(state, t, axes=(spos, tpos))
         top *= mat._top * terms
-        taken = set(spos)
-        axes = [key for i, key in enumerate(axes) if i not in taken]
-        axes += outs[vid]
-        axes += opened
 
-    for i, dst in enumerate(boundary[:graph.m], start=1):
-        if dst[0] == "output":
-            # a 0/1 factor keeps every entry's size (numpy promotes it
-            # to object beside an object state)
-            state = np.tensordot(state, np.identity(d, dtype=np.int64),
-                                 axes=([], []))
-            axes += [dst, ("input", i)]
-
-    perm = [axes.index(("output", j)) for j in range(1, graph.n + 1)]
-    perm += [axes.index(("input", i)) for i in range(1, graph.m + 1)]
-    if perm:
-        state = state.transpose(perm)
+    for _ in range(plan.through):
+        # a 0/1 factor keeps every entry's size (numpy promotes it to
+        # object beside an object state)
+        state = np.tensordot(state, np.identity(d, dtype=np.int64),
+                             axes=([], []))
+    if plan.perm:
+        state = state.transpose(plan.perm)
     return RatTensor._of(state.reshape(d ** graph.n, d ** graph.m), den)
 
 

@@ -420,6 +420,20 @@ def unary_chain(r: int) -> Graph:
                  tuple(edges))
 
 
+def cup_cap_ring(k: int) -> Graph:
+    """The closed (0, 0)-graph of k cups (0 -> 2, vertices 1..k) and k caps
+    (2 -> 0, vertices k+1..2k) on one loop: cup i feeds cap i and cap
+    i+1 (cyclically).  Contracting every cup first holds 2k open wires
+    at once; taking each cap as soon as both its cups are in holds at most
+    4."""
+    edges = [Edge(("vout", i, 1), ("vin", k + i, 1)) for i in range(1, k + 1)]
+    edges += [Edge(("vout", i, 2), ("vin", k + i % k + 1, 2))
+              for i in range(1, k + 1)]
+    vertices = [Vertex(i, 0, 2) for i in range(1, k + 1)]
+    vertices += [Vertex(k + i, 2, 0) for i in range(1, k + 1)]
+    return Graph(0, 0, tuple(vertices), tuple(edges))
+
+
 # ---------------------------------------------------------------------------
 # exhaustive collapse, through the public merge only
 

@@ -2,7 +2,8 @@
 pass of each workload must digest to its pin, so class counts, evaluated
 matrices (int64 below their bound, Python ints past it), irreducible-form
 counts and circuit values are what they were when the pins were
-taken."""
+taken.  The two workloads that contract tensors are held to their
+held-out seed 7919 as well."""
 
 from __future__ import annotations
 
@@ -24,15 +25,29 @@ def load_runner_module():
     return module
 
 
-@pytest.mark.parametrize("workload",
-                         ["classes", "contract", "rewrite", "circuits"])
-def test_seed_1_matches_its_pin(monkeypatch, workload):
+def digest_of_one_pass(monkeypatch, workload: str, seed: int) -> str:
     run = load_runner_module()
     monkeypatch.syspath_prepend(str(PERFBENCH))
     module = importlib.import_module(f"workloads.{workload}")
-    runner = run.Runner(module.setup(1))
+    runner = run.Runner(module.setup(seed))
     values: list = []
     runner.timed_pass(values)
     assert runner.failed == 0, runner.errors
+    return runner.digest(values)
+
+
+def pin(workload: str, seed: int) -> str:
     pins = json.loads((PERFBENCH / "pins.json").read_text())
-    assert runner.digest(values) == pins[workload]["1"]
+    return pins[workload][str(seed)]
+
+
+@pytest.mark.parametrize("workload",
+                         ["classes", "contract", "rewrite", "circuits"])
+def test_seed_1_matches_its_pin(monkeypatch, workload):
+    assert digest_of_one_pass(monkeypatch, workload, 1) == pin(workload, 1)
+
+
+@pytest.mark.parametrize("workload", ["contract", "circuits"])
+def test_held_out_seed_matches_its_pin(monkeypatch, workload):
+    assert digest_of_one_pass(monkeypatch, workload, 7919) == \
+        pin(workload, 7919)

@@ -381,6 +381,24 @@ def test_eval_dimension_cap(tmp_path):
         assert err == f"error: --max-dim must be at least 1, got {bad}\n"
 
 
+def test_eval_intermediate_entries_cap(tmp_path):
+    # one unary vertex holds its output and input axes at once: 2**2 entries
+    elem = write_json(tmp_path / "e.json", UNARY_ELEMENT)
+    alg = write_json(tmp_path / "alg.json",
+                     {"dim": 2, "matrices": {"a": [["1", "2"], ["3", "4"]]}})
+    rc, out, err = run("eval", elem, "--algebra", alg, "--max-entries", "3")
+    assert rc == 1 and out == ""
+    assert err == ("error: contraction peaks at 2**2 entries, cap is 3 "
+                   "(max_entries, --max-entries)\n")
+    rc, out, _ = run("eval", elem, "--algebra", alg, "--max-entries", "4")
+    assert rc == 0 and json.loads(out)["rows"] == [["1", "2"], ["3", "4"]]
+    for bad in ("0", "-3"):
+        rc, out, err = run("eval", elem, "--algebra", alg,
+                           "--max-entries", bad)
+        assert rc == 2 and out == ""
+        assert err == f"error: --max-entries must be at least 1, got {bad}\n"
+
+
 def test_check_morphism_accepts_an_intertwiner(tmp_path):
     algebra = {"dim": 2, "matrices": {"a": [["1", "1/2"], ["0", "1"]]}}
     alg = write_json(tmp_path / "alg.json", algebra)

@@ -5,21 +5,28 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import (mat_kron, mat_mul, permutation_matrix,
+from _oracles import (cup_cap_ring, mat_kron, mat_mul, permutation_matrix,
                       wire_permutation)
 from propcalc.canonical import enumerate_graphs
-from propcalc.freeprop import (PropElement, Signature, corolla, expand,
+from propcalc.freeprop import (PropElement, Signature, corolla,
+                               element_to_dict, expand,
                                extend_morphism, identity_element,
                                pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
 from propcalc import tensor
-from propcalc.graphs import FormatError, GraphError, LimitError, to_json_text
+from propcalc.graphs import (FormatError, GraphError, LimitError,
+                             relabel_vertices, to_json_text)
 from propcalc.tensor import (AlgebraAssignment, RatTensor, TensorOps,
                              algebra_from_dict, algebra_to_dict,
                              conjugate_assignment, evaluate, format_rational,
@@ -421,6 +428,140 @@ def test_evaluate_rejects_bad_input():
         evaluate(chain, A, order=bottom_first)
     with pytest.raises(GraphError):
         evaluate(chain, A, order=[1])
+
+
+def test_a_cached_plan_skips_no_check():
+    rng = random.Random(42)
+    A = rand_assignment(rng, 2)
+    e = pelem_vcompose(corolla(SIG, "c"), corolla(SIG, "b"))
+    want = evaluate(e, A)
+    missing = AlgebraAssignment.build(2, {"c": A.matrices["c"]})
+    wrong = AlgebraAssignment.build(2, dict(A.matrices,
+                                            b=rand_matrix(rng, 2, 2)))
+    order = list(e.graph.vertex_ids)
+    for kwargs in ({}, {"order": order}):
+        with pytest.raises(GraphError, match="no matrix assigned to 'b'"):
+            evaluate(e, missing, **kwargs)
+        with pytest.raises(GraphError, match=(
+                r"matrix for 'b' has shape \(2, 2\), vertex \d needs "
+                r"\(2, 4\)")):
+            evaluate(e, wrong, **kwargs)
+        assert evaluate(e, A, **kwargs) == want
+
+
+def test_one_plan_per_element_at_every_dimension(monkeypatch):
+    # the benchmark's pattern: each element under A and B at d = 2, 3, 4
+    rng = random.Random(44)
+    calls = []
+    compile_plan = tensor._compile
+
+    def counted(*args):
+        calls.append(args)
+        return compile_plan(*args)
+
+    monkeypatch.setattr(tensor, "_compile", counted)
+    elements = [rand_element(rng, m, n) for m, n in
+                ((1, 1), (2, 1), (1, 2), (2, 2), (0, 0))]
+    assigns = {d: (rand_assignment(rng, d), rand_assignment(rng, d))
+               for d in (2, 3, 4)}
+    for _ in range(2):
+        for e in elements:
+            for A, B in assigns.values():
+                evaluate(e, A)
+                evaluate(e, B)
+    assert len(calls) == len(elements)
+    # an explicit order is planned apart, on every call
+    e = elements[0]
+    for _ in range(2):
+        evaluate(e, assigns[2][0], order=list(e.graph.vertex_ids))
+    assert len(calls) == len(elements) + 2
+
+
+def test_equal_elements_built_apart_evaluate_equal():
+    rng = random.Random(46)
+    first = pelem_vcompose(corolla(SIG, "c"), corolla(SIG, "b"))
+    # the same element from a renumbered graph, with a plan of its own
+    rename = {1: 7, 2: 3}
+    second = PropElement.build(
+        relabel_vertices(first.graph, rename),
+        {rename[v]: lab for v, lab in first.labels.items()}, SIG)
+    assert first == second and first is not second
+    for d in (2, 3, 2):
+        A = rand_assignment(rng, d)
+        assert evaluate(first, A) == evaluate(second, A)
+
+
+def test_the_plan_stays_out_of_equality_hash_repr_and_json():
+    rng = random.Random(48)
+    A = rand_assignment(rng, 2)
+    e = rand_element(rng, 2, 1)
+    twin = PropElement.build(e.graph, dict(e.labels), SIG)
+    evaluate(e, A)
+    assert "_plan" in vars(e) and "_plan" not in vars(twin)
+    assert e == twin and hash(e) == hash(twin)
+    assert repr(e) == repr(twin)
+    assert element_to_dict(e) == element_to_dict(twin)
+
+
+RING_SIG = Signature([("cup", 0, 2), ("cap", 2, 0)])
+
+
+def ring_element(k: int) -> tuple[PropElement, AlgebraAssignment]:
+    """The k-cup ring with the identity's cup and cap at d = 2: one loop,
+    so it evaluates to the trace of the identity, 2."""
+    labels = {v: "cup" if v <= k else "cap" for v in range(1, 2 * k + 1)}
+    e = PropElement.build(cup_cap_ring(k), labels, RING_SIG)
+    A = AlgebraAssignment.build(2, {"cup": RatTensor([[1], [0], [0], [1]]),
+                                    "cap": RatTensor([[1, 0, 0, 1]])},
+                                RING_SIG)
+    return e, A
+
+
+def test_a_closed_ring_evaluates_in_the_default_order():
+    e, A = ring_element(16)
+    # the default order holds at most 4 wires: 2**4 entries
+    assert evaluate(e, A, max_entries=2 ** 4) == RatTensor([[2]])
+    with pytest.raises(LimitError, match=(
+            r"contraction peaks at 2\*\*4 entries, cap is 15 "
+            r"\(max_entries, --max-entries\)")):
+        evaluate(e, A, max_entries=15)
+
+
+_CUPS_FIRST = """
+import sys
+from propcalc.graphs import LimitError
+from propcalc.tensor import evaluate
+from test_tensor import ring_element
+
+e, A = ring_element(16)
+cups = sorted(v for v, name in e.labels.items() if name == "cup")
+caps = sorted(v for v, name in e.labels.items() if name == "cap")
+try:
+    evaluate(e, A, order=cups + caps)
+except LimitError as err:
+    print(err)
+    sys.exit(1)
+"""
+
+
+def _cap_address_space() -> None:
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_a_cups_first_ring_fails_on_the_cap_under_a_memory_cap():
+    # all 32 wires open at once would be 2**32 int64 entries (32 GiB)
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CUPS_FIRST], capture_output=True, text=True,
+        timeout=120, preexec_fn=_cap_address_space,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ("contraction peaks at 2**32 entries, cap is "
+                           "4194304 (max_entries, --max-entries)\n")
+    assert proc.stderr == ""
 
 
 def test_direct_contraction_agrees_with_layer_slicing():
