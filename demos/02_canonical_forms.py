@@ -2,20 +2,22 @@
 isomorphism testing that reduces to equality."""
 
 from propcalc import fixtures
-from propcalc.canonical import (NumberedGraph, canonical_order, canonicalize,
-                                count_graphs, enumerate_graphs, graph_hash,
-                                is_isomorphic, renumber)
+from propcalc.canonical import (canonical_order, canonicalize, count_graphs,
+                                enumerate_graphs, graph_hash, is_isomorphic)
+from propcalc.graphs import relabel_vertices
 
 g = fixtures.fig7()
 print("canonical order of the 5-vertex fixture:", canonical_order(g))
 print("hash:", graph_hash(g))
 
-# renumbering the vertices arbitrarily changes nothing observable
-shuffled = renumber(NumberedGraph.from_graph(g), (3, 1, 5, 2, 4))
-print("same hash after renumbering:",
-      graph_hash(shuffled.graph) == graph_hash(g))
+# renumbering the vertices arbitrarily changes nothing observable:
+# number i goes to the vertex that carried number (3, 1, 5, 2, 4)[i - 1]
+shuffled = relabel_vertices(g, {old: new for new, old
+                                in enumerate((3, 1, 5, 2, 4), start=1)})
+assert shuffled != g
+print("same hash after renumbering:", graph_hash(shuffled) == graph_hash(g))
 print("canonical graphs equal:",
-      canonicalize(shuffled.graph).graph == canonicalize(g).graph)
+      canonicalize(shuffled).graph == canonicalize(g).graph)
 
 # two fixtures that are the same graph wearing different numbers
 print("fig1 ~ fig7:", is_isomorphic(fixtures.fig1(), fixtures.fig7()))

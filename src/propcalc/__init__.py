@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from .canonical import (CanonicalForm, ClassLister, NumberedGraph,
                         canonical_key, canonical_order, canonicalize,
-                        count_graphs, enumerate_graphs, free_action_check,
-                        graph_hash, is_isomorphic, iso_classes,
-                        max_vertices_cap, renumber)
+                        count_graphs, enumerate_graphs, graph_hash,
+                        is_isomorphic)
 from .freeprop import (FREE_OPS, Generator, PartialLabeledGraph, PropElement,
                        Signature, combine_signatures, corolla, count_basis,
                        element_from_dict, element_to_dict, expand,
@@ -53,17 +52,17 @@ __all__ = [
     "enumerate_graphs", "evaluate", "expand",
     "expand_all", "expand_element", "extend_morphism", "faces_commute",
     "filtration_degree", "filtration_square_check", "format_rational",
-    "free_action_check", "graph_from_dict", "graph_hash", "graph_to_dict",
+    "graph_from_dict", "graph_hash", "graph_to_dict",
     "hcompose", "identity", "identity_element", "inclusion_map",
-    "is_isomorphic", "iso_classes", "iterated_identity_check", "make_graph",
-    "matrix_from_json", "max_vertices_cap", "merge", "mergeable",
+    "is_isomorphic", "iterated_identity_check", "make_graph",
+    "matrix_from_json", "merge", "mergeable",
     "mergeable_pairs", "mixed_from_dict", "mixed_to_dict",
     "morphism_prop_membership", "non_confluence_witness", "parse_rational",
     "partial_from_dict", "partial_to_dict", "pelem_hcompose",
     "pelem_permute_inputs", "pelem_permute_outputs", "pelem_vcompose",
     "permute_inputs", "permute_outputs",
     "punctured_colimit", "pushout_sets", "quotient_classes",
-    "renumber", "signature_from_dict",
+    "signature_from_dict",
     "signature_to_dict", "to_json_text", "validate", "vcompose",
 ]
 

@@ -35,12 +35,11 @@ is determined by the vertex bijection.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import (Edge, Graph, GraphError, LimitError, Vertex,
-                     check_permutation, port_map, topological_order)
+                     port_map)
 
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_EDGES = 24
@@ -56,49 +55,8 @@ class UnreachableVertexError(GraphError):
         super().__init__(f"vertices unreachable from graph {side}s: {vertices}")
 
 
-def max_vertices_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("PROPCALC_MAX_VERTICES")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise GraphError(
-                f"PROPCALC_MAX_VERTICES must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_MAX_VERTICES
-
-
 # ---------------------------------------------------------------------------
 # path labels and orders
-
-def input_path_labels(g: Graph) -> dict[int, tuple[int, ...]]:
-    """Minimal edge-path label per vertex, in one pass in topological order
-    (a minimum extends a predecessor's minimum).  Raises
-    UnreachableVertexError if some vertex has no path from a graph input."""
-    ins = port_map(g)[1]
-    labels: dict[int, tuple[int, ...]] = {}
-    unreachable: list[int] = []
-    for vid in topological_order(g):
-        best: tuple[int, ...] | None = None
-        for k, src in enumerate(ins[vid], start=1):
-            if src[0] == "input":
-                cand = (src[1], k)
-            elif src[1] in labels:
-                cand = labels[src[1]] + (src[2], k)
-            else:
-                continue
-            if best is None or cand < best:
-                best = cand
-        if best is None:
-            unreachable.append(vid)
-        else:
-            labels[vid] = best
-    if unreachable:
-        raise UnreachableVertexError(sorted(unreachable))
-    return labels
-
 
 def input_path_order(g: Graph) -> list[int]:
     """Vertex ids sorted by minimal input-path label (a total order),
@@ -320,63 +278,25 @@ def is_isomorphic(g: Graph, h: Graph,
 def graph_hash(g: Graph, labels: dict[int, str] | None = None) -> int:
     """Stable 64-bit digest of the canonical form (stable across runs and
     processes, unlike the builtin hash)."""
-    key = canonical_key(g, labels)
+    return _key_hash(canonical_key(g, labels))
+
+
+def _key_hash(key: tuple) -> int:
+    # the digest of a canonical key: `graph_hash` of any graph with that key
     digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
 # ---------------------------------------------------------------------------
-# numbered graphs and the free symmetric action
+# enumeration
 
 @dataclass(frozen=True)
 class NumberedGraph:
-    """A graph together with the numbering of its vertices: order[i-1] is
-    the vertex id carrying number i."""
+    """A graph whose vertices are numbered by their ids; renumbering is
+    `graphs.relabel_vertices`."""
 
     graph: Graph
-    order: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.order) != sorted(self.graph.vertex_ids):
-            raise GraphError("numbering must be a bijection onto the vertices")
-
-    @classmethod
-    def _trusted(cls, graph: Graph,
-                 order: tuple[int, ...]) -> "NumberedGraph":
-        # the constructor without its check, for a numbering known to be
-        # a bijection onto the vertices
-        ng = object.__new__(cls)
-        ng.__dict__.update(graph=graph, order=order)
-        return ng
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "NumberedGraph":
-        return cls(g, tuple(sorted(g.vertex_ids)))
-
-
-def renumber(ng: NumberedGraph, w: tuple[int, ...]) -> NumberedGraph:
-    """Precompose the numbering with w: new number i marks the vertex that
-    previously carried number w(i)."""
-    w = check_permutation(w, len(ng.order))
-    return NumberedGraph(ng.graph, tuple(ng.order[wi - 1] for wi in w))
-
-
-def free_action_check(g: NumberedGraph | Graph) -> bool:
-    """True iff no non-identity renumbering yields the same numbered graph,
-    i.e. the automorphism group is trivial.  Only defined on graphs whose
-    vertices all have at least one input.  An automorphism fixes the
-    boundary, so it keeps each vertex's minimal input-path label; pairwise
-    distinct labels therefore leave it no vertex to move."""
-    graph = g.graph if isinstance(g, NumberedGraph) else g
-    empty = [v.id for v in graph.vertices if v.n_in == 0]
-    if empty:
-        raise GraphError(f"vertices with no inputs: {empty}")
-    labels = input_path_labels(graph)
-    return len(set(labels.values())) == len(labels)
-
-
-# ---------------------------------------------------------------------------
-# enumeration
 
 def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
                      upto_iso: bool = False,
@@ -390,13 +310,15 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     the search cuts the branch if it can tell that no acyclic completion
     extends it; it cuts no branch that holds a graph, so the stream and
     its order are those of the uncut search.  With upto_iso, only the
-    first representative of each isomorphism class is emitted (see
-    `iso_classes`).  A profile whose ports cannot pair up yields nothing,
-    before the vertex and edge caps are checked."""
+    first representative of each isomorphism class is emitted, as
+    `distinct` reads them from the numbered stream.  A profile whose ports
+    cannot pair up yields nothing, before the vertex and edge caps are
+    checked."""
     if upto_iso:
-        for _, graph in iso_classes(arities, m, n, max_vertices=max_vertices,
-                                    max_edges=max_edges):
-            yield NumberedGraph._trusted(graph, graph.vertex_ids)
+        for _, sk in distinct(skeletons(arities, m, n,
+                                        max_vertices=max_vertices,
+                                        max_edges=max_edges)):
+            yield NumberedGraph(sk.graph)
         return
     if m < 0 or n < 0 or any(a < 0 or b < 0 for a, b in arities):
         raise GraphError("negative arity or boundary")
@@ -404,10 +326,10 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     if edge_count != n + sum(a for a, _ in arities):
         return  # the ports cannot pair up, so there is nothing to cap
     r = len(arities)
-    cap = max_vertices_cap(max_vertices)
+    cap = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     if r > cap:
         raise LimitError(f"profile has {r} vertices, cap is {cap} "
-                         "(max_vertices, PROPCALC_MAX_VERTICES)")
+                         "(max_vertices)")
     edge_cap = DEFAULT_MAX_EDGES if max_edges is None else max_edges
     if edge_count > edge_cap:
         raise LimitError(f"{edge_count} edges, cap is {edge_cap} (max_edges)")
@@ -440,7 +362,6 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     used = [False] * width
     chosen: list[Edge] = []
     desc = [0] * (r + 1)  # desc[v] = bitmask of vertices reachable from v
-    numbering = tuple(range(1, r + 1))
 
     def completable(w: int) -> bool:
         # Called where every input is placed, vertices below w have no
@@ -500,8 +421,7 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
                 vertices = tuple(Vertex(v, a, b) for v, (a, b)
                                  in enumerate(arities, start=1))
             # sources run in sorted order and so do the vertices
-            yield NumberedGraph._trusted(
-                Graph._sorted(m, n, vertices, tuple(chosen)), numbering)
+            yield NumberedGraph(Graph._sorted(m, n, vertices, tuple(chosen)))
             return
         src = sources[i]
         u = src[1] if src[0] == "vout" else 0
@@ -644,23 +564,9 @@ class ClassLister:
 
     def classes(self, arities, labels: dict[int, object] | None = None):
         """`distinct` over the stream on `arities`: (key, skeleton) per
-        class."""
+        class.  Every caller that wants classes reads them from `distinct`,
+        through here or through `enumerate_graphs(upto_iso=True)`."""
         return distinct(self.stream(arities), labels)
-
-
-def iso_classes(arities: list[tuple[int, int]], m: int, n: int,
-                labels: dict[int, object] | None = None, *,
-                max_vertices: int | None = None,
-                max_edges: int | None = None):
-    """Yield (key, graph) for the first graph of each isomorphism class in
-    the numbered stream of `enumerate_graphs`, in stream order; vertex i
-    carries labels[i], and the key is its `canonical_key`.  Every caller
-    that wants classes reads them from `distinct`, through here or
-    through a `ClassLister`."""
-    for key, sk in distinct(skeletons(arities, m, n,
-                                      max_vertices=max_vertices,
-                                      max_edges=max_edges), labels):
-        yield key, sk.graph
 
 
 def count_graphs(arities: list[tuple[int, int]], m: int, n: int, *,

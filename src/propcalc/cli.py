@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .canonical import (canonicalize, enumerate_graphs, graph_hash,
+from .canonical import (_key_hash, canonicalize, enumerate_graphs,
                         is_isomorphic)
 from .freeprop import (FREE_OPS, count_basis, element_from_dict,
                        element_to_dict, expand, extend_morphism,
@@ -135,7 +135,7 @@ def _cmd_canon(args) -> int:
     cf = canonicalize(graph, labels)
     _emit({
         "order": list(cf.order),
-        "hash": graph_hash(graph, labels),
+        "hash": _key_hash(cf.key),
         "graph": graph_to_dict(cf.graph, labels=cf.labels),
     })
     return 0

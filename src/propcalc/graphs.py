@@ -26,7 +26,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -259,28 +259,26 @@ def check(g: Graph) -> Graph:
     return g
 
 
-def topological_order(g: Graph,
-                      key: Callable[[int], object] | None = None) -> list[int]:
+def topological_order(g: Graph) -> list[int]:
     """Vertex ids in a topological order of the vertex digraph.  Of the
-    vertices ready at each step the one smallest under `key` (default: the
-    id) comes first, so the order is deterministic.  Raises GraphError
-    naming the vertices of a directed cycle if there is one."""
+    vertices ready at each step the smallest id comes first, so the order
+    is deterministic.  Raises GraphError naming the vertices of a directed
+    cycle if there is one."""
     succ = vertex_successors(g)
-    rank = key or (lambda vid: vid)
     indeg = dict.fromkeys(succ, 0)
     for ws in succ.values():
         for w in ws:
             indeg[w] += 1
-    ready = [(rank(v), v) for v, d in indeg.items() if d == 0]
+    ready = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        _, u = heapq.heappop(ready)
+        u = heapq.heappop(ready)
         order.append(u)
         for w in succ[u]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, (rank(w), w))
+                heapq.heappush(ready, w)
     if len(order) < len(succ):
         raise GraphError(
             f"directed cycle through vertices {_leftover_cycle(succ, indeg)}")

@@ -79,7 +79,7 @@ def inclusion_map(sub, whole) -> FiniteSetMap:
 def quotient_classes(items, pairs) -> list[frozenset]:
     """Partition `items` by the equivalence generated by `pairs`, through
     a union-find forest (union by size, path compression).  The classes
-    come back sorted by the least repr of their members."""
+    come back in the order of their first member in `items`."""
     parent = {x: x for x in items}
     size = dict.fromkeys(parent, 1)
 
@@ -103,9 +103,7 @@ def quotient_classes(items, pairs) -> list[frozenset]:
     groups: dict = {}
     for x in parent:
         groups.setdefault(find(x), []).append(x)
-    classes = [frozenset(members) for members in groups.values()]
-    classes.sort(key=lambda c: min(repr(x) for x in c))
-    return classes
+    return [frozenset(members) for members in groups.values()]
 
 
 def pushout_sets(u: FiniteSetMap, s: FiniteSetMap) -> list[frozenset]:
@@ -129,14 +127,15 @@ class CubeDiagram:
 
     n: int
     i: FiniteSetMap
+    _pools: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise GraphError("cube dimension must be >= 0")
-
-    def _pool(self, e: int) -> list:
-        side = self.i.source if e == 0 else self.i.target
-        return sorted(side, key=repr)
+        # K and L in repr order, the order every cube vertex lists them in
+        object.__setattr__(self, "_pools",
+                           (sorted(self.i.source, key=repr),
+                            sorted(self.i.target, key=repr)))
 
     def _check_eps(self, eps) -> tuple:
         eps = tuple(eps)
@@ -146,7 +145,7 @@ class CubeDiagram:
 
     def vertex(self, eps) -> list[tuple]:
         eps = self._check_eps(eps)
-        return [t for t in itertools.product(*(self._pool(e) for e in eps))]
+        return list(itertools.product(*(self._pools[e] for e in eps)))
 
     def edge(self, eps, j: int) -> FiniteSetMap:
         """The map raising coordinate j (1-based) from K to L."""
@@ -154,12 +153,17 @@ class CubeDiagram:
         if not 1 <= j <= self.n or eps[j - 1] != 0:
             raise GraphError(f"no raisable coordinate {j} at {eps!r}")
         src, dst = self.vertex(eps), self.vertex(_raise(eps, j))
-        mp = {t: t[:j - 1] + (self.i(t[j - 1]),) + t[j:] for t in src}
+        mp = {t: _raise_entry(self.i, t, j) for t in src}
         return FiniteSetMap.build(src, dst, mp)
 
 
 def _raise(eps: tuple, j: int) -> tuple:
     return eps[:j - 1] + (1,) + eps[j:]
+
+
+def _raise_entry(i: FiniteSetMap, t: tuple, j: int) -> tuple:
+    # the edge map raising coordinate j, at the tuple t
+    return t[:j - 1] + (i(t[j - 1]),) + t[j:]
 
 
 def faces_commute(cube: CubeDiagram) -> bool:
@@ -216,14 +220,14 @@ def punctured_colimit(cube: CubeDiagram) -> PuncturedColimit:
     eps_list = [eps for eps in itertools.product((0, 1), repeat=n)
                 if 0 in eps]
     items = [(eps, t) for eps in eps_list for t in cube.vertex(eps)]
+    # the edge maps of `cube.edge`, applied without building each map
     pairs = []
     for eps in eps_list:
         for j, e in enumerate(eps, start=1):
             lifted = _raise(eps, j)
             if e != 0 or 0 not in lifted:
                 continue
-            step = cube.edge(eps, j)
-            pairs.extend(((eps, t), (lifted, step(t)))
+            pairs.extend(((eps, t), (lifted, _raise_entry(cube.i, t, j)))
                          for t in cube.vertex(eps))
     classes = quotient_classes(items, pairs)
     lam = []

@@ -2,11 +2,12 @@
 
 Everything here recomputes expected values by a different algorithm than
 the library uses: brute-force backtracking instead of canonical orders,
-raw permutation enumeration instead of pruned matching search, pure-python
-fraction matrices instead of numpy tensors, a reflexive coequalizer
-instead of the direct pushout quotient, a memo-free state search over
-the public merge instead of the library's exhaustive collapse.  Tests
-freeze their expected values against these.
+minimal input-path labels by their definition instead of the depth-first
+path order, raw permutation enumeration instead of pruned matching
+search, pure-python fraction matrices instead of numpy tensors, a
+reflexive coequalizer instead of the direct pushout quotient, a
+memo-free state search over the public merge instead of the library's
+exhaustive collapse.  Tests freeze their expected values against these.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from propcalc.canonical import canonical_key, enumerate_graphs
-from propcalc.graphs import (Edge, Graph, GraphError, Vertex,
-                             vertex_successors)
+from propcalc.canonical import (UnreachableVertexError, canonical_key,
+                                enumerate_graphs)
+from propcalc.graphs import (Edge, Graph, GraphError, Vertex, port_map,
+                             topological_order, vertex_successors)
 from propcalc.pushouts import FiniteSetMap, pushout_sets, quotient_classes
 from propcalc.rewrite import MixedGraph, merge, mergeable_pairs
 
@@ -135,6 +137,49 @@ def _bijections(gids, by_color, labels, g):
     for choice in itertools.product(*per_vertex):
         if len(set(choice)) == len(choice):
             yield dict(zip(gids, choice))
+
+
+# ---------------------------------------------------------------------------
+# minimal input-path labels (the definition the input-path order sorts by)
+
+def input_path_labels(g: Graph) -> dict[int, tuple[int, ...]]:
+    """Minimal edge-path label per vertex, in one pass in topological order
+    (a minimum extends a predecessor's minimum).  Raises
+    UnreachableVertexError if some vertex has no path from a graph input."""
+    ins = port_map(g)[1]
+    labels: dict[int, tuple[int, ...]] = {}
+    unreachable: list[int] = []
+    for vid in topological_order(g):
+        best: tuple[int, ...] | None = None
+        for k, src in enumerate(ins[vid], start=1):
+            if src[0] == "input":
+                cand = (src[1], k)
+            elif src[1] in labels:
+                cand = labels[src[1]] + (src[2], k)
+            else:
+                continue
+            if best is None or cand < best:
+                best = cand
+        if best is None:
+            unreachable.append(vid)
+        else:
+            labels[vid] = best
+    if unreachable:
+        raise UnreachableVertexError(sorted(unreachable))
+    return labels
+
+
+def free_action_check(g: Graph) -> bool:
+    """True iff no non-identity renumbering yields the same numbered graph,
+    i.e. the automorphism group is trivial.  Only defined on graphs whose
+    vertices all have at least one input.  An automorphism fixes the
+    boundary, so it keeps each vertex's minimal input-path label; pairwise
+    distinct labels therefore leave it no vertex to move."""
+    empty = [v.id for v in g.vertices if v.n_in == 0]
+    if empty:
+        raise GraphError(f"vertices with no inputs: {empty}")
+    labels = input_path_labels(g)
+    return len(set(labels.values())) == len(labels)
 
 
 # ---------------------------------------------------------------------------

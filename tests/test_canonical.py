@@ -11,16 +11,15 @@ from propcalc import fixtures
 from propcalc.canonical import (ClassLister, NumberedGraph,
                                 UnreachableVertexError, canonical_key,
                                 canonical_order, canonicalize,
-                                count_graphs, enumerate_graphs,
-                                free_action_check, graph_hash,
-                                input_path_labels, input_path_order,
-                                is_isomorphic, iso_classes,
-                                output_path_order, renumber)
+                                count_graphs, distinct, enumerate_graphs,
+                                graph_hash, input_path_order,
+                                is_isomorphic, output_path_order, skeletons)
 from propcalc.graphs import (GraphError, LimitError, identity, make_graph,
                              permute_inputs, port_map, relabel_vertices)
 
 from _oracles import (brute_force_graphs, brute_force_isomorphic,
-                      brute_force_nontrivial_automorphism, unary_chain)
+                      brute_force_nontrivial_automorphism, free_action_check,
+                      input_path_labels, unary_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +280,7 @@ def test_enumerate_two_unary_vertices():
     assert len(reduced) == 1
 
 
-def test_iso_classes_are_the_first_seen_keys_of_the_numbered_stream():
+def test_distinct_classes_are_the_first_seen_keys_of_the_numbered_stream():
     # path routes and the traversal, with repeated and distinct labels
     cases = [
         ([(1, 1), (1, 1), (1, 2), (2, 1)], 1, 1, "absj"),
@@ -294,11 +293,13 @@ def test_iso_classes_are_the_first_seen_keys_of_the_numbered_stream():
             first: dict = {}
             for ng in enumerate_graphs(arities, m, n):
                 first.setdefault(canonical_key(ng.graph, labels), ng.graph)
-            got = list(iso_classes(arities, m, n, labels))
+            got = [(key, sk.graph) for key, sk
+                   in distinct(skeletons(arities, m, n), labels)]
             assert got == list(first.items()), (arities, labels)
-        reps = [ng.graph for ng in enumerate_graphs(arities, m, n,
-                                                    upto_iso=True)]
-        assert reps == [graph for _, graph in iso_classes(arities, m, n)]
+            if labels is None:
+                reps = [ng.graph for ng in enumerate_graphs(
+                    arities, m, n, upto_iso=True)]
+                assert reps == list(first.values()), arities
 
 
 def test_skeleton_keys_match_canonical_keys_on_every_route():
@@ -403,25 +404,20 @@ def test_enumerate_rejects_cyclic_matchings():
         assert boundary[0][0] == "vin"  # the far end of input 1
 
 
-def test_enumerate_caps(monkeypatch):
-    knob = r"cap is 2 \(max_vertices, PROPCALC_MAX_VERTICES\)"
-    with pytest.raises(LimitError, match=knob):
+def test_enumerate_caps():
+    with pytest.raises(LimitError,
+                       match=r"3 vertices, cap is 2 \(max_vertices\)$"):
         list(enumerate_graphs([(1, 1)] * 3, 1, 1, max_vertices=2))
     with pytest.raises(LimitError, match=r"4 edges, cap is 3 \(max_edges\)"):
         list(enumerate_graphs([(1, 1)] * 3, 1, 1, max_edges=3))
-    monkeypatch.setenv("PROPCALC_MAX_VERTICES", "2")
-    with pytest.raises(LimitError, match=knob):
-        list(enumerate_graphs([(1, 1)] * 3, 1, 1))
-    monkeypatch.setenv("PROPCALC_MAX_VERTICES", "9")
-    assert count_graphs([(1, 1)] * 3, 1, 1) == 6
+    assert count_graphs([(1, 1)] * 3, 1, 1, max_vertices=3) == 6
 
 
 # ---------------------------------------------------------------------------
 # free renumbering action
 
 def test_free_action_running_example():
-    ng = NumberedGraph.from_graph(fixtures.fig7())
-    assert free_action_check(ng)
+    assert free_action_check(fixtures.fig7())
 
 
 def test_free_action_single_vertex():
@@ -429,34 +425,43 @@ def test_free_action_single_vertex():
                    [(("input", 1), ("vin", 1, 1)),
                     (("input", 2), ("vin", 1, 2))]
                    + [(("vout", 1, k), ("output", k)) for k in (1, 2, 3, 4)])
-    assert free_action_check(NumberedGraph.from_graph(g))
+    assert free_action_check(g)
 
 
 def test_free_action_requires_inputs_everywhere():
     g = fixtures.remark_witness()["graph"]
     with pytest.raises(GraphError):
-        free_action_check(NumberedGraph.from_graph(g))
+        free_action_check(g)
 
 
 def test_renumber_is_right_action():
-    ng = NumberedGraph.from_graph(fixtures.fig7())
+    # renumbering by w through relabel_vertices: number i goes to the
+    # vertex that carried number w(i)
+    def renumber(g, w):
+        return relabel_vertices(g, {old: new for new, old
+                                    in enumerate(w, start=1)})
+
+    g = fixtures.fig7()
     w1, w2 = (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)
     combined = tuple(w1[w2[i] - 1] for i in range(5))
-    assert renumber(renumber(ng, w1), w2) == renumber(ng, combined)
-    with pytest.raises(GraphError, match=r"not a permutation of 1\.\.5: "
-                                         r"\(1, 1, 2, 3, 4\)"):
-        renumber(ng, (1, 1, 2, 3, 4))
+    assert renumber(renumber(g, w1), w2) == renumber(g, combined)
+    assert renumber(g, w1) != g
+    assert renumber(g, (1, 2, 3, 4, 5)) == g
+    with pytest.raises(GraphError, match="vertex relabeling is not injective"):
+        renumber(g, (1, 1, 2, 3, 4))
 
 
 def test_numbered_graph_checks_its_numbering():
-    g = fixtures.fig7()
-    with pytest.raises(GraphError, match="bijection"):
-        NumberedGraph(g, (1, 1, 2, 3, 4))
-    # the enumeration builds its graphs unchecked; they pass the check
-    for ng in enumerate_graphs([(1, 2), (2, 1), (1, 1)], 1, 1):
-        assert ng == NumberedGraph(ng.graph, ng.order)
-        assert ng.graph == make_graph(ng.graph.m, ng.graph.n,
-                                      ng.graph.vertices, ng.graph.edges)
+    # a numbered graph is numbered by its vertex ids, 1..r in enumeration;
+    # the enumeration builds its graphs unchecked, and they pass the checks
+    # of make_graph
+    for upto_iso in (False, True):
+        for ng in enumerate_graphs([(1, 2), (2, 1), (1, 1)], 1, 1,
+                                   upto_iso=upto_iso):
+            assert ng == NumberedGraph(ng.graph)
+            assert ng.graph.vertex_ids == (1, 2, 3)
+            assert ng.graph == make_graph(ng.graph.m, ng.graph.n,
+                                          ng.graph.vertices, ng.graph.edges)
 
 
 def test_renumbering_moves_every_small_graph():
@@ -467,7 +472,7 @@ def test_renumbering_moves_every_small_graph():
     ]
     for arities, m, n in profiles:
         for ng in enumerate_graphs(arities, m, n):
-            assert free_action_check(ng)
+            assert free_action_check(ng.graph)
             assert not brute_force_nontrivial_automorphism(ng.graph)
 
 

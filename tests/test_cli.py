@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from propcalc import cli
+from propcalc import canonical, cli
 from propcalc.fixtures import fixture_dicts
 from propcalc.freeprop import element_from_dict, element_to_dict, \
     partial_from_dict, partial_to_dict, signature_from_dict
@@ -199,6 +199,27 @@ def test_canon_hash_ignores_vertex_numbering(tmp_path):
     assert one["graph"] == two["graph"]
 
 
+def test_canon_keys_its_graph_once(monkeypatch):
+    # the hash comes from the key of the canonical form, so one canonical
+    # route serves both; it is the hash of the graph canon prints
+    route = canonical._route_order
+    calls = []
+
+    def counted(g, texts):
+        calls.append(g)
+        return route(g, texts)
+
+    monkeypatch.setattr(canonical, "_route_order", counted)
+    for name in ("fig1", "fig7", "fig8", "nonacyclic-p2", "remark-witness"):
+        calls.clear()
+        rc, out, _ = run("canon", str(fixture_path(name)))
+        assert rc == 0 and len(calls) == 1, name
+        report = json.loads(out)
+        graph, extras = graph_from_dict(report["graph"])
+        labels = {vid: ex["label"] for vid, ex in extras.items()} or None
+        assert report["hash"] == canonical.graph_hash(graph, labels), name
+
+
 def test_iso_distinguishes_fixture_shapes():
     rc, out, _ = run("iso", str(fixture_path("fig1")), str(fixture_path("fig7")))
     assert rc == 0 and json.loads(out)["isomorphic"] is True
@@ -257,13 +278,11 @@ def test_enum_lists_every_wiring_of_the_menu():
         assert (graph.m, graph.n) == (2, 1)
 
 
-def test_enum_honors_the_vertex_cap(monkeypatch):
-    monkeypatch.setenv("PROPCALC_MAX_VERTICES", "2")
-    rc, _, err = run("enum", "--arities", "1:1,1:1,1:1", "--m", "1", "--n", "1")
-    assert rc == 1 and "cap is 2" in err
-    monkeypatch.setenv("PROPCALC_MAX_VERTICES", "junk")
-    rc, _, err = run("enum", "--arities", "1:1", "--m", "1", "--n", "1")
-    assert rc == 1 and "PROPCALC_MAX_VERTICES" in err
+def test_enum_honors_the_vertex_cap():
+    rc, out, err = run("enum", "--arities", ",".join(["1:1"] * 9),
+                       "--m", "1", "--n", "1")
+    assert (rc, out) == (1, "")
+    assert err == "error: profile has 9 vertices, cap is 8 (max_vertices)\n"
 
 
 def test_enum_of_an_unbalanced_profile_is_empty_whatever_the_caps():

@@ -17,7 +17,6 @@ SRC = ROOT / "src" / "propcalc"
 
 # public names kept although only tests call them, each with its reason
 KEPT = {
-    "free_action_check": "the free-action criterion (02) is stated on it",
     "algebra_to_dict": "writer half of the algebra JSON round trip",
     "partial_to_dict": "writer half of the partial-graph JSON round trip",
 }
@@ -90,4 +89,16 @@ def test_library_makes_no_check_with_assert():
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_reads_no_environment():
+    """Every cap and option of the library is a parameter or a CLI flag;
+    none is read from the process environment."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Attribute, ast.alias))
+             and (node.attr if isinstance(node, ast.Attribute)
+                  else node.name) in ("environ", "getenv", "putenv")]
     assert found == []

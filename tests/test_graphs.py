@@ -11,7 +11,8 @@ from propcalc import fixtures
 from propcalc.graphs import (Edge, FormatError, Graph, GraphError, Vertex,
                              check, graph_from_dict, graph_to_dict, hcompose,
                              identity, invert_permutation, make_graph,
-                             permute_inputs, permute_outputs, to_json_text,
+                             permute_inputs, permute_outputs,
+                             relabel_vertices, to_json_text,
                              topological_order, validate, vcompose,
                              vertex_successors)
 
@@ -130,7 +131,7 @@ def test_validate_flags_cycle():
     assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
 
 
-def test_topological_order_breaks_ties_by_key():
+def test_topological_order_breaks_ties_by_id():
     # 1 and 3 are ready at once; 2 waits for 1
     g = make_graph(2, 2, [(1, 1, 1), (2, 1, 1), (3, 1, 1)],
                    [(("input", 1), ("vin", 1, 1)),
@@ -139,7 +140,9 @@ def test_topological_order_breaks_ties_by_key():
                     (("vout", 2, 1), ("output", 1)),
                     (("vout", 3, 1), ("output", 2))])
     assert topological_order(g) == [1, 2, 3]
-    assert topological_order(g, key=lambda vid: -vid) == [3, 1, 2]
+    # renumbered, the lone vertex has the smaller id and goes first
+    h = relabel_vertices(g, {1: 6, 2: 5, 3: 4})
+    assert topological_order(h) == [4, 6, 5]
 
 
 def test_deep_chain_validates():
