@@ -16,17 +16,18 @@ i = FiniteSetMap.build(K, L, {"p": "x", "q": "z"})
 # the n-cube has a corner for each subset of axes; removing the
 # terminal corner leaves the punctured diagram, whose colimit counts
 # tuples over L that use at least one coordinate outside the image
+colimits = {}
 for n in range(1, 5):
     cube = CubeDiagram(n, i)
     assert faces_commute(cube)
-    col = punctured_colimit(cube)
+    col = colimits[n] = punctured_colimit(cube)
     formula = len(L) ** n - (len(L) - len(K)) ** n
     print(f"n={n}: colimit size {col.size}  formula {formula}"
           f"  lambda injective: {col.lam_injective()}")
 
 # binary decomposition: the n-cube colimit is reachable by iterated
 # two-term pushouts
-print("iterated identity at n=3:", iterated_identity_check(i, 3))
+print("iterated identity at n=3:", iterated_identity_check(i, colimits[3]))
 
 # a bare two-term pushout over a shared source
 u = FiniteSetMap.build(K, L, {"p": "x", "q": "z"})

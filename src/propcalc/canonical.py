@@ -35,6 +35,7 @@ is determined by the vertex bijection.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -221,14 +222,42 @@ def _route_order(g: Graph, texts: dict[int, str] | None) -> list[int] | None:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """A graph renamed so that vertex ids 1..r follow the canonical order.
-    `order` lists the original ids in canonical sequence; `key` is the
-    hashable serialization that defines equality."""
+    """A graph in canonical form.  `order` lists the original vertex ids
+    in canonical sequence, `labels` carries each label to its vertex's
+    rank in that order, and `key` is the hashable serialization that
+    defines equality.  `graph`, the graph renamed so that vertex ids 1..r
+    follow the canonical order, is built on first read; `digest`, the
+    key's `graph_hash`, is computed on first read.  Both are then kept in
+    the instance dict, outside equality, hashing and repr."""
 
-    graph: Graph
+    # The two are cached by hand: functools.cached_property takes a lock
+    # on first read under Python 3.11, which costs about as much as
+    # building a small graph's renamed copy.
+
     labels: dict[int, str] | None
     order: tuple[int, ...]
     key: tuple
+
+    @property
+    def graph(self) -> Graph:
+        cache = self.__dict__
+        if "_graph" not in cache:
+            # the key lists the renamed vertices in id order and the
+            # renamed edges sorted, which is the renamed graph
+            m, n, vertex_part, edge_part = self.key
+            cache["_graph"] = Graph._sorted(
+                m, n,
+                tuple(Vertex(i, a, b) for i, (a, b, _)
+                      in enumerate(vertex_part, start=1)),
+                tuple(Edge(src, dst) for src, dst in edge_part))
+        return cache["_graph"]
+
+    @property
+    def digest(self) -> int:
+        cache = self.__dict__
+        if "_digest" not in cache:
+            cache["_digest"] = _key_hash(self.key)
+        return cache["_digest"]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CanonicalForm) and self.key == other.key
@@ -256,17 +285,11 @@ def key_and_order(g: Graph,
 def canonicalize(g: Graph,
                  labels: dict[int, str] | None = None) -> CanonicalForm:
     key, order = key_and_order(g, _render(labels))
-    # the key lists the renamed vertices in id order and the renamed edges
-    # sorted, which is the renamed graph
-    m, n, vertex_part, edge_part = key
-    graph = Graph._sorted(m, n,
-                          tuple(Vertex(i, a, b) for i, (a, b, _)
-                                in enumerate(vertex_part, start=1)),
-                          tuple(Edge(src, dst) for src, dst in edge_part))
-    rename = {vid: i for i, vid in enumerate(order, start=1)}
-    new_labels = ({rename[vid]: lab for vid, lab in labels.items()}
-                  if labels is not None else None)
-    return CanonicalForm(graph, new_labels, tuple(order), key)
+    new_labels = None
+    if labels is not None:
+        rename = {vid: i for i, vid in enumerate(order, start=1)}
+        new_labels = {rename[vid]: lab for vid, lab in labels.items()}
+    return CanonicalForm(new_labels, tuple(order), key)
 
 
 def is_isomorphic(g: Graph, h: Graph,
@@ -276,15 +299,48 @@ def is_isomorphic(g: Graph, h: Graph,
 
 
 def graph_hash(g: Graph, labels: dict[int, str] | None = None) -> int:
-    """Stable 64-bit digest of the canonical form (stable across runs and
-    processes, unlike the builtin hash)."""
+    """Stable 64-bit digest of the canonical key.  The key is written in
+    a fixed-width little-endian encoding, so the digest is the same in
+    every process and on every machine, unlike the builtin hash."""
     return _key_hash(canonical_key(g, labels))
 
 
+# the code of each edge end's port kind; the kind fixes how many indices
+# follow it
+_PORT_CODE = {"input": 0, "output": 1, "vout": 2, "vin": 3}
+
+
 def _key_hash(key: tuple) -> int:
-    # the digest of a canonical key: `graph_hash` of any graph with that key
-    digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    # The digest of a canonical key: `graph_hash` of any graph with that
+    # key.  Integers first, as int64: m, n, the vertex and edge counts;
+    # per vertex its arities and its text's byte length; per edge end its
+    # port code and indices.  The texts' bytes follow.  The counts, codes
+    # and lengths fix where every field ends, so distinct keys never
+    # share an encoding.  Every integer of a valid graph's key counts
+    # ports held in memory, so it fits in int64.  A label's repr may hold
+    # a lone surrogate, which strict UTF-8 refuses; surrogatepass keeps
+    # the text encoding injective.
+    m, n, vertex_part, edge_part = key
+    ints = [m, n, len(vertex_part), len(edge_part)]
+    raw = []
+    for a, b, text in vertex_part:
+        data = text.encode("utf-8", "surrogatepass")
+        raw.append(data)
+        ints += (a, b, len(data))
+    code = _PORT_CODE
+    for src, dst in edge_part:
+        ints.append(code[src[0]])
+        ints += src[1:]
+        ints.append(code[dst[0]])
+        ints += dst[1:]
+    try:
+        packed = struct.pack(f"<{len(ints)}q", *ints)
+    except struct.error:
+        raise GraphError("canonical key holds an integer outside int64: "
+                         "not a valid graph") from None
+    digest = hashlib.blake2b(packed, digest_size=8)
+    digest.update(b"".join(raw))
+    return int.from_bytes(digest.digest(), "big")
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +385,11 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
     cap = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
     if r > cap:
         raise LimitError(f"profile has {r} vertices, cap is {cap} "
-                         "(max_vertices)")
+                         "(max_vertices, --max-vertices)")
     edge_cap = DEFAULT_MAX_EDGES if max_edges is None else max_edges
     if edge_count > edge_cap:
-        raise LimitError(f"{edge_count} edges, cap is {edge_cap} (max_edges)")
+        raise LimitError(f"{edge_count} edges, cap is {edge_cap} "
+                         "(max_edges, --max-edges)")
 
     # built with the first graph: many calls in a sweep yield none
     vertices: tuple[Vertex, ...] | None = None

@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .canonical import (_key_hash, canonicalize, enumerate_graphs,
-                        is_isomorphic)
+from .canonical import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, canonicalize,
+                        enumerate_graphs, is_isomorphic)
 from .freeprop import (FREE_OPS, count_basis, element_from_dict,
                        element_to_dict, expand, extend_morphism,
                        partial_from_dict, pelem_hcompose, pelem_vcompose,
@@ -135,7 +135,7 @@ def _cmd_canon(args) -> int:
     cf = canonicalize(graph, labels)
     _emit({
         "order": list(cf.order),
-        "hash": _key_hash(cf.key),
+        "hash": cf.digest,
         "graph": graph_to_dict(cf.graph, labels=cf.labels),
     })
     return 0
@@ -169,7 +169,8 @@ def _cmd_enum(args) -> int:
     arities = _parse_arities(args.arities)
     count = 0
     for ng in enumerate_graphs(arities, args.m, args.n,
-                               upto_iso=args.upto_iso):
+                               upto_iso=args.upto_iso,
+                               **_enumeration_caps(args)):
         print(json.dumps(graph_to_dict(ng.graph), separators=(",", ":")))
         count += 1
     print(f"{count} graphs", file=sys.stderr)
@@ -182,10 +183,17 @@ def _at_least(flag: str, value: int | None, low: int) -> None:
         raise FormatError(f"{flag} must be at least {low}, got {value}")
 
 
+def _enumeration_caps(args) -> dict:
+    _at_least("--max-vertices", args.max_vertices, 0)
+    _at_least("--max-edges", args.max_edges, 0)
+    return dict(max_vertices=args.max_vertices, max_edges=args.max_edges)
+
+
 def _cmd_count(args) -> int:
     _at_least("--max-r", args.max_r, 0)
+    caps = _enumeration_caps(args)
     sig = signature_from_dict(_read_json(args.sig))
-    _emit(count_basis(sig, args.m, args.n, args.max_r))
+    _emit(count_basis(sig, args.m, args.n, args.max_r, **caps))
     return 0
 
 
@@ -291,9 +299,10 @@ def _tokens(text: str) -> list[str]:
 
 
 def _cmd_cube(args) -> int:
+    _at_least("--max-classes", args.max_classes, 0)
     k_set, l_set = _tokens(args.K), _tokens(args.L)
     i = inclusion_map(k_set, l_set)
-    pc = punctured_colimit(CubeDiagram(args.n, i))
+    pc = punctured_colimit(CubeDiagram(args.n, i), args.max_classes)
     formula = len(l_set) ** args.n - (len(l_set) - len(k_set)) ** args.n
     out = {
         "n": args.n,
@@ -307,7 +316,8 @@ def _cmd_cube(args) -> int:
         "union_formula_ok": pc.size == formula,
     }
     if args.n >= 2:
-        out["decomposition_ok"] = iterated_identity_check(i, args.n)
+        out["decomposition_ok"] = iterated_identity_check(i, pc,
+                                                          args.max_classes)
     _emit(out)
     return 0
 
@@ -332,6 +342,13 @@ def _cmd_filtration_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+def _add_enumeration_caps(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+                   help="cap on the vertices of a profile (max_vertices)")
+    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES,
+                   help="cap on the edges of a profile (max_edges)")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -365,6 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--upto-iso", action="store_true")
+    _add_enumeration_caps(p)
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("count", help="basis counts per vertex count")
@@ -372,6 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-r", type=int, required=True)
+    _add_enumeration_caps(p)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("expand", help="substitute inner elements into a graph")
@@ -419,6 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", default="", help="comma list of tokens")
     p.add_argument("--L", required=True, help="comma list of tokens")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES,
+                   help="cap on the elements of the punctured cube"
+                   " (max_classes)")
     p.set_defaults(fn=_cmd_cube)
 
     p = sub.add_parser("filtration-check",

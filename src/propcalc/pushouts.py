@@ -198,12 +198,15 @@ class PuncturedColimit:
         return frozenset(self.lam)
 
 
-def punctured_colimit(cube: CubeDiagram) -> PuncturedColimit:
+def punctured_colimit(cube: CubeDiagram,
+                      max_classes: int | None = None) -> PuncturedColimit:
     """Quotient of all sub-terminal cube vertices by the edge maps.  A
     0-cube has no sub-terminal part, and with K empty every sub-terminal
     vertex is empty, so both colimits are empty.  The
     (|K|+|L|)^n - |L|^n elements are counted before any is listed, and
-    more than DEFAULT_MAX_CLASSES raise LimitError."""
+    more than max_classes (default DEFAULT_MAX_CLASSES) raise
+    LimitError."""
+    cap = DEFAULT_MAX_CLASSES if max_classes is None else max_classes
     n = cube.n
     k_size, l_size = len(cube.i.source), len(cube.i.target)
     if n == 0 or k_size == 0:
@@ -212,11 +215,11 @@ def punctured_colimit(cube: CubeDiagram) -> PuncturedColimit:
     # the cap rather than raise |K|+|L| to a huge n
     for j in range(1, n + 1):
         size = (k_size + l_size) ** j - l_size ** j
-        if size > DEFAULT_MAX_CLASSES:
+        if size > cap:
             raise LimitError(
                 f"punctured {n}-cube has {'' if j == n else 'over '}"
-                f"{size} elements, cap is {DEFAULT_MAX_CLASSES}"
-                " (DEFAULT_MAX_CLASSES)")
+                f"{size} elements, cap is {cap}"
+                " (max_classes, --max-classes)")
     eps_list = [eps for eps in itertools.product((0, 1), repeat=n)
                 if 0 in eps]
     items = [(eps, t) for eps in eps_list for t in cube.vertex(eps)]
@@ -240,14 +243,16 @@ def punctured_colimit(cube: CubeDiagram) -> PuncturedColimit:
     return PuncturedColimit(n, tuple(classes), tuple(lam))
 
 
-def iterated_identity_check(i: FiniteSetMap, n: int) -> bool:
-    """The n-fold punctured colimit agrees with the binary pushout built
-    from the (n-1)-fold one, by a bijection commuting with the maps into
-    the terminal product."""
+def iterated_identity_check(i: FiniteSetMap, lhs: PuncturedColimit,
+                            max_classes: int | None = None) -> bool:
+    """`lhs`, the n-fold punctured colimit of i's cube, agrees with the
+    binary pushout built from the (n-1)-fold one, by a bijection
+    commuting with the maps into the terminal product.  The (n-1)-fold
+    colimit is built under the cap max_classes."""
+    n = lhs.n
     if n < 2:
         raise ValueError("decomposition needs n >= 2")
-    lhs = punctured_colimit(CubeDiagram(n, i))
-    prev = punctured_colimit(CubeDiagram(n - 1, i))
+    prev = punctured_colimit(CubeDiagram(n - 1, i), max_classes)
     prev_class = {node: c for c, cls in enumerate(prev.classes)
                   for node in cls}
     ks = sorted(i.source, key=repr)
@@ -288,7 +293,10 @@ def iterated_identity_check(i: FiniteSetMap, n: int) -> bool:
 
     matched = {}
     for c, cls in enumerate(lhs.classes):
-        targets = {rhs_class[correspond(eps, t)] for eps, t in cls}
+        try:
+            targets = {rhs_class[correspond(eps, t)] for eps, t in cls}
+        except (KeyError, GraphError):
+            return False  # a member outside i's n-cube
         if len(targets) != 1:
             return False
         matched[c] = targets.pop()
@@ -343,7 +351,8 @@ def _enumerate_classes(lister: ClassLister, roles, max_vertices, accept,
                     if len(out) > max_classes:
                         raise LimitError(
                             f"class enumeration found {len(out)} classes,"
-                            f" cap is {max_classes} (max_classes)")
+                            f" cap is {max_classes}"
+                            " (max_classes, --max-classes)")
     return out
 
 

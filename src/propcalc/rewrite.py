@@ -307,7 +307,8 @@ def _exhaustive(g: MixedGraph,
                 continue
             if len(seen) >= max_states:
                 raise LimitError(f"merge search exceeded the cap of "
-                                 f"{max_states} states (--max-states)")
+                                 f"{max_states} states"
+                                 " (max_states, --max-states)")
             seen.add(child.key)
             rest[w] = fused
             stack.append((child, rest, seq + [(a, b)]))

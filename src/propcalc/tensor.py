@@ -258,7 +258,8 @@ class AlgebraAssignment:
         if not is_int(dim) or dim < 1:
             raise GraphError("dimension must be a positive integer")
         if dim > cap:
-            raise LimitError(f"dimension {dim}, cap is {cap} (max_dim)")
+            raise LimitError(
+                f"dimension {dim}, cap is {cap} (max_dim, --max-dim)")
         for name, t in matrices.items():
             if not isinstance(t, RatTensor) or len(t.shape) != 2:
                 raise GraphError(f"assignment for {name!r} must be a matrix")
@@ -421,7 +422,8 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
     cap = DEFAULT_MAX_AXES if max_axes is None else max_axes
     if graph.m + graph.n > cap:
         raise LimitError(
-            f"boundary {graph.m}+{graph.n} axes, cap is {cap} (max_axes)")
+            f"boundary {graph.m}+{graph.n} axes, cap is {cap}"
+            " (max_axes, --max-axes)")
     d, matrices = A.dim, A.matrices
     plan = _default_plan(e)
     # a canonical element's default order is its vertex order, so this

@@ -331,7 +331,7 @@ def test_criterion_08_cube_identities():
                         assert col.size \
                             == l_size ** n - (l_size - k_size) ** n
                         if n >= 2:
-                            assert iterated_identity_check(i, n)
+                            assert iterated_identity_check(i, col)
                         cubes += 1
         return f"{cubes} cubes"
 

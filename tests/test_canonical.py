@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import gc
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +17,17 @@ from propcalc.canonical import (ClassLister, NumberedGraph,
                                 canonical_order, canonicalize,
                                 count_graphs, distinct, enumerate_graphs,
                                 graph_hash, input_path_order,
-                                is_isomorphic, output_path_order, skeletons)
-from propcalc.graphs import (GraphError, LimitError, identity, make_graph,
-                             permute_inputs, port_map, relabel_vertices)
+                                is_isomorphic, output_path_order, skeletons,
+                                _key_hash)
+from propcalc.graphs import (GraphError, LimitError, graph_from_dict,
+                             identity, make_graph, permute_inputs, port_map,
+                             relabel_vertices)
 
 from _oracles import (brute_force_graphs, brute_force_isomorphic,
                       brute_force_nontrivial_automorphism, free_action_check,
                       input_path_labels, unary_chain)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +268,68 @@ def test_hash_has_no_collisions_on_small_families():
     assert len(seen) > 10
 
 
+# graph_hash(fixtures.fig7()); the digest is fixed-width and little-endian,
+# so it holds in every process and on every machine
+FIG7_HASH = 6483979142243912551
+
+
+def test_graph_hash_is_pinned_across_processes():
+    assert graph_hash(fixtures.fig7()) == FIG7_HASH
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = ("from propcalc import fixtures\n"
+              "from propcalc.canonical import graph_hash\n"
+              "print(graph_hash(fixtures.fig7()))\n")
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == FIG7_HASH, seed
+
+
+def _fixture_graphs(d: dict):
+    """(graph, labels or None) for every graph object in a fixture."""
+    if "vertices" in d:
+        graph, extras = graph_from_dict(d)
+        labels = {vid: ex["label"] for vid, ex in extras.items()
+                  if "label" in ex}
+        yield graph, labels or None
+        return
+    for sub in d.values():
+        if isinstance(sub, dict):
+            yield from _fixture_graphs(sub)
+
+
+def test_form_digest_is_the_graph_hash_on_every_fixture():
+    count = 0
+    for name, d in fixtures.fixture_dicts().items():
+        for graph, labels in _fixture_graphs(d):
+            for lab in (None, labels) if labels else (None,):
+                cf = canonicalize(graph, lab)
+                assert cf.digest == graph_hash(graph, lab), name
+                count += 1
+    assert count >= 15
+
+
+def test_key_hash_encoding_is_injective_on_near_misses():
+    def key(texts, edges=()):
+        return (0, 0, tuple((0, 0, text) for text in texts), tuple(edges))
+
+    # where a text boundary falls
+    assert _key_hash(key(["ab", "c"])) != _key_hash(key(["a", "bc"]))
+    assert _key_hash(key(["a", ""])) != _key_hash(key(["", "a"]))
+    # an edge end's port kind, with the same indices
+    for one, other in ((("input", 1), ("output", 1)),
+                       (("vout", 1, 1), ("vin", 1, 1))):
+        assert _key_hash(key([], [(one, ("vin", 1, 1))])) \
+            != _key_hash(key([], [(other, ("vin", 1, 1))]))
+    # an integer past int64 cannot come from a valid graph
+    with pytest.raises(GraphError, match="int64"):
+        _key_hash((2 ** 63, 0, (), ()))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -406,9 +476,11 @@ def test_enumerate_rejects_cyclic_matchings():
 
 def test_enumerate_caps():
     with pytest.raises(LimitError,
-                       match=r"3 vertices, cap is 2 \(max_vertices\)$"):
+                       match=r"3 vertices, cap is 2 "
+                       r"\(max_vertices, --max-vertices\)$"):
         list(enumerate_graphs([(1, 1)] * 3, 1, 1, max_vertices=2))
-    with pytest.raises(LimitError, match=r"4 edges, cap is 3 \(max_edges\)"):
+    with pytest.raises(LimitError,
+                       match=r"4 edges, cap is 3 \(max_edges, --max-edges\)"):
         list(enumerate_graphs([(1, 1)] * 3, 1, 1, max_edges=3))
     assert count_graphs([(1, 1)] * 3, 1, 1, max_vertices=3) == 6
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from propcalc import canonical, cli
+from propcalc import canonical, cli, pushouts
 from propcalc.fixtures import fixture_dicts
 from propcalc.freeprop import element_from_dict, element_to_dict, \
     partial_from_dict, partial_to_dict, signature_from_dict
@@ -282,7 +282,8 @@ def test_enum_honors_the_vertex_cap():
     rc, out, err = run("enum", "--arities", ",".join(["1:1"] * 9),
                        "--m", "1", "--n", "1")
     assert (rc, out) == (1, "")
-    assert err == "error: profile has 9 vertices, cap is 8 (max_vertices)\n"
+    assert err == ("error: profile has 9 vertices, cap is 8"
+                   " (max_vertices, --max-vertices)\n")
 
 
 def test_enum_of_an_unbalanced_profile_is_empty_whatever_the_caps():
@@ -290,6 +291,47 @@ def test_enum_of_an_unbalanced_profile_is_empty_whatever_the_caps():
     rc, out, err = run("enum", "--arities", "1:13,1:13", "--m", "0",
                        "--n", "0")
     assert (rc, out, err) == (0, "", "0 graphs\n")
+
+
+def test_enum_takes_its_vertex_cap_from_the_flag():
+    args = ("enum", "--arities", "1:1,1:1", "--m", "1", "--n", "1")
+    rc, out, err = run(*args, "--max-vertices", "1")
+    assert (rc, out) == (1, "")
+    assert err == ("error: profile has 2 vertices, cap is 1"
+                   " (max_vertices, --max-vertices)\n")
+    rc, out, err = run(*args, "--max-vertices", "2")
+    assert rc == 0 and err == "2 graphs\n"
+
+
+def test_enum_takes_its_edge_cap_from_the_flag():
+    args = ("enum", "--arities", "1:1,1:1", "--m", "1", "--n", "1")
+    rc, out, err = run(*args, "--max-edges", "2")
+    assert (rc, out) == (1, "")
+    assert err == "error: 3 edges, cap is 2 (max_edges, --max-edges)\n"
+    rc, _, err = run(*args, "--max-edges", "-1")
+    assert rc == 2 and err == "error: --max-edges must be at least 0, got -1\n"
+
+
+def test_count_takes_its_vertex_cap_from_the_flag(tmp_path):
+    sig = write_json(tmp_path / "sig.json", UNARY_SIG)
+    args = ("count", "--sig", sig, "--m", "1", "--n", "1", "--max-r", "3")
+    rc, out, err = run(*args, "--max-vertices", "2")
+    assert (rc, out) == (1, "")
+    assert err == ("error: profile has 3 vertices, cap is 2"
+                   " (max_vertices, --max-vertices)\n")
+    rc, out, _ = run(*args, "--max-vertices", "3")
+    assert rc == 0 and json.loads(out)["iso"] == [1, 1, 1, 1]
+
+
+def test_count_takes_its_edge_cap_from_the_flag(tmp_path):
+    sig = write_json(tmp_path / "sig.json", UNARY_SIG)
+    args = ("count", "--sig", sig, "--m", "1", "--n", "1", "--max-r", "3")
+    rc, out, err = run(*args, "--max-edges", "3")
+    assert (rc, out) == (1, "")
+    assert err == "error: 4 edges, cap is 3 (max_edges, --max-edges)\n"
+    rc, _, err = run(*args, "--max-vertices", "-1")
+    assert rc == 2
+    assert err == "error: --max-vertices must be at least 0, got -1\n"
 
 
 def test_count_reports_both_numbered_and_iso_counts(tmp_path):
@@ -376,7 +418,7 @@ def test_eval_boundary_axes_cap(tmp_path):
     alg = write_json(tmp_path / "alg.json", {"dim": 2, "matrices": {}})
     rc, out, err = run("eval", elem, "--algebra", alg)
     assert rc == 1 and out == ""
-    assert err == "error: boundary 4+4 axes, cap is 6 (max_axes)\n"
+    assert err == "error: boundary 4+4 axes, cap is 6 (max_axes, --max-axes)\n"
     rc, out, _ = run("eval", elem, "--algebra", alg, "--max-axes", "8")
     assert rc == 0 and json.loads(out)["shape"] == [16, 16]
     for bad in ("0", "-3"):
@@ -391,7 +433,7 @@ def test_eval_dimension_cap(tmp_path):
     alg = write_json(tmp_path / "alg.json", {"dim": 5, "matrices": {"a": eye}})
     rc, out, err = run("eval", elem, "--algebra", alg)
     assert rc == 1 and out == ""
-    assert err == "error: dimension 5, cap is 4 (max_dim)\n"
+    assert err == "error: dimension 5, cap is 4 (max_dim, --max-dim)\n"
     rc, out, _ = run("eval", elem, "--algebra", alg, "--max-dim", "5")
     assert rc == 0 and json.loads(out)["rows"] == eye
     for bad in ("0", "-3"):
@@ -451,7 +493,7 @@ def test_collapse_state_cap():
                        "--max-states", "1")
     assert rc == 1 and out == ""
     assert err == "error: merge search exceeded the cap of 1 states " \
-        "(--max-states)\n"
+        "(max_states, --max-states)\n"
     for bad in ("0", "-5"):
         rc, out, err = run("collapse", path, "--strategy", "exhaustive",
                            "--max-states", bad)
@@ -505,6 +547,37 @@ def test_cube_reports_the_counting_identities():
     assert report["decomposition_ok"] is True
 
 
+def test_cube_takes_its_cap_from_the_flag():
+    # (1 + 2)^2 - 2^2 = 5 elements at n = 2, and 1 at n = 1
+    args = ("cube", "--K", "a", "--L", "a,b", "--n", "2")
+    rc, out, err = run(*args, "--max-classes", "4")
+    assert (rc, out) == (1, "")
+    assert err == ("error: punctured 2-cube has 5 elements, cap is 4"
+                   " (max_classes, --max-classes)\n")
+    rc, out, _ = run(*args, "--max-classes", "5")
+    assert rc == 0 and json.loads(out)["decomposition_ok"] is True
+    rc, _, err = run(*args, "--max-classes", "-1")
+    assert rc == 2
+    assert err == "error: --max-classes must be at least 0, got -1\n"
+
+
+def test_cube_builds_its_colimit_once(monkeypatch):
+    # the decomposition check reads the colimit cube already holds, and
+    # builds only the (n-1)-fold one
+    built = []
+    original = pushouts.punctured_colimit
+
+    def counted(cube, max_classes=None):
+        built.append(cube.n)
+        return original(cube, max_classes)
+
+    monkeypatch.setattr(pushouts, "punctured_colimit", counted)
+    monkeypatch.setattr(cli, "punctured_colimit", counted)
+    rc, out, _ = run("cube", "--K", "a", "--L", "a,b", "--n", "3")
+    assert rc == 0 and json.loads(out)["decomposition_ok"] is True
+    assert sorted(built) == [2, 3]
+
+
 def test_cube_rejects_tokens_outside_the_larger_set():
     rc, _, err = run("cube", "--K", "a,b", "--L", "a", "--n", "2")
     assert rc == 1 and err
@@ -517,7 +590,7 @@ def test_cube_counts_its_elements_before_listing_them():
     assert time.perf_counter() - start < 1.0
     assert rc == 1 and out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "cap is 200000 (DEFAULT_MAX_CLASSES)" in err
+    assert "cap is 200000 (max_classes, --max-classes)" in err
     # an empty K leaves every sub-terminal vertex empty, at any n
     start = time.perf_counter()
     rc, out, _ = run("cube", "--K", "", "--L", "a,b", "--n", "40")
@@ -577,7 +650,7 @@ def test_filtration_check_caps_its_classes(tmp_path):
     rc, out, err = run(*args, "--max-classes", "3")
     assert (rc, out) == (1, "")
     assert err == ("error: class enumeration found 4 classes, cap is 3"
-                   " (max_classes)\n")
+                   " (max_classes, --max-classes)\n")
     rc, _, err = run(*args, "--max-classes", "-1")
     assert rc == 2
     assert err == "error: --max-classes must be at least 0, got -1\n"
@@ -586,7 +659,7 @@ def test_filtration_check_caps_its_classes(tmp_path):
     assert rc == 0 and json.loads(out)["env_sizes"] == [5, 15, 25]
     rc, _, err = run(*args, "--no-slots", "--max-classes", "24")
     assert rc == 1 and err.endswith("found 25 classes, cap is 24"
-                                    " (max_classes)\n")
+                                    " (max_classes, --max-classes)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Every demo script runs to completion, every public library name has a
-caller outside the tests, and no library check is an assert."""
+caller outside the tests, no library check is an assert, and every cap
+message names its knob."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +104,62 @@ def test_library_reads_no_environment():
              and (node.attr if isinstance(node, ast.Attribute)
                   else node.name) in ("environ", "getenv", "putenv")]
     assert found == []
+
+
+def _cli_flags() -> set[str]:
+    """The option strings the CLI declares, over all subcommands."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    return {arg.value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            for arg in node.args
+            if isinstance(arg, ast.Constant)
+            and str(arg.value).startswith("--")}
+
+
+def _message_text(node: ast.AST) -> str:
+    """The literal text of a message expression, `{}` per placeholder."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_message_text(part) for part in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _message_text(node.left) + _message_text(node.right)
+    return "{}"
+
+
+def _cap_raises(node: ast.AST, params: frozenset = frozenset()):
+    """(raise node, parameters of its enclosing functions) for each
+    `raise LimitError(...)` under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = node.args
+        params = params | {a.arg for a in (*args.posonlyargs, *args.args,
+                                           *args.kwonlyargs)}
+    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+            and getattr(node.exc.func, "id", None) == "LimitError":
+        yield node, params
+    for child in ast.iter_child_nodes(node):
+        yield from _cap_raises(child, params)
+
+
+def test_every_cap_message_names_its_knob():
+    """Each cap error ends by naming the parameter that sets the cap, in
+    parentheses, and the CLI flag too wherever the CLI declares one of
+    that name: `(max_states, --max-states)`."""
+    flags = _cli_flags()
+    shape = re.compile(r"\((\w+)(?:, (--[\w-]+))?\)$")
+    bad = []
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, params in _cap_raises(tree):
+            checked += 1
+            text = _message_text(node.exc.args[0]) if node.exc.args else ""
+            found = shape.search(text)
+            flag = found and "--" + found[1].replace("_", "-")
+            if not found or found[1] not in params \
+                    or found[2] != (flag if flag in flags else None):
+                bad.append(f"{path.name}:{node.lineno}: {text}")
+    assert checked >= 8
+    assert bad == []

@@ -269,15 +269,19 @@ def test_lam_injectivity_tracks_the_map():
 
 def test_decomposition_on_the_small_inclusion():
     i = one_in_two()
-    assert iterated_identity_check(i, 2)
-    assert punctured_colimit(CubeDiagram(2, i)).size == 3
+    pc = punctured_colimit(CubeDiagram(2, i))
+    assert pc.size == 3
+    assert iterated_identity_check(i, pc)
+    # the (n-1)-fold colimit it builds is capped like any other
+    with pytest.raises(LimitError, match=r"1-cube has 1 elements, cap is 0 "):
+        iterated_identity_check(i, pc, max_classes=0)
 
 
 def test_decomposition_sizes_from_the_union_formula():
     i = inclusion_map({"x", "y"}, {"x", "y", "z"})
     pc = punctured_colimit(CubeDiagram(4, i))
     assert pc.size == union_formula(3, 1, 4) == 80
-    assert iterated_identity_check(i, 4)
+    assert iterated_identity_check(i, pc)
 
 
 def test_decomposition_when_the_map_is_an_isomorphism():
@@ -287,7 +291,22 @@ def test_decomposition_when_the_map_is_an_isomorphism():
         assert pc.size == 2 ** n
         assert pc.lam_injective()
         assert pc.image() == set(itertools.product(["a", "b"], repeat=n))
-        assert iterated_identity_check(i, n)
+        assert iterated_identity_check(i, pc)
+
+
+def test_decomposition_fails_on_another_maps_colimit():
+    # the check reads the colimit it is given, so a colimit built from a
+    # different map does not pass for i's
+    i = one_in_two()
+    iso = inclusion_map({"a", "b"}, {"a", "b"})
+    squash = FiniteSetMap.build({"p", "q"}, {"z"}, {"p": "z", "q": "z"})
+    for n in (2, 3):
+        assert not iterated_identity_check(
+            i, punctured_colimit(CubeDiagram(n, iso)))
+        assert not iterated_identity_check(
+            iso, punctured_colimit(CubeDiagram(n, i)))
+        assert not iterated_identity_check(
+            i, punctured_colimit(CubeDiagram(n, squash)))
 
 
 def test_decomposition_holds_for_arbitrary_maps():
@@ -295,9 +314,11 @@ def test_decomposition_holds_for_arbitrary_maps():
         for ls in range(1, 3):
             for i in all_maps(ks, ls):
                 for n in (2, 3):
-                    assert iterated_identity_check(i, n)
+                    assert iterated_identity_check(
+                        i, punctured_colimit(CubeDiagram(n, i)))
+    i = one_in_two()
     with pytest.raises(ValueError):
-        iterated_identity_check(one_in_two(), 1)
+        iterated_identity_check(i, punctured_colimit(CubeDiagram(1, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +397,8 @@ def test_filtration_validates_signatures():
 def test_filtration_respects_the_class_cap():
     sig_k, sig_l, base = chain_setup()
     with pytest.raises(LimitError,
-                       match=r"found 4 classes, cap is 3 \(max_classes\)"):
+                       match=r"found 4 classes, cap is 3 "
+                       r"\(max_classes, --max-classes\)"):
         filtration_square_check(sig_k, sig_l, base, 1, 1, max_degree=2,
                                 max_vertices=4, max_classes=3)
 

@@ -162,7 +162,8 @@ def test_all_plain_graph_is_already_irreducible():
 def test_exhaustive_collapse_stops_at_the_state_cap():
     g = the_remark()
     with pytest.raises(LimitError,
-                       match=r"exceeded the cap of 1 states \(--max-states\)"):
+                       match=r"exceeded the cap of 1 states "
+                       r"\(max_states, --max-states\)"):
         collapse(g, "exhaustive", max_states=1)
     # the start state and its two children fit under a cap of 3
     assert len(collapse(g, "exhaustive", max_states=3)) == 2

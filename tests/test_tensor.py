@@ -302,7 +302,7 @@ def test_exact_inverse():
 def test_assignment_build_validates():
     rng = random.Random(11)
     with pytest.raises(LimitError,
-                       match=r"dimension 5, cap is 4 \(max_dim\)"):
+                       match=r"dimension 5, cap is 4 \(max_dim, --max-dim\)"):
         rand_assignment(rng, 5)
     with pytest.raises(GraphError):
         AlgebraAssignment.build(0, {})
@@ -418,7 +418,8 @@ def test_evaluate_rejects_bad_input():
     with pytest.raises(GraphError):
         evaluate(e, wrong)
     with pytest.raises(LimitError,
-                       match=r"boundary 4\+4 axes, cap is 6 \(max_axes\)"):
+                       match=r"boundary 4\+4 axes, cap is 6 "
+                       r"\(max_axes, --max-axes\)"):
         evaluate(identity_element(4), A)
     assert evaluate(identity_element(4), A, max_axes=8) == \
         RatTensor.identity(16)
