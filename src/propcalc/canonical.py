@@ -226,13 +226,8 @@ class CanonicalForm:
     in canonical sequence, `labels` carries each label to its vertex's
     rank in that order, and `key` is the hashable serialization that
     defines equality.  `graph`, the graph renamed so that vertex ids 1..r
-    follow the canonical order, is built on first read; `digest`, the
-    key's `graph_hash`, is computed on first read.  Both are then kept in
-    the instance dict, outside equality, hashing and repr."""
-
-    # The two are cached by hand: functools.cached_property takes a lock
-    # on first read under Python 3.11, which costs about as much as
-    # building a small graph's renamed copy.
+    follow the canonical order, and `digest`, the key's `graph_hash`, are
+    computed from the key on each read; neither is stored."""
 
     labels: dict[int, str] | None
     order: tuple[int, ...]
@@ -240,24 +235,17 @@ class CanonicalForm:
 
     @property
     def graph(self) -> Graph:
-        cache = self.__dict__
-        if "_graph" not in cache:
-            # the key lists the renamed vertices in id order and the
-            # renamed edges sorted, which is the renamed graph
-            m, n, vertex_part, edge_part = self.key
-            cache["_graph"] = Graph._sorted(
-                m, n,
-                tuple(Vertex(i, a, b) for i, (a, b, _)
-                      in enumerate(vertex_part, start=1)),
-                tuple(Edge(src, dst) for src, dst in edge_part))
-        return cache["_graph"]
+        # the key lists the renamed vertices in id order and the renamed
+        # edges sorted, which is the renamed graph
+        m, n, vertex_part, edge_part = self.key
+        return Graph._sorted(m, n,
+                             tuple(Vertex(i, a, b) for i, (a, b, _)
+                                   in enumerate(vertex_part, start=1)),
+                             tuple(Edge(src, dst) for src, dst in edge_part))
 
     @property
     def digest(self) -> int:
-        cache = self.__dict__
-        if "_digest" not in cache:
-            cache["_digest"] = _key_hash(self.key)
-        return cache["_digest"]
+        return _key_hash(self.key)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CanonicalForm) and self.key == other.key

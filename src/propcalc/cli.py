@@ -21,8 +21,8 @@ from .freeprop import (FREE_OPS, count_basis, element_from_dict,
 from .graphs import (FormatError, GraphError, LimitError, check,
                      graph_from_dict, graph_to_dict, hcompose, validate,
                      vcompose)
-from .pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram,
-                       filtration_square_check, inclusion_map,
+from .pushouts import (DEFAULT_MAX_CLASSES, DEFAULT_MAX_ELEMENTS,
+                       CubeDiagram, filtration_square_check, inclusion_map,
                        iterated_identity_check, punctured_colimit)
 from .rewrite import (DEFAULT_MAX_STATES, collapse, mixed_from_dict,
                       mixed_to_dict, non_confluence_witness)
@@ -299,10 +299,10 @@ def _tokens(text: str) -> list[str]:
 
 
 def _cmd_cube(args) -> int:
-    _at_least("--max-classes", args.max_classes, 0)
+    _at_least("--max-elements", args.max_elements, 0)
     k_set, l_set = _tokens(args.K), _tokens(args.L)
     i = inclusion_map(k_set, l_set)
-    pc = punctured_colimit(CubeDiagram(args.n, i), args.max_classes)
+    pc = punctured_colimit(CubeDiagram(args.n, i), args.max_elements)
     formula = len(l_set) ** args.n - (len(l_set) - len(k_set)) ** args.n
     out = {
         "n": args.n,
@@ -316,8 +316,7 @@ def _cmd_cube(args) -> int:
         "union_formula_ok": pc.size == formula,
     }
     if args.n >= 2:
-        out["decomposition_ok"] = iterated_identity_check(i, pc,
-                                                          args.max_classes)
+        out["decomposition_ok"] = iterated_identity_check(i, pc)
     _emit(out)
     return 0
 
@@ -438,9 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", default="", help="comma list of tokens")
     p.add_argument("--L", required=True, help="comma list of tokens")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES,
+    p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
                    help="cap on the elements of the punctured cube"
-                   " (max_classes)")
+                   " (max_elements)")
     p.set_defaults(fn=_cmd_cube)
 
     p = sub.add_parser("filtration-check",

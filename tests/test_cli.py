@@ -547,18 +547,18 @@ def test_cube_reports_the_counting_identities():
     assert report["decomposition_ok"] is True
 
 
-def test_cube_takes_its_cap_from_the_flag():
+def test_cube_takes_its_element_cap_from_the_flag():
     # (1 + 2)^2 - 2^2 = 5 elements at n = 2, and 1 at n = 1
     args = ("cube", "--K", "a", "--L", "a,b", "--n", "2")
-    rc, out, err = run(*args, "--max-classes", "4")
+    rc, out, err = run(*args, "--max-elements", "4")
     assert (rc, out) == (1, "")
     assert err == ("error: punctured 2-cube has 5 elements, cap is 4"
-                   " (max_classes, --max-classes)\n")
-    rc, out, _ = run(*args, "--max-classes", "5")
+                   " (max_elements, --max-elements)\n")
+    rc, out, _ = run(*args, "--max-elements", "5")
     assert rc == 0 and json.loads(out)["decomposition_ok"] is True
-    rc, _, err = run(*args, "--max-classes", "-1")
+    rc, _, err = run(*args, "--max-elements", "-1")
     assert rc == 2
-    assert err == "error: --max-classes must be at least 0, got -1\n"
+    assert err == "error: --max-elements must be at least 0, got -1\n"
 
 
 def test_cube_builds_its_colimit_once(monkeypatch):
@@ -567,9 +567,9 @@ def test_cube_builds_its_colimit_once(monkeypatch):
     built = []
     original = pushouts.punctured_colimit
 
-    def counted(cube, max_classes=None):
+    def counted(cube, max_elements=None):
         built.append(cube.n)
-        return original(cube, max_classes)
+        return original(cube, max_elements)
 
     monkeypatch.setattr(pushouts, "punctured_colimit", counted)
     monkeypatch.setattr(cli, "punctured_colimit", counted)
@@ -590,7 +590,7 @@ def test_cube_counts_its_elements_before_listing_them():
     assert time.perf_counter() - start < 1.0
     assert rc == 1 and out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "cap is 200000 (max_classes, --max-classes)" in err
+    assert "cap is 200000 (max_elements, --max-elements)" in err
     # an empty K leaves every sub-terminal vertex empty, at any n
     start = time.perf_counter()
     rc, out, _ = run("cube", "--K", "", "--L", "a,b", "--n", "40")
