@@ -26,6 +26,14 @@ rooted at each vertex of its smallest (arity, coarity, label) colour class
 in turn, keeping the minimal serialization, and closed components are
 sorted by that serialization.  The cost is polynomial in the graph size.
 
+Each key is computed from one port map (`graphs.port_map`, or
+`graphs.build_port_map` for a caller without a `Graph`), built once: the
+route dispatch reads the arities from it, the walks read the far end of
+each port from it, and the key's edge part is written from it in key
+order, inputs 1..m and then each vertex's out-ports by canonical rank and
+port.  Each source port has exactly one edge, so that order is the
+sorted one, and the serializer neither scans the edge list nor sorts.
+
 Isomorphism here always means: a vertex bijection preserving arities,
 labels, port indices and boundary indices that carries the edge set across
 exactly.  Since every port belongs to exactly one edge, the edge bijection
@@ -57,30 +65,22 @@ class UnreachableVertexError(GraphError):
 
 
 # ---------------------------------------------------------------------------
-# path labels and orders
+# path orders
 
-def input_path_order(g: Graph) -> list[int]:
-    """Vertex ids sorted by minimal input-path label (a total order),
-    computed as a depth-first preorder: roots by input index, children by
-    out-port.  Raises UnreachableVertexError if some vertex has no path
-    from a graph input."""
-    return _path_order(g, "input")
+# Every walk reads the port map (`graphs.port_map`) it is given: `ports` is
+# its (boundary, ins, outs) and m its input count.
 
-
-def output_path_order(g: Graph) -> list[int]:
-    """The mirrored order: paths from vertices down to graph outputs,
-    walked up from the outputs by output index, children by in-port."""
-    return _path_order(g, "output")
-
-
-def _path_order(g: Graph, side: str) -> list[int]:
-    # one depth-first preorder from the `side` ports in index order: down
-    # the out-ports from the inputs, or up the in-ports from the outputs
-    boundary, ins, outs = port_map(g)
+def _path_order(ports: tuple, m: int, side: str) -> list[int]:
+    """Vertex ids sorted by minimal path label (a total order), as one
+    depth-first preorder from the `side` ports in index order: down the
+    out-ports from the inputs ("input"), or up the in-ports from the
+    outputs ("output").  Raises UnreachableVertexError if some vertex has
+    no path from a graph input (to a graph output)."""
+    boundary, ins, outs = ports
     if side == "input":
-        roots, ends = boundary[:g.m], outs
+        roots, ends = boundary[:m], outs
     else:
-        roots, ends = boundary[g.m:], ins
+        roots, ends = boundary[m:], ins
     seen: set[int] = set()
     order: list[int] = []
     stack = [iter(roots)]
@@ -111,30 +111,38 @@ def _render(labels: dict[int, object] | None) -> dict[int, str]:
     return {vid: repr(lab) for vid, lab in labels.items()} if labels else {}
 
 
-def _serialize(g: Graph, texts: dict[int, str], order: list[int]) -> tuple:
-    rename = {vid: i for i, vid in enumerate(order, start=1)}
-    by_id = {v.id: v for v in g.vertices}
-    vertex_part = tuple(
-        (by_id[vid].n_in, by_id[vid].n_out, texts.get(vid, _NO_LABEL))
-        for vid in order)
+def _serialize(m: int, n: int, ports: tuple, texts: dict[int, str],
+               order: list[int]) -> tuple:
+    # The edge part lists each edge once, from its source port, in key
+    # order: inputs 1..m, then the out-ports of each vertex by canonical
+    # rank and port.  Each source port has exactly one edge, so this is
+    # the renamed edge set sorted, with no sort.
+    boundary, ins, outs = ports
+    rank = {vid: i for i, vid in enumerate(order, start=1)}
+    get = texts.get
+    vertex_part = tuple([(len(ins[vid]), len(outs[vid]), get(vid, _NO_LABEL))
+                         for vid in order])
     edges = []
-    for e in g.edges:
-        src, dst = e.src, e.dst
-        if src[0] in _VERTEX_PORTS:
-            src = (src[0], rename[src[1]], src[2])
-        if dst[0] in _VERTEX_PORTS:
-            dst = (dst[0], rename[dst[1]], dst[2])
-        edges.append((src, dst))
-    edges.sort()
-    return (g.m, g.n, vertex_part, tuple(edges))
+    append = edges.append
+    for i in range(m):
+        far = boundary[i]
+        if far[0] == "vin":
+            far = ("vin", rank[far[1]], far[2])
+        append((("input", i + 1), far))
+    for r, vid in enumerate(order, start=1):
+        for k, far in enumerate(outs[vid], start=1):
+            if far[0] == "vin":
+                far = ("vin", rank[far[1]], far[2])
+            append((("vout", r, k), far))
+    return (m, n, vertex_part, tuple(edges))
 
 
-def _traversal_order(g: Graph, texts: dict[int, str] | None
+def _traversal_order(ports: tuple, texts: dict[int, str] | None
                      ) -> list[int] | None:
     # Only closed components read labels; where their text is unknown
     # (None), the order is None.  Every port has exactly one edge, so once
     # a traversal's root is fixed its visiting order is fixed.
-    boundary, ins, outs = port_map(g)
+    boundary, ins, outs = ports
     seen: set[int] = set()
     order: list[int] = []
     for far in boundary:
@@ -144,9 +152,9 @@ def _traversal_order(g: Graph, texts: dict[int, str] | None
         return order
     if texts is None:
         return None
-    closed = [_closed_component(_sweep(ins, outs, v.id, seen), ins, outs,
+    closed = [_closed_component(_sweep(ins, outs, vid, seen), ins, outs,
                                 texts)
-              for v in g.vertices if v.id not in seen]
+              for vid in ins if vid not in seen]
     for _, block in sorted(closed):
         order += block
     return order
@@ -204,20 +212,25 @@ def canonical_order(g: Graph,
     components sorted by their minimal serialization).  Labels are
     rendered only for a graph with a closed component, the one case that
     reads them."""
-    order = _route_order(g, None)
-    return order if order is not None else _route_order(g, _render(label_key))
+    ports = port_map(g)
+    order = _route_order(ports, g.m, None)
+    if order is None:
+        order = _route_order(ports, g.m, _render(label_key))
+    return order
 
 
-def _route_order(g: Graph, texts: dict[int, str] | None) -> list[int] | None:
-    """The canonical order by the route the arities choose.  Only closed
-    components of the traversal read labels.  If `texts` is None (labels
-    unknown), the order is None exactly where labels would steer it."""
-    vertices = g.vertices
-    if all(v.n_in for v in vertices):
-        return input_path_order(g)
-    if all(v.n_out for v in vertices):
-        return output_path_order(g)
-    return _traversal_order(g, texts)
+def _route_order(ports: tuple, m: int,
+                 texts: dict[int, str] | None) -> list[int] | None:
+    """The canonical order by the route the arities choose, read from the
+    port map.  Only closed components of the traversal read labels.  If
+    `texts` is None (labels unknown), the order is None exactly where
+    labels would steer it."""
+    _, ins, outs = ports
+    if all(ins.values()):
+        return _path_order(ports, m, "input")
+    if all(outs.values()):
+        return _path_order(ports, m, "output")
+    return _traversal_order(ports, texts)
 
 
 @dataclass(frozen=True)
@@ -266,13 +279,28 @@ def key_and_order(g: Graph,
     text: `key_and_order(g, {v: repr(lab) ...})` is
     `(canonical_key(g, labels), canonical_order(g, labels))`.  A caller
     that keeps its labels' text rendered saves rendering it per call."""
-    order = _route_order(g, texts)
-    return _serialize(g, texts, order), order
+    return _ported_key_and_order(g.m, g.n, port_map(g), texts)
+
+
+def _ported_key_and_order(m: int, n: int, ports: tuple,
+                          texts: dict[int, str]) -> tuple[tuple, list[int]]:
+    # `key_and_order` of the valid (m, n)-graph with this port map, which
+    # every step reads: the route, its walk and the serializer
+    order = _route_order(ports, m, texts)
+    return _serialize(m, n, ports, texts, order), order
 
 
 def canonicalize(g: Graph,
                  labels: dict[int, str] | None = None) -> CanonicalForm:
-    key, order = key_and_order(g, _render(labels))
+    return _canonicalize_ports(g.m, g.n, port_map(g), labels)
+
+
+def _canonicalize_ports(m: int, n: int, ports: tuple,
+                        labels: dict[int, str] | None = None
+                        ) -> CanonicalForm:
+    # `canonicalize` of the valid (m, n)-graph with this port map, for a
+    # caller that holds the map and no `Graph`
+    key, order = _ported_key_and_order(m, n, ports, _render(labels))
     new_labels = None
     if labels is not None:
         rename = {vid: i for i, vid in enumerate(order, start=1)}
@@ -551,12 +579,13 @@ def skeletons(arities: list[tuple[int, int]], m: int, n: int, *,
     for ng in enumerate_graphs(arities, m, n, max_vertices=max_vertices,
                                max_edges=max_edges):
         graph = ng.graph
-        order = _route_order(graph, None)
+        ports = port_map(graph)
+        order = _route_order(ports, m, None)
         if order is None:
             yield Skeleton(graph, None, None, None)
             continue
         order = tuple(order)
-        key = _serialize(graph, {}, order)
+        key = _serialize(m, n, ports, {}, order)
         yield Skeleton(graph, order, key,
                        class_ids.setdefault(key, len(class_ids)))
 

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Protocol, TypeVar
 
-from .canonical import canonicalize, distinct, skeletons
+from .canonical import (CanonicalForm, _canonicalize_ports, canonicalize,
+                        distinct, skeletons)
 from .graphs import (Edge, FormatError, Graph, GraphError, Port, Vertex,
-                     check, graph_from_dict, graph_to_dict, hcompose,
-                     identity, is_int, permute_inputs, permute_outputs,
-                     port_map, topological_order, vcompose)
+                     build_port_map, check, graph_from_dict, graph_to_dict,
+                     hcompose, identity, is_int, permute_inputs,
+                     permute_outputs, port_map, topological_order, vcompose)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +160,11 @@ class PropElement:
     def _canonical(cls, graph: Graph,
                    labels: dict[int, str]) -> "PropElement":
         # `build` without its checks, for results valid by construction
-        cf = canonicalize(graph, labels)
-        return cls(graph.m, graph.n, cf.graph, cf.labels or {}, cf.key)
+        return cls._of_form(graph.m, graph.n, canonicalize(graph, labels))
+
+    @classmethod
+    def _of_form(cls, m: int, n: int, cf: CanonicalForm) -> "PropElement":
+        return cls(m, n, cf.graph, cf.labels or {}, cf.key)
 
     @cached_property
     def key_text(self) -> str:
@@ -232,15 +236,19 @@ def expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
     inner through-wires (an input fed straight to an output) and the host
     edges after them until it reaches a genuine target.  A host edge that
     leaves a through-wire is passed by the walk from its chain's head, so
-    it is not walked itself.  Raises GraphError if `outer` is invalid or an
-    inner element is missing or has the wrong arity.
+    it is not walked itself.  The result's wires are keyed from their port
+    map (`graphs.build_port_map`); no intermediate graph is built.  Raises
+    GraphError if `outer` is invalid or an inner element is missing or has
+    the wrong arity.
     """
     return _expand(check(outer), inner)
 
 
 def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
     # `expand` of a host known to be valid.  The result needs no check: a
-    # cycle in it would project to a cycle in the host.
+    # cycle in it would project to a cycle in the host.  Its wires are
+    # collected as plain port pairs and keyed from their port map; its
+    # graph is built from the key, as for any element.
     for v in outer.vertices:
         e = inner.get(v.id)
         if e is None:
@@ -250,10 +258,12 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
                 f"vertex {v.id} has arity {(v.n_in, v.n_out)}, inner "
                 f"element is ({e.m},{e.n})")
 
+    # the result's vertices are numbered 1..N, host vertex by host vertex,
+    # each inner element's in its vertex order
     rename: dict[tuple[int, int], int] = {}
-    vertices: list[Vertex] = []
+    vertices: list[tuple[int, int, int]] = []
     labels: dict[int, str] = {}
-    edges: list[Edge] = []
+    edges: list[tuple[Port, Port]] = []
 
     # per host vertex v and inner boundary index: the far end of inner
     # input i, and the source that feeds inner output j
@@ -269,7 +279,7 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
         for iv in e.graph.vertices:
             new = len(vertices) + 1
             rename[(v.id, iv.id)] = new
-            vertices.append(Vertex(new, iv.n_in, iv.n_out))
+            vertices.append((new, iv.n_in, iv.n_out))
             labels[new] = e.labels[iv.id]
         for src, dst in e.graph.edges:
             if src[0] == "input":
@@ -277,7 +287,7 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
             if dst[0] == "output":
                 before_output[v.id, dst[1]] = src
             elif src[0] == "vout":
-                edges.append(Edge(lift(v.id, src), lift(v.id, dst)))
+                edges.append((lift(v.id, src), lift(v.id, dst)))
 
     host_dst = dict(outer.edges)
     for src, dst in outer.edges:
@@ -293,10 +303,11 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
                 dst = lift(vid, far)
                 break
             dst = host_dst["vout", vid, far[1]]
-        edges.append(Edge(src, dst))
+        edges.append((src, dst))
 
-    return PropElement._canonical(Graph(outer.m, outer.n, tuple(vertices),
-                                        tuple(edges)), labels)
+    m, n = outer.m, outer.n
+    return PropElement._of_form(m, n, _canonicalize_ports(
+        m, n, build_port_map(m, n, vertices, edges), labels))
 
 
 def expand_element(e: PropElement,

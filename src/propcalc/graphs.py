@@ -187,17 +187,27 @@ def vertex_successors(g: Graph) -> dict[int, set[int]]:
 
 def port_map(g: Graph) -> tuple[list, dict[int, list], dict[int, list]]:
     """The far port of every port, from one pass over the edges: the ends
-    of inputs 1..m then outputs 1..n, and per vertex the ends of its
-    in-ports and of its out-ports, each in port order.  g must be valid:
-    then every port has exactly one edge, so every slot is filled."""
-    m = g.m
-    boundary: list = [None] * (m + g.n)
+    of inputs 1..m then outputs 1..n, and per vertex, in vertex id order,
+    the ends of its in-ports and of its out-ports, each in port order.  g
+    must be valid: then every port has exactly one edge, so every slot is
+    filled.  `build_port_map` does the work, on g's parts."""
+    return build_port_map(g.m, g.n, g.vertices, g.edges)
+
+
+def build_port_map(m: int, n: int, vertices: Iterable[tuple],
+                   edges: Iterable[tuple]
+                   ) -> tuple[list, dict[int, list], dict[int, list]]:
+    """`port_map` of the valid graph with these parts, which need not be
+    a `Graph`: vertices as (id, n_in, n_out) triples in id order, edges as
+    (src, dst) port pairs in any order.  The one port index builder, for
+    callers that hold a graph's wires before, or instead of, a `Graph`."""
+    boundary: list = [None] * (m + n)
     ins: dict[int, list] = {}
     outs: dict[int, list] = {}
-    for v in g.vertices:
-        ins[v.id] = [None] * v.n_in
-        outs[v.id] = [None] * v.n_out
-    for src, dst in g.edges:
+    for vid, n_in, n_out in vertices:
+        ins[vid] = [None] * n_in
+        outs[vid] = [None] * n_out
+    for src, dst in edges:
         if src[0] == "input":
             boundary[src[1] - 1] = dst
         else:

@@ -354,6 +354,10 @@ def non_confluence_witness(max_vertices: int = 6,
     the bounds admit no witness (two composite vertices can only merge
     one way, so max_p <= 2 always comes back empty).
     """
+    # each atom's one-vertex element, built once per search: it does not
+    # depend on which other atoms an alphabet holds
+    corollas = {a: corolla(Signature([(_atom_name(a), a[0], a[1])]),
+                           _atom_name(a)) for a in _WITNESS_MENU}
     for r in range(3, max_vertices + 1):
         p_cap = r if max_p is None else min(max_p, r)
         if p_cap < 3:
@@ -366,14 +370,17 @@ def non_confluence_witness(max_vertices: int = 6,
                     continue
                 for ng in enumerate_graphs(list(profile), m, n,
                                            upto_iso=True):
-                    hit = _try_alphabets(ng.graph, list(profile), p_cap)
+                    hit = _try_alphabets(ng.graph, list(profile), p_cap,
+                                         corollas)
                     if hit is not None:
                         return hit
     return None
 
 
 def _try_alphabets(graph: Graph, profile: list[tuple[int, int]],
-                   p_cap: int) -> dict | None:
+                   p_cap: int, corollas: dict[tuple[int, int], PropElement]
+                   ) -> dict | None:
+    # corollas: the one-vertex element of each atom, by its arity
     r = len(profile)
     succ, reach = _reachability(graph)
     fusable = {(a, b) for a, b in itertools.combinations(range(1, r + 1), 2)
@@ -391,7 +398,6 @@ def _try_alphabets(graph: Graph, profile: list[tuple[int, int]],
                 (_atom_name(a), a[0], a[1]) for a in sorted(p_arities))
             msig = Signature(
                 (_gen_name(a), a[0], a[1]) for a in sorted(m_arities))
-            corollas = {a: corolla(atoms, _atom_name(a)) for a in p_arities}
             mixed = MixedGraph.build(
                 graph, atoms, msig,
                 {vid: corollas[profile[vid - 1]] for vid in subset},

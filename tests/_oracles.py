@@ -7,7 +7,9 @@ path order, raw permutation enumeration instead of pruned matching
 search, pure-python fraction matrices instead of numpy tensors, a
 reflexive coequalizer instead of the direct pushout quotient, a
 memo-free state search over the public merge instead of the library's
-exhaustive collapse.  Tests freeze their expected values against these.
+exhaustive collapse, an edge-list substitution that builds and checks a
+`Graph` instead of keying the port map it wires.  Tests freeze their
+expected values against these.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 from propcalc.canonical import (UnreachableVertexError, canonical_key,
                                 enumerate_graphs)
+from propcalc.freeprop import PropElement
 from propcalc.graphs import (Edge, Graph, GraphError, Vertex, port_map,
                              topological_order, vertex_successors)
 from propcalc.pushouts import FiniteSetMap, pushout_sets, quotient_classes
@@ -509,3 +512,55 @@ def brute_force_collapse(g) -> tuple[list, list]:
                 stack.append((child, seq + [(a, b)]))
     order = sorted(found, key=repr)
     return [found[k][0] for k in order], [found[k][1] for k in order]
+
+
+# ---------------------------------------------------------------------------
+# substitution over an edge list
+
+def expand_by_edges(outer: Graph, inner: dict) -> PropElement:
+    """`freeprop.expand` as an edge list: the result's vertices numbered
+    1..N host vertex by host vertex, each inner element's in its vertex
+    order, its wires spliced by walking inner through-wires, then built as
+    a `Graph`, checked and canonicalized by `PropElement.build`."""
+    rename: dict[tuple[int, int], int] = {}
+    vertices: list[Vertex] = []
+    labels: dict[int, str] = {}
+    edges: list[Edge] = []
+    after_input: dict = {}  # (host vertex, inner input) -> its far end
+    before_output: dict = {}  # (host vertex, inner output) -> its source
+
+    def lift(vid, port):
+        return (port[0], rename[(vid, port[1])], port[2])
+
+    for v in outer.vertices:
+        e = inner[v.id]
+        for iv in e.graph.vertices:
+            rename[(v.id, iv.id)] = len(vertices) + 1
+            vertices.append(Vertex(len(vertices) + 1, iv.n_in, iv.n_out))
+            labels[len(vertices)] = e.labels[iv.id]
+        for src, dst in e.graph.edges:
+            if src[0] == "input":
+                after_input[v.id, src[1]] = dst
+            if dst[0] == "output":
+                before_output[v.id, dst[1]] = src
+            elif src[0] == "vout":
+                edges.append(Edge(lift(v.id, src), lift(v.id, dst)))
+
+    host_dst = dict(outer.edges)
+    for src, dst in outer.edges:
+        if src[0] == "vout":
+            far = before_output[src[1], src[2]]
+            if far[0] == "input":
+                continue  # a through-wire's far side
+            src = lift(src[1], far)
+        while dst[0] == "vin":
+            vid = dst[1]
+            far = after_input[vid, dst[2]]
+            if far[0] == "vin":
+                dst = lift(vid, far)
+                break
+            dst = host_dst["vout", vid, far[1]]
+        edges.append(Edge(src, dst))
+
+    return PropElement.build(Graph(outer.m, outer.n, tuple(vertices),
+                                   tuple(edges)), labels)

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from propcalc import cli, fixtures
-from propcalc.canonical import canonicalize, enumerate_graphs, graph_hash
+from propcalc.canonical import canonicalize, enumerate_graphs
 from propcalc.freeprop import (PropElement, Signature, corolla, expand,
                                expand_element, pelem_hcompose,
                                pelem_permute_inputs, pelem_permute_outputs,
@@ -385,10 +385,11 @@ def test_criterion_10_isomorphism_oracle_equivalence():
                     buckets: dict[tuple, list] = {}
                     for prof in sorted(set(itertools.permutations(multiset))):
                         for ng in enumerate_graphs(list(prof), m, n):
-                            key = canonicalize(ng.graph).key
+                            cf = canonicalize(ng.graph)
+                            key = cf.key
                             buckets.setdefault(key, []).append(ng.graph)
                             graphs += 1
-                            h = graph_hash(ng.graph)
+                            h = cf.digest
                             if h in hash_to_key:
                                 assert hash_to_key[h] == key, "hash collision"
                             else:

@@ -16,9 +16,8 @@ from propcalc.canonical import (ClassLister, NumberedGraph,
                                 UnreachableVertexError, canonical_key,
                                 canonical_order, canonicalize,
                                 count_graphs, distinct, enumerate_graphs,
-                                graph_hash, input_path_order,
-                                is_isomorphic, output_path_order, skeletons,
-                                _key_hash)
+                                graph_hash, is_isomorphic, skeletons,
+                                _key_hash, _path_order)
 from propcalc.graphs import (GraphError, LimitError, graph_from_dict,
                              identity, make_graph, permute_inputs, port_map,
                              relabel_vertices)
@@ -32,6 +31,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # ---------------------------------------------------------------------------
 # path labels and orders
+
+def input_path_order(g):
+    return _path_order(port_map(g), g.m, "input")
+
+
+def output_path_order(g):
+    return _path_order(port_map(g), g.m, "output")
+
 
 def test_path_labels_running_example():
     labels = input_path_labels(fixtures.fig7())

@@ -1,17 +1,16 @@
-"""Canonical keys do not see vertex numbering, a canonical graph is
-numbered in its canonical order, and the output-path order is the
-input-path order of the mirrored graph, on random small graphs of all
-three canonical routes."""
+"""Canonical keys do not see vertex numbering, a key lists its graph's
+renamed edges sorted, a canonical graph is numbered in its canonical
+order, and the output-path order is the input-path order of the mirrored
+graph, on random small graphs of all three canonical routes."""
 
 from __future__ import annotations
 
 import pytest
 
 from propcalc.canonical import (UnreachableVertexError, canonical_key,
-                                canonical_order, canonicalize,
-                                input_path_order, output_path_order)
-from propcalc.graphs import (Edge, Graph, Vertex, hcompose, relabel_vertices,
-                             validate)
+                                canonical_order, canonicalize, _path_order)
+from propcalc.graphs import (Edge, Graph, Vertex, hcompose, port_map,
+                             relabel_vertices, validate)
 
 from _oracles import mirror
 
@@ -21,6 +20,14 @@ st = hypothesis.strategies
 SETTINGS = hypothesis.settings(derandomize=True, database=None,
                                deadline=None, max_examples=200)
 LABELS = st.text("ab", min_size=2, max_size=2)
+
+
+def input_path_order(g: Graph) -> list[int]:
+    return _path_order(port_map(g), g.m, "input")
+
+
+def output_path_order(g: Graph) -> list[int]:
+    return _path_order(port_map(g), g.m, "output")
 
 
 def route_of(g: Graph) -> str:
@@ -94,6 +101,30 @@ def test_canonical_key_ignores_the_numbering(data):
         assert canonical_key(h) == canonical_key(g)
         moved = {rename[vid]: lab for vid, lab in labels.items()}
         assert canonical_key(h, moved) == canonical_key(g, labels)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_a_key_lists_the_renamed_edges_sorted(data):
+    # the serializer writes the edge part from the port map in key order
+    # and never sorts; each source port has one edge, so that order must
+    # be the sorted one
+    g = data.draw(any_route_graphs())
+    labels = {vid: data.draw(LABELS) for vid in g.vertex_ids}
+    twice = hcompose(g, g)
+    shift = max(g.vertex_ids, default=0)
+    labels_twice = labels | {vid + shift: lab for vid, lab in labels.items()}
+    for graph, lab in ((g, None), (g, labels), (twice, labels_twice)):
+        cf = canonicalize(graph, lab)
+        rank = {vid: i for i, vid in enumerate(cf.order, start=1)}
+
+        def renamed(port):
+            if port[0] in ("vin", "vout"):
+                return (port[0], rank[port[1]], port[2])
+            return port
+
+        assert cf.key[3] == tuple(sorted((renamed(e.src), renamed(e.dst))
+                                         for e in graph.edges))
 
 
 @SETTINGS

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -23,7 +24,11 @@ from propcalc.rewrite import mixed_from_dict, mixed_to_dict
 
 from _oracles import unary_chain
 
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXDIR = ROOT / "fixtures"
+# child processes find the package in src/, as test_demo_runs does
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 FIXTURE_NAMES = ["fig1", "fig2h", "fig2v", "fig4", "fig7", "fig8",
                  "nonacyclic-p2", "remark-witness"]
 
@@ -205,9 +210,9 @@ def test_canon_keys_its_graph_once(monkeypatch):
     route = canonical._route_order
     calls = []
 
-    def counted(g, texts):
-        calls.append(g)
-        return route(g, texts)
+    def counted(ports, m, texts):
+        calls.append(ports)
+        return route(ports, m, texts)
 
     monkeypatch.setattr(canonical, "_route_order", counted)
     for name in ("fig1", "fig7", "fig8", "nonacyclic-p2", "remark-witness"):
@@ -737,7 +742,7 @@ def test_huge_declared_arity_fails_in_one_line_under_a_memory_cap(
     proc = subprocess.run(
         [sys.executable, "-m", "propcalc.cli", command, path],
         capture_output=True, text=True, timeout=120,
-        preexec_fn=_cap_address_space)
+        preexec_fn=_cap_address_space, env=CHILD_ENV)
     # an invalid graph fails validation; a mixed file that cannot be
     # loaded is a format error
     assert proc.returncode == (2 if name in _MIXED_FILES else 1), proc.stderr
@@ -749,7 +754,7 @@ def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "propcalc.cli", "validate",
          str(fixture_path("fig1"))],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
 
@@ -759,7 +764,8 @@ def test_enum_into_a_pipe_closed_early_exits_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "propcalc.cli", "enum", "--arities",
          "1:2,2:1,1:2,1:1,1:1", "--m", "1", "--n", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=CHILD_ENV)
     assert json.loads(proc.stdout.readline())["m"] == 1
     proc.stdout.close()
     err = proc.stderr.read()
