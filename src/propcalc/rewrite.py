@@ -8,19 +8,26 @@ single element.  Merging never changes the fully expanded element
 (`expand_all`, the module's equality oracle), but it is not confluent:
 the same graph can collapse to several distinct irreducible forms, and
 `non_confluence_witness` searches out a smallest example.
+
+Merges are spliced into port maps.  A merge search state (`_State`)
+carries its port map, its label texts, its composite labels and its
+successor and reachability sets, and each merge builds the child's from
+the parent's; a `Graph` is built only for the mixed graphs a caller
+receives: `merge`'s result and `collapse`'s forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .canonical import enumerate_graphs, key_and_order
+from .canonical import _ported_key_and_order, enumerate_graphs, key_and_order
 from .freeprop import (PropElement, Signature, _expand, combine_signatures,
                        corolla, element_from_dict, element_to_dict,
                        signature_from_dict, signature_to_dict)
 from .graphs import (Edge, FormatError, Graph, GraphError, LimitError,
-                     Vertex, check, graph_from_dict, graph_to_dict,
+                     Vertex, check, graph_from_dict, graph_to_dict, port_map,
                      topological_order, vertex_successors)
 
 DEFAULT_MAX_STATES = 20000
@@ -71,15 +78,8 @@ class MixedGraph:
                     raise GraphError(
                         f"vertex {v.id} has arity {(v.n_in, v.n_out)}, "
                         f"label {m_labels[v.id]!r} wants {want}")
-        return cls._keyed(graph, atoms, msig, dict(p_labels), dict(m_labels))
-
-    @classmethod
-    def _keyed(cls, graph: Graph, atoms: Signature, msig: Signature,
-               p_labels: dict[int, PropElement],
-               m_labels: dict[int, str]) -> "MixedGraph":
-        # `build` without its checks, for labelings known to be valid
         key, order = key_and_order(graph, _label_text(p_labels, m_labels))
-        return cls(graph, atoms, msig, p_labels, m_labels,
+        return cls(graph, atoms, msig, dict(p_labels), dict(m_labels),
                    (key, atoms.generators, msig.generators), tuple(order))
 
     def __eq__(self, other) -> bool:
@@ -129,6 +129,58 @@ def _fusable(succ: dict[int, set[int]], reach: dict[int, set[int]],
     return True
 
 
+class _State(NamedTuple):
+    """A mixed graph as the merge search holds it, with no `Graph`: its
+    port map (boundary, ins, outs), with `ins` and `outs` in vertex id
+    order as `graphs.port_map` lists them; each vertex's label text
+    (`_label_text`); the composite labels; the successor and
+    reachability sets (`_reachability`); and the `MixedGraph` key and
+    order.  The boundary's size (m, n), the plain labels and both
+    alphabets never change under merging, so they stay on the mixed graph
+    the search started from.  States share every list, dict and set they
+    do not change."""
+
+    ports: tuple
+    texts: dict[int, str]
+    p_labels: dict[int, PropElement]
+    succ: dict[int, set[int]]
+    reach: dict[int, set[int]]
+    key: tuple
+    order: tuple[int, ...]
+
+
+def _state(g: MixedGraph) -> _State:
+    return _State(port_map(g.graph), _label_text(g.p_labels, g.m_labels),
+                  g.p_labels, *_reachability(g.graph), g.key, g.order)
+
+
+def _mixed(g: MixedGraph, s: _State) -> MixedGraph:
+    """The state s of a merge search started from g, as a `MixedGraph`:
+    the one place a merged state's `Graph` is built, with its vertices in
+    id order and its edges sorted."""
+    boundary, ins, outs = s.ports
+    m = g.graph.m
+    # each source port has one edge: the inputs', then each vertex's
+    # out-ports', in id and port order, which is the sorted edge list
+    edges = [Edge(("input", i), far)
+             for i, far in enumerate(boundary[:m], start=1)]
+    edges += [Edge(("vout", vid, k), far) for vid, ends in outs.items()
+              for k, far in enumerate(ends, start=1)]
+    graph = Graph(m, g.graph.n,
+                  tuple(Vertex(vid, len(ends), len(outs[vid]))
+                        for vid, ends in ins.items()), tuple(edges))
+    return MixedGraph(graph, g.atoms, g.msig, s.p_labels, dict(g.m_labels),
+                      s.key, s.order)
+
+
+def _pairs(s: _State) -> list[tuple[int, int]]:
+    # the mergeable pairs of a state, in `mergeable_pairs` order
+    pos = {vid: i for i, vid in enumerate(s.order)}
+    ranked = sorted(s.p_labels, key=pos.__getitem__)
+    return [(a, b) for a, b in itertools.combinations(ranked, 2)
+            if _fusable(s.succ, s.reach, a, b)]
+
+
 def mergeable(g: MixedGraph, u: int, v: int) -> bool:
     """Whether the two composite-labeled vertices can fuse into one."""
     for w in (u, v):
@@ -144,45 +196,47 @@ def merge(g: MixedGraph, u: int, v: int) -> MixedGraph:
 
     The merged vertex takes a fresh id; its ports list u's surviving
     ports first, then v's, and its label is the two-vertex subgraph
-    (with the pair's mutual wiring) expanded into a single element.
+    (with the pair's mutual wiring) expanded into a single element.  The
+    merge is spliced into g's port map (`_splice`), and the result's
+    `Graph` is built once, from the spliced map.
     """
     if not mergeable(g, u, v):
         raise GraphError(f"vertices {u} and {v} cannot be merged")
-    fusion = _fusion(g, u, v)
-    return _merge(g, u, v, fusion, _fused_label(g, u, v, fusion))
+    s = _state(g)
+    fusion = _fusion(s.ports, u, v)
+    return _mixed(g, _splice(g, s, u, v, fusion,
+                             _fused_label(s.p_labels, u, v, fusion)))
 
 
-def _fusion(g: MixedGraph, u: int, v: int) -> tuple:
-    """How u and v fuse: (the fresh id of the merged vertex, the pair's
-    mutual edges, its surviving in-ports, its surviving out-ports), the
-    ports listed u's first, then v's, each in port order."""
-    # a composite label's arity is its vertex's (`MixedGraph.build`)
-    lu, lv = g.p_labels[u], g.p_labels[v]
-    pair = {u, v}
-    mutual = [e for e in g.graph.edges
-              if e.src[0] == "vout" and e.src[1] in pair
-              and e.dst[0] == "vin" and e.dst[1] in pair]
-    fed = {e.dst for e in mutual}
-    used = {e.src for e in mutual}
-    ext_in = [("vin", x, i)
-              for x, deg in ((u, lu.m), (v, lv.m))
-              for i in range(1, deg + 1) if ("vin", x, i) not in fed]
-    ext_out = [("vout", x, k)
-               for x, deg in ((u, lu.n), (v, lv.n))
-               for k in range(1, deg + 1) if ("vout", x, k) not in used]
-    return max(g.graph.vertex_ids) + 1, mutual, ext_in, ext_out
+def _fusion(ports: tuple, u: int, v: int) -> tuple:
+    """How u and v fuse, read from the port map: (the fresh id of the
+    merged vertex, the pair's mutual wires as (source, target) ports, its
+    surviving in-ports, its surviving out-ports), the ports listed u's
+    first, then v's, each in port order."""
+    _, ins, outs = ports
+    mutual = [(("vout", x, k), far) for x in (u, v)
+              for k, far in enumerate(outs[x], start=1)
+              if far[0] == "vin" and (far[1] == u or far[1] == v)]
+    ext_in = [("vin", x, i) for x in (u, v)
+              for i, far in enumerate(ins[x], start=1)
+              if far[0] != "vout" or (far[1] != u and far[1] != v)]
+    ext_out = [("vout", x, k) for x in (u, v)
+               for k, far in enumerate(outs[x], start=1)
+               if far[0] != "vin" or (far[1] != u and far[1] != v)]
+    return max(ins) + 1, mutual, ext_in, ext_out
 
 
-def _fused_label(g: MixedGraph, u: int, v: int, fusion: tuple) -> PropElement:
+def _fused_label(p_labels: dict[int, PropElement], u: int, v: int,
+                 fusion: tuple) -> PropElement:
     """The merged label: the two-vertex subgraph of u and v, with their
     mutual wiring and `fusion`'s port order, expanded into one element."""
     _, mutual, ext_in, ext_out = fusion
-    lu, lv = g.p_labels[u], g.p_labels[v]
+    lu, lv = p_labels[u], p_labels[v]
     side = {u: 1, v: 2}
     host_edges = [Edge(("input", pos), ("vin", side[p[1]], p[2]))
                   for pos, p in enumerate(ext_in, start=1)]
-    host_edges += [Edge(("vout", side[e.src[1]], e.src[2]),
-                        ("vin", side[e.dst[1]], e.dst[2])) for e in mutual]
+    host_edges += [Edge(("vout", side[src[1]], src[2]),
+                        ("vin", side[dst[1]], dst[2])) for src, dst in mutual]
     host_edges += [Edge(("vout", side[p[1]], p[2]), ("output", pos))
                    for pos, p in enumerate(ext_out, start=1)]
     host = Graph(len(ext_in), len(ext_out),
@@ -191,41 +245,77 @@ def _fused_label(g: MixedGraph, u: int, v: int, fusion: tuple) -> PropElement:
     return _expand(host, {1: lu, 2: lv})
 
 
-def _merge(g: MixedGraph, u: int, v: int, fusion: tuple,
-           label: PropElement) -> MixedGraph:
-    """`merge` of a pair already known to be mergeable, given its
-    `_fusion` and its merged label."""
-    w, mutual, ext_in, ext_out = fusion
-    in_pos = {p: k for k, p in enumerate(ext_in, start=1)}
-    out_pos = {p: k for k, p in enumerate(ext_out, start=1)}
-    dropped = set(mutual)
-    edges = []
-    for e in g.graph.edges:
-        if e in dropped:
-            continue
-        src = ("vout", w, out_pos[e.src]) if e.src in out_pos else e.src
-        dst = ("vin", w, in_pos[e.dst]) if e.dst in in_pos else e.dst
-        edges.append(Edge(src, dst))
-    pair = {u, v}
-    vertices = tuple(x for x in g.graph.vertices if x.id not in pair) \
-        + (Vertex(w, len(ext_in), len(ext_out)),)
-    merged = Graph(g.graph.m, g.graph.n, vertices, tuple(edges))
-    p_labels = {vid: e for vid, e in g.p_labels.items() if vid not in pair}
+def _splice(g: MixedGraph, s: _State, u: int, v: int, fusion: tuple,
+            label: PropElement) -> _State:
+    """The state after merging the mergeable pair u, v of s (in a search
+    started from g), given the pair's `_fusion` and merged label, built
+    from s without a `Graph`.
+
+    The port map drops u and v and takes the fresh vertex w last, so its
+    dicts stay in id order; each surviving port of the pair moves to w,
+    and the far end of its wire is pointed at w.  Only the lists holding
+    those far ends are copied; s keeps its own.  Reachability follows the
+    contraction: w reaches R, what u or v reach but the pair; a vertex
+    that reached u or v now reaches R and w instead; every other set is
+    s's.  Successor sets change alike, with the pair's successors."""
+    w, _, ext_in, ext_out = fusion
+    boundary, ins, outs = s.ports
+    m = g.graph.m
+    new_boundary = boundary
+    new_ins = {x: ends for x, ends in ins.items() if x != u and x != v}
+    new_outs = {x: ends for x, ends in outs.items() if x != u and x != v}
+    w_ins = []
+    for pos, (_, x, i) in enumerate(ext_in, start=1):
+        far = ins[x][i - 1]
+        w_ins.append(far)
+        if far[0] == "input":
+            if new_boundary is boundary:
+                new_boundary = list(boundary)
+            new_boundary[far[1] - 1] = ("vin", w, pos)
+        else:
+            ends = new_outs[far[1]]
+            if ends is outs[far[1]]:
+                ends = new_outs[far[1]] = list(ends)
+            ends[far[2] - 1] = ("vin", w, pos)
+    w_outs = []
+    for pos, (_, x, k) in enumerate(ext_out, start=1):
+        far = outs[x][k - 1]
+        w_outs.append(far)
+        if far[0] == "output":
+            if new_boundary is boundary:
+                new_boundary = list(boundary)
+            new_boundary[m + far[1] - 1] = ("vout", w, pos)
+        else:
+            ends = new_ins[far[1]]
+            if ends is ins[far[1]]:
+                ends = new_ins[far[1]] = list(ends)
+            ends[far[2] - 1] = ("vout", w, pos)
+    new_ins[w] = w_ins
+    new_outs[w] = w_outs
+    ports = (new_boundary, new_ins, new_outs)
+
+    texts = {x: t for x, t in s.texts.items() if x != u and x != v}
+    texts[w] = f"('P', {label.key_text})"
+    p_labels = {x: e for x, e in s.p_labels.items() if x != u and x != v}
     p_labels[w] = label
-    # valid by construction: the fused pair has no path through a third
-    # vertex, and the new vertex has its label's arity
-    return MixedGraph._keyed(merged, g.atoms, g.msig, p_labels,
-                             dict(g.m_labels))
+    pair, fresh = {u, v}, {w}
+    succ_w = (s.succ[u] | s.succ[v]) - pair
+    succ = {x: (ys - pair) | fresh if u in ys or v in ys else ys
+            for x, ys in s.succ.items() if x != u and x != v}
+    succ[w] = succ_w
+    reach_w = (s.reach[u] | s.reach[v]) - pair
+    reach = {x: ((ys | reach_w) - pair) | fresh if u in ys or v in ys else ys
+             for x, ys in s.reach.items() if x != u and x != v}
+    reach[w] = reach_w
+    key, order = _ported_key_and_order(m, g.graph.n, ports, texts)
+    return _State(ports, texts, p_labels, succ, reach,
+                  (key, g.atoms.generators, g.msig.generators), tuple(order))
 
 
 def mergeable_pairs(g: MixedGraph) -> list[tuple[int, int]]:
     """All mergeable pairs, ordered by the canonical vertex order (the
     deterministic choice the greedy strategy follows)."""
-    pos = {vid: i for i, vid in enumerate(g.order)}
-    succ, reach = _reachability(g.graph)
-    ranked = sorted(g.p_labels, key=lambda vid: pos[vid])
-    return [(a, b) for a, b in itertools.combinations(ranked, 2)
-            if _fusable(succ, reach, a, b)]
+    return _pairs(_state(g))
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +327,20 @@ def collapse(g: MixedGraph, strategy: str = "greedy",
 
     "greedy" repeatedly merges the first pair in canonical order and
     returns one mixed graph; "exhaustive" explores every merge order and
-    returns the list of all irreducible forms, order-normalized.
+    returns the list of all irreducible forms, order-normalized.  Both
+    merge by splicing port maps (`_splice`) and build a `Graph` only for
+    what they return.
     """
     if strategy == "greedy":
-        cur = g
+        s = _state(g)
         while True:
-            pairs = mergeable_pairs(cur)
+            pairs = _pairs(s)
             if not pairs:
-                return cur
+                return _mixed(g, s)
             u, v = pairs[0]
-            fusion = _fusion(cur, u, v)
-            cur = _merge(cur, u, v, fusion, _fused_label(cur, u, v, fusion))
+            fusion = _fusion(s.ports, u, v)
+            s = _splice(g, s, u, v, fusion,
+                        _fused_label(s.p_labels, u, v, fusion))
     if strategy == "exhaustive":
         forms, _ = _exhaustive(g, max_states)
         return forms
@@ -259,18 +352,24 @@ def _exhaustive(g: MixedGraph,
     """All irreducible forms plus, for each, one merge sequence that
     reaches it.
 
-    States are deduplicated twice.  Each state carries its block shape:
-    per composite vertex, the set of original vertices it holds and the
-    original (vertex, port) pairs behind its in-ports and its out-ports,
-    in port order.  Merging disjoint pairs in either order reaches the
-    same shape, and equal shapes are the same mixed graph up to vertex
-    ids, so a child whose shape was reached before is dropped before its
-    label is expanded or its graph built; the merged labels are memoized
-    by the fused block's shape for the same reason.  Children that pass
-    are deduplicated by canonical key, which also catches isomorphic
-    states of different shapes.  A child dropped by its shape would have
-    been dropped by its key, so the states, their order and the count
-    held against `max_states` are those of the key test alone."""
+    A search state is a `_State`: the port map, label texts, composite
+    labels, successor and reachability sets and key of a mixed graph, and
+    each child is spliced from its parent (`_splice`).  Only the returned
+    forms are built as `MixedGraph`s with a `Graph`.
+
+    States are deduplicated twice.  Each state also carries its block
+    shape: per composite vertex, the set of original vertices it holds
+    and the original (vertex, port) pairs behind its in-ports and its
+    out-ports, in port order.  Merging disjoint pairs in either order
+    reaches the same shape, and equal shapes are the same mixed graph up
+    to vertex ids, so a child whose shape was reached before is dropped
+    before its label is expanded or it is spliced; the merged labels are
+    memoized by the fused block's shape for the same reason.  Children
+    that pass are deduplicated by canonical key, which also catches
+    isomorphic states of different shapes.  A child dropped by its shape
+    would have been dropped by its key, so the states, their order and
+    the count held against `max_states` are those of the key test
+    alone."""
     blocks = {v.id: (frozenset((v.id,)),
                      tuple((v.id, i) for i in range(1, v.n_in + 1)),
                      tuple((v.id, k) for k in range(1, v.n_out + 1)))
@@ -278,16 +377,16 @@ def _exhaustive(g: MixedGraph,
     seen = {g.key}
     shapes = {frozenset(blocks.values())}
     memo: dict[tuple, PropElement] = {}  # fused block -> merged label
-    stack = [(g, blocks, [])]
-    irreducible: dict[tuple, tuple[MixedGraph, list]] = {}
+    stack = [(_state(g), blocks, [])]
+    irreducible: dict[tuple, tuple[_State, list]] = {}
     while stack:
         cur, blocks, seq = stack.pop()
-        pairs = mergeable_pairs(cur)
+        pairs = _pairs(cur)
         if not pairs:
             irreducible.setdefault(cur.key, (cur, seq))
             continue
         for a, b in pairs:
-            fusion = _fusion(cur, a, b)
+            fusion = _fusion(cur.ports, a, b)
             w, _, ext_in, ext_out = fusion
             pair = {a: blocks[a], b: blocks[b]}
             fused = (pair[a][0] | pair[b][0],
@@ -301,8 +400,9 @@ def _exhaustive(g: MixedGraph,
             shapes.add(shape)
             label = memo.get(fused)
             if label is None:
-                label = memo[fused] = _fused_label(cur, a, b, fusion)
-            child = _merge(cur, a, b, fusion, label)
+                label = memo[fused] = _fused_label(cur.p_labels, a, b,
+                                                   fusion)
+            child = _splice(g, cur, a, b, fusion, label)
             if child.key in seen:
                 continue
             if len(seen) >= max_states:
@@ -313,7 +413,7 @@ def _exhaustive(g: MixedGraph,
             rest[w] = fused
             stack.append((child, rest, seq + [(a, b)]))
     items = sorted(irreducible.items(), key=lambda kv: repr(kv[0]))
-    return ([form for _, (form, _) in items],
+    return ([_mixed(g, s) for _, (s, _) in items],
             [seq for _, (_, seq) in items])
 
 

@@ -6,10 +6,10 @@ minimal input-path labels by their definition instead of the depth-first
 path order, raw permutation enumeration instead of pruned matching
 search, pure-python fraction matrices instead of numpy tensors, a
 reflexive coequalizer instead of the direct pushout quotient, a
-memo-free state search over the public merge instead of the library's
-exhaustive collapse, an edge-list substitution that builds and checks a
-`Graph` instead of keying the port map it wires.  Tests freeze their
-expected values against these.
+memo-free state search over an edge-list merge instead of the library's
+exhaustive collapse over spliced port maps, an edge-list substitution that
+builds and checks a `Graph` instead of keying the port map it wires.
+Tests freeze their expected values against these.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from propcalc.freeprop import PropElement
 from propcalc.graphs import (Edge, Graph, GraphError, Vertex, port_map,
                              topological_order, vertex_successors)
 from propcalc.pushouts import FiniteSetMap, pushout_sets, quotient_classes
-from propcalc.rewrite import MixedGraph, merge, mergeable_pairs
+from propcalc.rewrite import MixedGraph, mergeable_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,25 @@ def brute_force_isomorphic(g: Graph, h: Graph,
         return False
 
     return extend(0)
+
+
+def carries_edges(g: Graph, h: Graph, mapping: dict[int, int]) -> bool:
+    """Whether `mapping`, a bijection from g's vertex ids onto h's, is an
+    isomorphism: it keeps the boundary and every arity, and carries g's
+    edge set exactly onto h's, ports and boundary indices included."""
+    if (g.m, g.n) != (h.m, h.n) or len(g.edges) != len(h.edges):
+        return False
+    if mapping.keys() != set(g.vertex_ids) \
+            or sorted(mapping.values()) != sorted(h.vertex_ids):
+        return False
+    if {Vertex(mapping[v.id], v.n_in, v.n_out) for v in g.vertices} \
+            != set(h.vertices):
+        return False
+
+    def move(p):
+        return (p[0], mapping[p[1]], p[2]) if p[0] in ("vout", "vin") else p
+
+    return {Edge(move(e.src), move(e.dst)) for e in g.edges} == set(h.edges)
 
 
 def brute_force_nontrivial_automorphism(g: Graph,
@@ -483,7 +502,55 @@ def cup_cap_ring(k: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive collapse, through the public merge only
+# merging and exhaustive collapse over edge lists
+
+def merge_by_edges(g, u: int, v: int):
+    """`rewrite.merge` of a mergeable pair as an edge list: the pair's
+    mutual edges and surviving ports read from `g.graph.edges`, the merged
+    label substituted by `expand_by_edges`, and the merged `Graph` rebuilt
+    edge by edge with the fresh vertex (the largest id plus one) in the
+    pair's place, then checked through `MixedGraph.build`."""
+    lu, lv = g.p_labels[u], g.p_labels[v]
+    pair = {u, v}
+    mutual = [e for e in g.graph.edges
+              if e.src[0] == "vout" and e.src[1] in pair
+              and e.dst[0] == "vin" and e.dst[1] in pair]
+    fed = {e.dst for e in mutual}
+    used = {e.src for e in mutual}
+    ext_in = [("vin", x, i) for x, deg in ((u, lu.m), (v, lv.m))
+              for i in range(1, deg + 1) if ("vin", x, i) not in fed]
+    ext_out = [("vout", x, k) for x, deg in ((u, lu.n), (v, lv.n))
+               for k in range(1, deg + 1) if ("vout", x, k) not in used]
+    side = {u: 1, v: 2}
+    host_edges = [Edge(("input", pos), ("vin", side[p[1]], p[2]))
+                  for pos, p in enumerate(ext_in, start=1)]
+    host_edges += [Edge(("vout", side[e.src[1]], e.src[2]),
+                        ("vin", side[e.dst[1]], e.dst[2])) for e in mutual]
+    host_edges += [Edge(("vout", side[p[1]], p[2]), ("output", pos))
+                   for pos, p in enumerate(ext_out, start=1)]
+    host = Graph(len(ext_in), len(ext_out),
+                 (Vertex(1, lu.m, lu.n), Vertex(2, lv.m, lv.n)),
+                 tuple(host_edges))
+    label = expand_by_edges(host, {1: lu, 2: lv})
+
+    w = max(g.graph.vertex_ids) + 1
+    in_pos = {p: k for k, p in enumerate(ext_in, start=1)}
+    out_pos = {p: k for k, p in enumerate(ext_out, start=1)}
+    edges = []
+    for e in g.graph.edges:
+        if e in mutual:
+            continue
+        src = ("vout", w, out_pos[e.src]) if e.src in out_pos else e.src
+        dst = ("vin", w, in_pos[e.dst]) if e.dst in in_pos else e.dst
+        edges.append(Edge(src, dst))
+    vertices = [x for x in g.graph.vertices if x.id not in pair]
+    vertices.append(Vertex(w, len(ext_in), len(ext_out)))
+    p_labels = {vid: e for vid, e in g.p_labels.items() if vid not in pair}
+    p_labels[w] = label
+    return MixedGraph.build(Graph(g.graph.m, g.graph.n, tuple(vertices),
+                                  tuple(edges)),
+                            g.atoms, g.msig, p_labels, g.m_labels)
+
 
 def brute_force_collapse(g) -> tuple[list, list]:
     """(irreducible forms, one merge sequence per form) of a mixed graph,
@@ -491,10 +558,9 @@ def brute_force_collapse(g) -> tuple[list, list]:
     state, push each child of its mergeable pairs (in their order) whose
     key is new, record a state with no pair under the first sequence that
     pops it, and list forms by repr of their key.  Every step goes
-    through the public `mergeable_pairs` and `merge`, which re-checks the
-    pair and expands its label afresh, and every merged state is rebuilt
-    through `MixedGraph.build`, which validates it; nothing is remembered
-    across merges but the keys seen."""
+    through the public `mergeable_pairs` and `merge_by_edges`, which
+    expands each label afresh and validates each merged state; nothing is
+    remembered across merges but the keys seen."""
     seen = {g.key}
     stack = [(g, [])]
     found: dict = {}
@@ -504,9 +570,7 @@ def brute_force_collapse(g) -> tuple[list, list]:
         if not pairs and cur.key not in found:
             found[cur.key] = (cur, seq)
         for a, b in pairs:
-            merged = merge(cur, a, b)
-            child = MixedGraph.build(merged.graph, merged.atoms, merged.msig,
-                                     merged.p_labels, merged.m_labels)
+            child = merge_by_edges(cur, a, b)
             if child.key not in seen:
                 seen.add(child.key)
                 stack.append((child, seq + [(a, b)]))

@@ -33,8 +33,9 @@ from propcalc.tensor import (AlgebraAssignment, RatTensor,
                              conjugate_assignment, evaluate, kron_power,
                              morphism_prop_membership, rt_dot, rt_kron)
 
-from _oracles import (brute_force_isomorphic, free_action_check,
-                      permutation_matrix, topo_latest_first)
+from _oracles import (brute_force_isomorphic, carries_edges,
+                      free_action_check, permutation_matrix,
+                      topo_latest_first)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -387,7 +388,8 @@ def test_criterion_10_isomorphism_oracle_equivalence():
                         for ng in enumerate_graphs(list(prof), m, n):
                             cf = canonicalize(ng.graph)
                             key = cf.key
-                            buckets.setdefault(key, []).append(ng.graph)
+                            buckets.setdefault(key, []).append(
+                                (ng.graph, cf.order))
                             graphs += 1
                             h = cf.digest
                             if h in hash_to_key:
@@ -396,12 +398,18 @@ def test_criterion_10_isomorphism_oracle_equivalence():
                                 hash_to_key[h] = key
                     # isomorphisms compose, so checking every member
                     # against its class representative and every pair of
-                    # representatives settles all pairs in the family
+                    # representatives settles all pairs in the family.  A
+                    # member is checked through the witness its canonical
+                    # order gives (its i-th vertex to the representative's
+                    # i-th), which must carry the edge set exactly; a
+                    # non-isomorphism has no witness, so representatives
+                    # keep the search
                     reps = []
                     for members in buckets.values():
-                        rep = members[0]
-                        for other in members[1:]:
-                            assert brute_force_isomorphic(rep, other)
+                        rep, rep_order = members[0]
+                        for other, order in members[1:]:
+                            assert carries_edges(other, rep,
+                                                 dict(zip(order, rep_order)))
                             checks += 1
                         reps.append(rep)
                     for x, y in itertools.combinations(reps, 2):

@@ -1,18 +1,21 @@
 """Exhaustive collapse equals the brute-force oracle, irreducible forms
-and merge sequences, on random small mixed graphs over the witness
-menu."""
+and merge sequences, and every spliced merge state equals the one built
+from its graph, on random small mixed graphs over the witness menu."""
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import pytest
 
+from propcalc import rewrite
 from propcalc.canonical import enumerate_graphs
 from propcalc.freeprop import Signature, corolla, pelem_vcompose
-from propcalc.rewrite import MixedGraph, _exhaustive
+from propcalc.graphs import port_map
+from propcalc.rewrite import MixedGraph, _exhaustive, merge
 
-from _oracles import brute_force_collapse
+from _oracles import brute_force_collapse, merge_by_edges
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -61,3 +64,49 @@ def test_exhaustive_collapse_is_the_brute_force_search(g):
     want_forms, want_seqs = brute_force_collapse(g)
     assert [f.key for f in forms] == [f.key for f in want_forms]
     assert seqs == want_seqs
+
+
+def _splices(g: MixedGraph):
+    """(state, u, v, child) for every mergeable pair u, v of every state
+    the splice reaches from g, each state once per key."""
+    root = rewrite._state(g)
+    seen = {root.key}
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        for u, v in rewrite._pairs(s):
+            fusion = rewrite._fusion(s.ports, u, v)
+            label = rewrite._fused_label(s.p_labels, u, v, fusion)
+            before = copy.deepcopy((s.ports, s.texts, s.succ, s.reach))
+            child = rewrite._splice(g, s, u, v, fusion, label)
+            # the parent keeps every list, dict and set as it was
+            assert (s.ports, s.texts, s.succ, s.reach) == before
+            yield s, u, v, child
+            if child.key not in seen:
+                seen.add(child.key)
+                stack.append(child)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=150)
+@hypothesis.given(mixed_graphs())
+def test_spliced_states_are_the_states_of_their_graphs(g):
+    for s, u, v, child in _splices(g):
+        built = rewrite._mixed(g, child)
+        boundary, ins, outs = port_map(built.graph)
+        assert child.ports[0] == boundary
+        assert list(child.ports[1].items()) == list(ins.items())
+        assert list(child.ports[2].items()) == list(outs.items())
+        assert child.texts == rewrite._label_text(child.p_labels,
+                                                  g.m_labels)
+        assert (child.succ, child.reach) == \
+            rewrite._reachability(built.graph)
+        # the public merge of the parent's mixed graph, against the
+        # edge-list merge; the spliced child is that merge
+        parent = rewrite._mixed(g, s)
+        got, want = merge(parent, u, v), merge_by_edges(parent, u, v)
+        assert got.graph == want.graph == built.graph
+        assert got.key == want.key == child.key
+        assert got.order == want.order == child.order
+        assert got.p_labels == want.p_labels
+        assert got.m_labels == want.m_labels

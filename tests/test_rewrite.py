@@ -350,29 +350,59 @@ def test_commuting_merges_are_built_once(monkeypatch, r, merges):
                          {v: corolla(atoms, "a") for v in range(1, r + 1)},
                          {})
     calls = []
-    real = rewrite._merge
+    real = rewrite._splice
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rewrite, "_merge", counting)
+    monkeypatch.setattr(rewrite, "_splice", counting)
     assert len(collapse(g, "exhaustive")) == 1
     assert len(calls) == merges
 
 
+def test_exhaustive_collapse_builds_graphs_only_for_its_forms(monkeypatch):
+    # search states stay port maps: the only graphs built are the
+    # returned forms and the two-vertex host of each merged label
+    atoms = Signature([("a", 1, 1)])
+    chain = MixedGraph.build(unary_chain(4), atoms, Signature([]),
+                             {v: corolla(atoms, "a") for v in range(1, 5)},
+                             {})
+    built, hosts = [], []
+    real_graph, real_label = rewrite.Graph, rewrite._fused_label
+
+    def counting_graph(*args):
+        built.append(real_graph(*args))
+        return built[-1]
+
+    def counting_label(*args):
+        hosts.append(args)
+        return real_label(*args)
+
+    monkeypatch.setattr(rewrite, "Graph", counting_graph)
+    monkeypatch.setattr(rewrite, "_fused_label", counting_label)
+    for g in (chain, the_remark()):
+        built.clear()
+        hosts.clear()
+        forms = collapse(g, "exhaustive")
+        assert hosts
+        assert len(built) == len(forms) + len(hosts)
+        assert all(any(f.graph is x for x in built) for f in forms)
+
+
 def _merge_states(g: MixedGraph, monkeypatch) -> list[MixedGraph]:
     """Every state the exhaustive search builds, as it builds them:
-    through `_merge`, with its label memo and its shape test."""
+    through `_splice`, with its label memo and its shape test, each made
+    a `MixedGraph` from its spliced port map."""
     states = {g.key: g}
-    real = rewrite._merge
+    real = rewrite._splice
 
     def recording(*args):
         child = real(*args)
-        states.setdefault(child.key, child)
+        states.setdefault(child.key, rewrite._mixed(g, child))
         return child
 
-    monkeypatch.setattr(rewrite, "_merge", recording)
+    monkeypatch.setattr(rewrite, "_splice", recording)
     _exhaustive(g)
     monkeypatch.undo()
     return list(states.values())
