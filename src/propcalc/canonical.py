@@ -152,10 +152,20 @@ def _traversal_order(ports: tuple, texts: dict[int, str] | None
         return order
     if texts is None:
         return None
-    closed = [_closed_component(_sweep(ins, outs, vid, seen), ins, outs,
-                                texts)
-              for vid in ins if vid not in seen]
-    for _, block in sorted(closed):
+    closed = []
+    for vid in ins:
+        if vid in seen:
+            continue
+        if ins[vid] or outs[vid]:
+            closed.append(_closed_component(_sweep(ins, outs, vid, seen),
+                                            ins, outs, texts))
+        else:
+            # a vertex with no ports is a closed component of its own
+            closed.append(((((0, 0, texts.get(vid, _NO_LABEL)),), ()),
+                           [vid]))
+    if len(closed) > 1:
+        closed.sort()
+    for _, block in closed:
         order += block
     return order
 
@@ -168,7 +178,11 @@ def _sweep(ins: dict[int, list], outs: dict[int, list], root: int,
     seen.add(root)
     found = [root]
     for u in found:
-        for far in ins[u] + outs[u]:
+        for far in ins[u]:
+            if far[0] in _VERTEX_PORTS and far[1] not in seen:
+                seen.add(far[1])
+                found.append(far[1])
+        for far in outs[u]:
             if far[0] in _VERTEX_PORTS and far[1] not in seen:
                 seen.add(far[1])
                 found.append(far[1])
@@ -182,15 +196,16 @@ def _closed_component(component: list[int], ins: dict[int, list],
     its smallest colour class, and the order that gives it."""
     color = {vid: (len(ins[vid]), len(outs[vid]), texts.get(vid, _NO_LABEL))
              for vid in component}
-    if len(component) == 1:
-        return ((color[component[0]],), ()), component
     classes: dict[tuple, list[int]] = {}
     for vid in component:
         classes.setdefault(color[vid], []).append(vid)
     roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
     best = None
     for root in roots:
-        found = _sweep(ins, outs, root, set())
+        # the component was swept from its first vertex, and a sweep
+        # from one root is the same whatever was seen outside it
+        found = (component if root == component[0]
+                 else _sweep(ins, outs, root, set()))
         pos = {vid: i for i, vid in enumerate(found)}
         # each edge once, from its source's out-port; already sorted
         edges = tuple((pos[u], k, pos[w], port)
@@ -305,7 +320,10 @@ def _canonicalize_ports(m: int, n: int, ports: tuple,
     if labels is not None:
         rename = {vid: i for i, vid in enumerate(order, start=1)}
         new_labels = {rename[vid]: lab for vid, lab in labels.items()}
-    return CanonicalForm(new_labels, tuple(order), key)
+    # built the way `Graph._sorted` builds a graph: all fields at once
+    form = object.__new__(CanonicalForm)
+    form.__dict__.update(labels=new_labels, order=tuple(order), key=key)
+    return form
 
 
 def is_isomorphic(g: Graph, h: Graph,
@@ -365,7 +383,9 @@ def _key_hash(key: tuple) -> int:
 @dataclass(frozen=True)
 class NumberedGraph:
     """A graph whose vertices are numbered by their ids; renumbering is
-    `graphs.relabel_vertices`."""
+    `graphs.relabel_vertices`.  `enumerate_graphs` builds each one the
+    way `Graph._sorted` builds a graph, setting its field directly; the
+    constructor gives the same object."""
 
     graph: Graph
 
@@ -434,6 +454,9 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
 
     used = [False] * width
     chosen: list[Edge] = []
+    # edges[i][t]: the edge from source i to target t, built on first use
+    edges: list[list[Edge | None]] = [[None] * width
+                                      for _ in range(edge_count)]
     desc = [0] * (r + 1)  # desc[v] = bitmask of vertices reachable from v
 
     def completable(w: int) -> bool:
@@ -494,11 +517,15 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
                 vertices = tuple(Vertex(v, a, b) for v, (a, b)
                                  in enumerate(arities, start=1))
             # sources run in sorted order and so do the vertices
-            yield NumberedGraph(Graph._sorted(m, n, vertices, tuple(chosen)))
+            ng = object.__new__(NumberedGraph)
+            ng.__dict__["graph"] = Graph._sorted(m, n, vertices,
+                                                 tuple(chosen))
+            yield ng
             return
         src = sources[i]
         u = src[1] if src[0] == "vout" else 0
         owner = checks[i + 1]
+        row = edges[i]
         for t in range(width):
             if used[t]:
                 continue
@@ -515,7 +542,10 @@ def enumerate_graphs(arities: list[tuple[int, int]], m: int, n: int, *,
                             desc[x] |= gain
                 free_in[v] -= 1
             used[t] = True
-            chosen.append(Edge(src, targets[t]))
+            edge = row[t]
+            if edge is None:
+                edge = row[t] = Edge(src, targets[t])
+            chosen.append(edge)
             if not owner or completable(owner):
                 yield from assign(i + 1)
             chosen.pop()

@@ -44,6 +44,8 @@ class LimitError(RuntimeError):
 Port = tuple
 SRC_KINDS = ("input", "vout")
 DST_KINDS = ("output", "vin")
+# a NamedTuple's own constructor, called without its Python-level __new__
+_tuple_new = tuple.__new__
 
 
 class Vertex(NamedTuple):
@@ -57,19 +59,22 @@ class Edge(NamedTuple):
     dst: Port
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """An (m, n)-graph.  Vertices and edges are kept sorted, so two graphs
-    with the same structure compare equal."""
+    with the same structure compare equal.  The constructor sorts both
+    parts and sets all four fields in one step; `_sorted` does the same
+    for parts already in order, without the sort."""
 
     m: int
     n: int
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+    def __init__(self, m: int, n: int, vertices: Iterable[Vertex],
+                 edges: Iterable[Edge]) -> None:
+        self.__dict__.update(m=m, n=n, vertices=tuple(sorted(vertices)),
+                             edges=tuple(sorted(edges)))
 
     @classmethod
     def _sorted(cls, m: int, n: int, vertices: tuple[Vertex, ...],
@@ -338,20 +343,29 @@ def identity(n: int) -> Graph:
 
 
 def relabel_vertices(g: Graph, mapping: dict[int, int]) -> Graph:
-    """Rename vertex ids by a bijective mapping (ids not mentioned stay)."""
-    new_ids = [mapping.get(v.id, v.id) for v in g.vertices]
-    if len(set(new_ids)) != len(new_ids):
-        raise GraphError("vertex relabeling is not injective")
-
-    def move(p: Port) -> Port:
-        if p[0] in ("vout", "vin"):
-            return (p[0], mapping.get(p[1], p[1]), p[2])
-        return p
-
-    return Graph(g.m, g.n,
-                 tuple(Vertex(mapping.get(v.id, v.id), v.n_in, v.n_out)
-                       for v in g.vertices),
-                 tuple(Edge(move(e.src), move(e.dst)) for e in g.edges))
+    """Rename vertex ids by a bijective mapping (ids not mentioned stay).
+    Built in one pass: the vertex and edge tuples are renamed into two
+    lists, each list is sorted, and the graph is made from the sorted
+    parts by `Graph._sorted`.  Once sorted, two vertices sent to one id
+    sit side by side, which is where a mapping that is not injective is
+    caught."""
+    get = mapping.get
+    vertices = [_tuple_new(Vertex, (get(vid, vid), a, b))
+                for vid, a, b in g.vertices]
+    vertices.sort()
+    for x, y in zip(vertices, vertices[1:]):
+        if x[0] == y[0]:
+            raise GraphError("vertex relabeling is not injective")
+    edges = []
+    append = edges.append
+    for src, dst in g.edges:
+        if src[0] in ("vout", "vin"):
+            src = (src[0], get(src[1], src[1]), src[2])
+        if dst[0] in ("vout", "vin"):
+            dst = (dst[0], get(dst[1], dst[1]), dst[2])
+        append(_tuple_new(Edge, (src, dst)))
+    edges.sort()
+    return Graph._sorted(g.m, g.n, tuple(vertices), tuple(edges))
 
 
 def _offset_for(g: Graph) -> int:

@@ -134,11 +134,12 @@ class _State(NamedTuple):
     port map (boundary, ins, outs), with `ins` and `outs` in vertex id
     order as `graphs.port_map` lists them; each vertex's label text
     (`_label_text`); the composite labels; the successor and
-    reachability sets (`_reachability`); and the `MixedGraph` key and
-    order.  The boundary's size (m, n), the plain labels and both
-    alphabets never change under merging, so they stay on the mixed graph
-    the search started from.  States share every list, dict and set they
-    do not change."""
+    reachability sets (`_reachability`); the graph part of the
+    `MixedGraph` key, and its order.  The boundary's size (m, n), the
+    plain labels and both alphabets never change under merging, so they
+    stay on the mixed graph the search started from, and states are keyed
+    without the alphabets.  States share every list, dict and set they do
+    not change."""
 
     ports: tuple
     texts: dict[int, str]
@@ -151,7 +152,7 @@ class _State(NamedTuple):
 
 def _state(g: MixedGraph) -> _State:
     return _State(port_map(g.graph), _label_text(g.p_labels, g.m_labels),
-                  g.p_labels, *_reachability(g.graph), g.key, g.order)
+                  g.p_labels, *_reachability(g.graph), g.key[0], g.order)
 
 
 def _mixed(g: MixedGraph, s: _State) -> MixedGraph:
@@ -170,7 +171,8 @@ def _mixed(g: MixedGraph, s: _State) -> MixedGraph:
                   tuple(Vertex(vid, len(ends), len(outs[vid]))
                         for vid, ends in ins.items()), tuple(edges))
     return MixedGraph(graph, g.atoms, g.msig, s.p_labels, dict(g.m_labels),
-                      s.key, s.order)
+                      (s.key, g.atoms.generators, g.msig.generators),
+                      s.order)
 
 
 def _pairs(s: _State) -> list[tuple[int, int]]:
@@ -308,8 +310,7 @@ def _splice(g: MixedGraph, s: _State, u: int, v: int, fusion: tuple,
              for x, ys in s.reach.items() if x != u and x != v}
     reach[w] = reach_w
     key, order = _ported_key_and_order(m, g.graph.n, ports, texts)
-    return _State(ports, texts, p_labels, succ, reach,
-                  (key, g.atoms.generators, g.msig.generators), tuple(order))
+    return _State(ports, texts, p_labels, succ, reach, key, tuple(order))
 
 
 def mergeable_pairs(g: MixedGraph) -> list[tuple[int, int]]:
@@ -374,7 +375,7 @@ def _exhaustive(g: MixedGraph,
                      tuple((v.id, i) for i in range(1, v.n_in + 1)),
                      tuple((v.id, k) for k in range(1, v.n_out + 1)))
               for v in g.graph.vertices if v.id in g.p_labels}
-    seen = {g.key}
+    seen = {g.key[0]}
     shapes = {frozenset(blocks.values())}
     memo: dict[tuple, PropElement] = {}  # fused block -> merged label
     stack = [(_state(g), blocks, [])]
@@ -412,6 +413,9 @@ def _exhaustive(g: MixedGraph,
             seen.add(child.key)
             rest[w] = fused
             stack.append((child, rest, seq + [(a, b)]))
+    # the order of the full `MixedGraph` keys' reprs: each of those is
+    # "(", a state key's repr, then the alphabets, which never decide the
+    # order, as no state key's repr is a proper prefix of another's
     items = sorted(irreducible.items(), key=lambda kv: repr(kv[0]))
     return ([_mixed(g, s) for _, (s, _) in items],
             [seq for _, (_, seq) in items])

@@ -8,8 +8,10 @@ search, pure-python fraction matrices instead of numpy tensors, a
 reflexive coequalizer instead of the direct pushout quotient, a
 memo-free state search over an edge-list merge instead of the library's
 exhaustive collapse over spliced port maps, an edge-list substitution that
-builds and checks a `Graph` instead of keying the port map it wires.
-Tests freeze their expected values against these.
+builds and checks a `Graph` instead of keying the port map it wires, a
+per-port renaming through the sorting constructor instead of the
+library's one-pass renumbering.  Tests freeze their expected values
+against these.
 """
 
 from __future__ import annotations
@@ -473,6 +475,28 @@ def mirror(g: Graph) -> Graph:
     return Graph(g.n, g.m,
                  tuple(Vertex(v.id, v.n_out, v.n_in) for v in g.vertices),
                  tuple(Edge(move(e.dst), move(e.src)) for e in g.edges))
+
+
+# ---------------------------------------------------------------------------
+# renumbering
+
+def relabel_by_edges(g: Graph, mapping: dict[int, int]) -> Graph:
+    """`graphs.relabel_vertices` port by port: injectivity from a set of
+    the new ids, each vertex port renamed by a closure, and the graph
+    built, and so sorted, by the `Graph` constructor."""
+    new_ids = [mapping.get(v.id, v.id) for v in g.vertices]
+    if len(set(new_ids)) != len(new_ids):
+        raise GraphError("vertex relabeling is not injective")
+
+    def move(p):
+        if p[0] in ("vout", "vin"):
+            return (p[0], mapping.get(p[1], p[1]), p[2])
+        return p
+
+    return Graph(g.m, g.n,
+                 tuple(Vertex(mapping.get(v.id, v.id), v.n_in, v.n_out)
+                       for v in g.vertices),
+                 tuple(Edge(move(e.src), move(e.dst)) for e in g.edges))
 
 
 # ---------------------------------------------------------------------------

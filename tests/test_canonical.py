@@ -12,15 +12,15 @@ from pathlib import Path
 import pytest
 
 from propcalc import fixtures
-from propcalc.canonical import (ClassLister, NumberedGraph,
+from propcalc.canonical import (CanonicalForm, ClassLister, NumberedGraph,
                                 UnreachableVertexError, canonical_key,
                                 canonical_order, canonicalize,
                                 count_graphs, distinct, enumerate_graphs,
                                 graph_hash, is_isomorphic, skeletons,
                                 _key_hash, _path_order)
-from propcalc.graphs import (GraphError, LimitError, graph_from_dict,
-                             identity, make_graph, permute_inputs, port_map,
-                             relabel_vertices)
+from propcalc.graphs import (Edge, GraphError, LimitError, Vertex,
+                             graph_from_dict, identity, make_graph,
+                             permute_inputs, port_map, relabel_vertices)
 
 from _oracles import (brute_force_graphs, brute_force_isomorphic,
                       brute_force_nontrivial_automorphism, free_action_check,
@@ -541,6 +541,25 @@ def test_numbered_graph_checks_its_numbering():
             assert ng.graph.vertex_ids == (1, 2, 3)
             assert ng.graph == make_graph(ng.graph.m, ng.graph.n,
                                           ng.graph.vertices, ng.graph.edges)
+
+
+def test_enumeration_and_canonicalize_build_what_their_constructors_do():
+    # both are built field by field, bypassing the constructor; each
+    # must be the object the constructor would give
+    for ng in enumerate_graphs([(1, 2), (2, 1), (0, 1), (1, 0)], 1, 1):
+        assert type(ng) is NumberedGraph
+        assert ng.__dict__ == NumberedGraph(ng.graph).__dict__
+        assert repr(ng) == repr(NumberedGraph(ng.graph))
+        assert all(type(v) is Vertex for v in ng.graph.vertices)
+        assert all(type(e) is Edge for e in ng.graph.edges)
+        for labels in (None, {vid: f"x{vid % 2}"
+                              for vid in ng.graph.vertex_ids}):
+            cf = canonicalize(ng.graph, labels)
+            built = CanonicalForm(cf.labels, cf.order, cf.key)
+            assert type(cf) is CanonicalForm
+            assert cf.__dict__ == built.__dict__
+            assert cf == built and hash(cf) == hash(built)
+            assert repr(cf) == repr(built)
 
 
 def test_renumbering_moves_every_small_graph():

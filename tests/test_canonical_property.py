@@ -1,18 +1,20 @@
 """Canonical keys do not see vertex numbering, a key lists its graph's
 renamed edges sorted, a canonical graph is numbered in its canonical
-order, and the output-path order is the input-path order of the mirrored
-graph, on random small graphs of all three canonical routes."""
+order, the output-path order is the input-path order of the mirrored
+graph, renumbering is the per-port oracle's, and hashes are equal exactly
+where keys are, on random small graphs of all three canonical routes."""
 
 from __future__ import annotations
 
 import pytest
 
 from propcalc.canonical import (UnreachableVertexError, canonical_key,
-                                canonical_order, canonicalize, _path_order)
-from propcalc.graphs import (Edge, Graph, Vertex, hcompose, port_map,
-                             relabel_vertices, validate)
+                                canonical_order, canonicalize, graph_hash,
+                                _path_order)
+from propcalc.graphs import (Edge, Graph, GraphError, Vertex, hcompose,
+                             port_map, relabel_vertices, validate)
 
-from _oracles import mirror
+from _oracles import mirror, relabel_by_edges
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -158,3 +160,56 @@ def test_output_path_order_is_the_mirrored_input_path_order(g):
         assert str(ours.value) == str(err).replace("inputs", "outputs")
     else:
         assert output_path_order(g) == want
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_relabel_vertices_is_the_per_port_renaming(data):
+    g = data.draw(any_route_graphs())
+    ids = g.vertex_ids
+    r = len(ids)
+    new = data.draw(st.lists(st.integers(1, 12), min_size=r, max_size=r,
+                             unique=True))
+    moved = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    total = dict(zip(ids, new))
+    # a partial mapping onto fresh ids, and one that may send a vertex
+    # onto the id of a vertex it leaves in place
+    partial = {vid: 20 + x for vid, x, k in zip(ids, new, moved) if k}
+    clashing = {vid: x for vid, x, k in zip(ids, new, moved) if k}
+    for mapping in (total, partial, clashing, {}):
+        try:
+            want = relabel_by_edges(g, mapping)
+        except GraphError as err:
+            assert mapping is clashing
+            with pytest.raises(GraphError) as ours:
+                relabel_vertices(g, mapping)
+            assert str(ours.value) == str(err)
+            continue
+        got = relabel_vertices(g, mapping)
+        assert type(got) is Graph
+        assert (got.m, got.n) == (want.m, want.n)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
+        assert got == want and hash(got) == hash(want)
+        assert all(type(v) is Vertex for v in got.vertices)
+        assert all(type(e) is Edge for e in got.edges)
+
+
+@SETTINGS
+@hypothesis.given(st.lists(any_route_graphs(), min_size=1, max_size=5),
+                  st.data())
+def test_graph_hash_is_equal_exactly_where_the_key_is(gs, data):
+    # each graph, with and without labels, beside a renumbered copy, so
+    # that equal keys occur among distinct ones
+    pool = []
+    for g in gs:
+        labels = {vid: data.draw(LABELS) for vid in g.vertex_ids}
+        rename = dict(zip(g.vertex_ids, reversed(g.vertex_ids)))
+        h = relabel_vertices(g, rename)
+        moved = {rename[vid]: lab for vid, lab in labels.items()}
+        pool += [(g, None), (h, None), (g, labels), (h, moved)]
+    keys = [canonical_key(g, lab) for g, lab in pool]
+    hashes = [graph_hash(g, lab) for g, lab in pool]
+    for i in range(len(pool)):
+        for j in range(i):
+            assert (hashes[i] == hashes[j]) == (keys[i] == keys[j])

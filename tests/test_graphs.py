@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -143,6 +145,43 @@ def test_topological_order_breaks_ties_by_id():
     # renumbered, the lone vertex has the smaller id and goes first
     h = relabel_vertices(g, {1: 6, 2: 5, 3: 4})
     assert topological_order(h) == [4, 6, 5]
+
+
+def test_relabel_vertices_refuses_a_mapping_that_is_not_injective():
+    g = make_graph(1, 1, [(1, 1, 1), (2, 1, 1)],
+                   [(("input", 1), ("vin", 1, 1)),
+                    (("vout", 1, 1), ("vin", 2, 1)),
+                    (("vout", 2, 1), ("output", 1))])
+    # two ids sent to one, and one id sent onto an id the mapping keeps
+    for mapping in ({1: 3, 2: 3}, {1: 2}, {2: 1}):
+        with pytest.raises(GraphError,
+                           match="vertex relabeling is not injective"):
+            relabel_vertices(g, mapping)
+    assert relabel_vertices(g, {1: 2, 2: 1}).vertex_ids == (1, 2)
+
+
+def test_graph_construction_is_unchanged():
+    # the constructor sorts both parts and sets the fields in one step;
+    # the result is the graph `_sorted` makes from the sorted tuples
+    g = fixtures.fig1()
+    rng = random.Random(5)
+    for _ in range(5):
+        vertices, edges = list(g.vertices), list(g.edges)
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        for h in (Graph(g.m, g.n, vertices, edges),
+                  Graph(g.m, g.n, tuple(vertices), tuple(edges)),
+                  Graph(m=g.m, n=g.n, vertices=vertices, edges=edges)):
+            want = Graph._sorted(g.m, g.n, tuple(sorted(g.vertices)),
+                                 tuple(sorted(g.edges)))
+            assert h == want and hash(h) == hash(want)
+            assert repr(h) == repr(want)
+            assert type(h.vertices) is tuple and type(h.edges) is tuple
+    assert [(f.name, f.type) for f in dataclasses.fields(Graph)] == [
+        ("m", "int"), ("n", "int"), ("vertices", "tuple[Vertex, ...]"),
+        ("edges", "tuple[Edge, ...]")]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.m = 3
 
 
 def test_deep_chain_validates():

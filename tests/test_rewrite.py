@@ -394,7 +394,7 @@ def _merge_states(g: MixedGraph, monkeypatch) -> list[MixedGraph]:
     """Every state the exhaustive search builds, as it builds them:
     through `_splice`, with its label memo and its shape test, each made
     a `MixedGraph` from its spliced port map."""
-    states = {g.key: g}
+    states = {g.key[0]: g}
     real = rewrite._splice
 
     def recording(*args):
