@@ -263,13 +263,7 @@ class CanonicalForm:
 
     @property
     def graph(self) -> Graph:
-        # the key lists the renamed vertices in id order and the renamed
-        # edges sorted, which is the renamed graph
-        m, n, vertex_part, edge_part = self.key
-        return Graph._sorted(m, n,
-                             tuple(Vertex(i, a, b) for i, (a, b, _)
-                                   in enumerate(vertex_part, start=1)),
-                             tuple(Edge(src, dst) for src, dst in edge_part))
+        return _key_graph(self.key)
 
     @property
     def digest(self) -> int:
@@ -280,6 +274,16 @@ class CanonicalForm:
 
     def __hash__(self) -> int:
         return hash(self.key)
+
+
+def _key_graph(key: tuple) -> Graph:
+    # the graph renamed so that vertex ids 1..r follow the canonical
+    # order: the key lists its vertices in id order and its edges sorted
+    m, n, vertex_part, edge_part = key
+    return Graph._sorted(m, n,
+                         tuple(Vertex(i, a, b) for i, (a, b, _)
+                               in enumerate(vertex_part, start=1)),
+                         tuple(Edge(src, dst) for src, dst in edge_part))
 
 
 def canonical_key(g: Graph, labels: dict[int, str] | None = None) -> tuple:

@@ -1,11 +1,13 @@
 """Freely generated prop elements over a signature.
 
-An element is a labeled graph taken up to label-preserving isomorphism:
-the graph is stored in canonical form, so dataclass equality is exactly
-equality in the free structure.  `expand` substitutes an element into
-each vertex of a host graph (the flattening of nested elements), and
-`extend_morphism` evaluates elements in any target that implements the
-small `PropOps` interface, by slicing the graph into wire layers.
+An element is a labeled graph taken up to label-preserving isomorphism,
+held as its canonical key: equality is key equality, which is exactly
+equality in the free structure, and the canonical graph is built from
+the key only when read.  `expand` substitutes an element into each
+vertex of a host graph (the flattening of nested elements), reading the
+inner elements' keys, and `extend_morphism` evaluates elements in any
+target that implements the small `PropOps` interface, by slicing the
+graph into wire layers.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Protocol, TypeVar
+from typing import Iterable, Iterator, Protocol, Sequence, TypeVar
 
-from .canonical import (CanonicalForm, _canonicalize_ports, canonicalize,
-                        distinct, skeletons)
+from .canonical import (CanonicalForm, _canonicalize_ports, _key_graph,
+                        canonicalize, distinct, skeletons)
 from .graphs import (Edge, FormatError, Graph, GraphError, Port, Vertex,
                      build_port_map, check, graph_from_dict, graph_to_dict,
                      hcompose, identity, is_int, permute_inputs,
@@ -130,9 +132,21 @@ def signature_from_dict(d: object) -> Signature:
 class PropElement:
     """A labeled (m, n)-graph in canonical form.  Equality and hashing go
     through the canonical key, so they decide equality in the free prop.
-    What is derived from the graph and labels alone and kept for reuse
-    (`key_text`, and `tensor.evaluate`'s contraction plan) lives in the
-    instance dict, outside equality, hashing, repr and serialization."""
+
+    An element is its key: `build` and every operation below make it
+    from its `CanonicalForm` in one step, setting m, n, labels and key
+    only.  Its labels are keyed by canonical rank, so vertex i of the key
+    (ids 1..r in key order) carries `labels[i]`, and `_expand` reads
+    inner elements' vertices and wires straight from their keys.
+    `graph`, the key's graph (`CanonicalForm.graph`), is built the first
+    time it is read and then kept in the instance dict; the constructor
+    keeps the graph it is given, which may be any numbering of the key's
+    graph with `labels` keyed to match (such an element is fit for
+    `extend_morphism`, which walks `graph`, but not for `_expand`).
+    What else is derived from the graph and labels alone and kept for
+    reuse (`key_text`, and `tensor.evaluate`'s contraction plan) lives in
+    the instance dict too, outside equality, hashing, repr and
+    serialization."""
 
     m: int
     n: int
@@ -164,7 +178,19 @@ class PropElement:
 
     @classmethod
     def _of_form(cls, m: int, n: int, cf: CanonicalForm) -> "PropElement":
-        return cls(m, n, cf.graph, cf.labels or {}, cf.key)
+        # built the way `Graph._sorted` builds a graph: all fields at
+        # once, `graph` left to be built from the key when read
+        e = object.__new__(cls)
+        e.__dict__.update(m=m, n=n, labels=cf.labels or {}, key=cf.key)
+        return e
+
+    def __getattr__(self, name: str):
+        # called only for an attribute the instance dict lacks
+        if name != "graph":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        graph = self.__dict__["graph"] = _key_graph(self.key)
+        return graph
 
     @cached_property
     def key_text(self) -> str:
@@ -180,7 +206,7 @@ class PropElement:
 
     def __repr__(self) -> str:
         return (f"PropElement(({self.m},{self.n}), "
-                f"{len(self.graph.vertices)} vertices)")
+                f"{len(self.key[2])} vertices)")
 
 
 def identity_element(n: int) -> PropElement:
@@ -193,7 +219,8 @@ def corolla(sig: Signature, name: str) -> PropElement:
     edges = [Edge(("input", i), ("vin", 1, i)) for i in range(1, m + 1)]
     edges += [Edge(("vout", 1, k), ("output", k)) for k in range(1, n + 1)]
     graph = Graph(m, n, (Vertex(1, m, n),), tuple(edges))
-    return PropElement.build(graph, {1: name}, sig)
+    # a one-vertex element is valid by construction
+    return PropElement._canonical(graph, {1: name})
 
 
 def _shift_labels(labels: dict[int, str], offset: int) -> dict[int, str]:
@@ -241,29 +268,36 @@ def expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
     GraphError if `outer` is invalid or an inner element is missing or has
     the wrong arity.
     """
-    return _expand(check(outer), inner)
+    check(outer)
+    return _expand(outer.m, outer.n, outer.vertices, outer.edges, inner)
 
 
-def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
-    # `expand` of a host known to be valid.  The result needs no check: a
+def _expand(m: int, n: int, vertices: Sequence[tuple],
+            edges: Sequence[tuple],
+            inner: dict[int, PropElement]) -> PropElement:
+    # `expand` of the valid (m, n)-host with these parts, which need not
+    # be a `Graph`: vertices as (id, n_in, n_out) triples in id order,
+    # edges as (src, dst) port pairs.  Each inner element's vertices and
+    # wires are read from its key, which is exact for elements in
+    # canonical form (see `PropElement`).  The result needs no check: a
     # cycle in it would project to a cycle in the host.  Its wires are
-    # collected as plain port pairs and keyed from their port map; its
-    # graph is built from the key, as for any element.
-    for v in outer.vertices:
-        e = inner.get(v.id)
+    # collected as plain port pairs and keyed from their port map.
+    for vid, n_in, n_out in vertices:
+        e = inner.get(vid)
         if e is None:
-            raise GraphError(f"vertex {v.id} has no inner element")
-        if (e.m, e.n) != (v.n_in, v.n_out):
+            raise GraphError(f"vertex {vid} has no inner element")
+        if (e.m, e.n) != (n_in, n_out):
             raise GraphError(
-                f"vertex {v.id} has arity {(v.n_in, v.n_out)}, inner "
+                f"vertex {vid} has arity {(n_in, n_out)}, inner "
                 f"element is ({e.m},{e.n})")
 
     # the result's vertices are numbered 1..N, host vertex by host vertex,
-    # each inner element's in its vertex order
-    rename: dict[tuple[int, int], int] = {}
-    vertices: list[tuple[int, int, int]] = []
+    # each inner element's in its key order: inner vertex i of host
+    # vertex v becomes offset[v] + i
+    offset: dict[int, int] = {}
+    new_vertices: list[tuple[int, int, int]] = []
     labels: dict[int, str] = {}
-    edges: list[tuple[Port, Port]] = []
+    new_edges: list[tuple[Port, Port]] = []
 
     # per host vertex v and inner boundary index: the far end of inner
     # input i, and the source that feeds inner output j
@@ -272,25 +306,26 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
 
     def lift(vid: int, port: Port) -> Port:
         # a port of an inner vertex of host vertex vid, in the result
-        return (port[0], rename[(vid, port[1])], port[2])
+        return (port[0], offset[vid] + port[1], port[2])
 
-    for v in outer.vertices:
-        e = inner[v.id]
-        for iv in e.graph.vertices:
-            new = len(vertices) + 1
-            rename[(v.id, iv.id)] = new
-            vertices.append((new, iv.n_in, iv.n_out))
-            labels[new] = e.labels[iv.id]
-        for src, dst in e.graph.edges:
+    for vid, _, _ in vertices:
+        e = inner[vid]
+        _, _, vertex_part, edge_part = e.key
+        base = offset[vid] = len(new_vertices)
+        inner_labels = e.labels
+        for i, (a, b, _) in enumerate(vertex_part, start=1):
+            new_vertices.append((base + i, a, b))
+            labels[base + i] = inner_labels[i]
+        for src, dst in edge_part:
             if src[0] == "input":
-                after_input[v.id, src[1]] = dst
+                after_input[vid, src[1]] = dst
             if dst[0] == "output":
-                before_output[v.id, dst[1]] = src
+                before_output[vid, dst[1]] = src
             elif src[0] == "vout":
-                edges.append((lift(v.id, src), lift(v.id, dst)))
+                new_edges.append((lift(vid, src), lift(vid, dst)))
 
-    host_dst = dict(outer.edges)
-    for src, dst in outer.edges:
+    host_dst = dict(edges)
+    for src, dst in edges:
         if src[0] == "vout":
             far = before_output[src[1], src[2]]
             if far[0] == "input":
@@ -303,11 +338,10 @@ def _expand(outer: Graph, inner: dict[int, PropElement]) -> PropElement:
                 dst = lift(vid, far)
                 break
             dst = host_dst["vout", vid, far[1]]
-        edges.append((src, dst))
+        new_edges.append((src, dst))
 
-    m, n = outer.m, outer.n
     return PropElement._of_form(m, n, _canonicalize_ports(
-        m, n, build_port_map(m, n, vertices, edges), labels))
+        m, n, build_port_map(m, n, new_vertices, new_edges), labels))
 
 
 def expand_element(e: PropElement,
@@ -318,7 +352,11 @@ def expand_element(e: PropElement,
         inner = {vid: assignment[name] for vid, name in e.labels.items()}
     except KeyError as missing:
         raise GraphError(f"no element assigned to label {missing}") from None
-    return _expand(e.graph, inner)
+    # e's key is its graph in canonical form, labels keyed by rank
+    m, n, vertex_part, edge_part = e.key
+    return _expand(m, n, [(i, a, b) for i, (a, b, _)
+                          in enumerate(vertex_part, start=1)],
+                   edge_part, inner)
 
 
 # ---------------------------------------------------------------------------

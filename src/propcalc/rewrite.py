@@ -235,16 +235,15 @@ def _fused_label(p_labels: dict[int, PropElement], u: int, v: int,
     _, mutual, ext_in, ext_out = fusion
     lu, lv = p_labels[u], p_labels[v]
     side = {u: 1, v: 2}
-    host_edges = [Edge(("input", pos), ("vin", side[p[1]], p[2]))
+    host_edges = [(("input", pos), ("vin", side[p[1]], p[2]))
                   for pos, p in enumerate(ext_in, start=1)]
-    host_edges += [Edge(("vout", side[src[1]], src[2]),
-                        ("vin", side[dst[1]], dst[2])) for src, dst in mutual]
-    host_edges += [Edge(("vout", side[p[1]], p[2]), ("output", pos))
+    host_edges += [(("vout", side[src[1]], src[2]),
+                    ("vin", side[dst[1]], dst[2])) for src, dst in mutual]
+    host_edges += [(("vout", side[p[1]], p[2]), ("output", pos))
                    for pos, p in enumerate(ext_out, start=1)]
-    host = Graph(len(ext_in), len(ext_out),
-                 (Vertex(1, lu.m, lu.n), Vertex(2, lv.m, lv.n)),
-                 tuple(host_edges))
-    return _expand(host, {1: lu, 2: lv})
+    return _expand(len(ext_in), len(ext_out),
+                   ((1, lu.m, lu.n), (2, lv.m, lv.n)), host_edges,
+                   {1: lu, 2: lv})
 
 
 def _splice(g: MixedGraph, s: _State, u: int, v: int, fusion: tuple,
@@ -425,13 +424,13 @@ def expand_all(g: MixedGraph) -> PropElement:
     """The element the mixed graph stands for, with every composite label
     expanded in place.  Invariant under merge, hence the equality oracle
     for collapse results."""
-    combined = combine_signatures(g.atoms, g.msig)
-    corollas = {name: corolla(combined, name)
+    corollas = {name: corolla(g.msig, name)
                 for name in set(g.m_labels.values())}
     inner = {vid: g.p_labels[vid] if vid in g.p_labels
              else corollas[g.m_labels[vid]]
              for vid in g.graph.vertex_ids}
-    return _expand(g.graph, inner)
+    graph = g.graph
+    return _expand(graph.m, graph.n, graph.vertices, graph.edges, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def flatten_both(sub: tuple) -> PropElement:
     host, inner = sub
     flat = {vid: flatten_both(e) if isinstance(e, tuple) else e
             for vid, e in inner.items()}
-    ours = _expand(host, flat)
+    ours = _expand(host.m, host.n, host.vertices, host.edges, flat)
     want = expand_by_edges(host, flat)
     assert ours.key == want.key
     assert ours.graph == want.graph

@@ -241,14 +241,19 @@ def test_permuted_elements_need_permutations():
 
 
 def _same_as_checked(e: PropElement, sig: Signature) -> None:
-    # the checked path: check, the label and arity checks, canonicalize
+    # an element is made from its key alone, and its graph, built when
+    # read, is the one the checked path gives: check, the label and
+    # arity checks, canonicalize
+    assert repr(e) == f"PropElement(({e.m},{e.n}), {len(e.labels)} vertices)"
+    assert "graph" not in vars(e)
     again = PropElement.build(e.graph, e.labels, sig)
     assert (again.key, again.graph, again.labels) == \
         (e.key, e.graph, e.labels)
 
 
 def test_internal_results_match_the_checked_path():
-    # composites, permutations and expansions skip `build`'s checks
+    # composites, permutations, expansions and corollas skip `build`'s
+    # checks
     rng = random.Random(61)
     mid_names = [("A", 1, 1), ("B", 2, 1), ("C", 1, 2)]
     midsig = Signature(mid_names)
@@ -265,7 +270,8 @@ def test_internal_results_match_the_checked_path():
                   pelem_permute_inputs(bottom, (2, 1)),
                   expand_element(outer, mid),
                   expand(outer.graph, {vid: mid[name] for vid, name
-                                       in outer.labels.items()})):
+                                       in outer.labels.items()}),
+                  corolla(BASE_SIG, "b")):
             _same_as_checked(e, BASE_SIG)
 
 
@@ -370,8 +376,10 @@ def latest_first(e: PropElement) -> PropElement:
     extension, taking the smallest ready id first, walks in the order of
     `topo_latest_first` on e's graph."""
     flip = {vid: len(e.graph.vertices) + 1 - vid for vid in e.graph.vertex_ids}
-    f = PropElement(e.m, e.n, relabel_vertices(e.graph, flip),
+    graph = relabel_vertices(e.graph, flip)
+    f = PropElement(e.m, e.n, graph,
                     {flip[vid]: lab for vid, lab in e.labels.items()}, e.key)
+    assert f.graph is graph  # the constructor keeps the graph it is given
     assert [flip[vid] for vid in topological_order(f.graph)] == \
         topo_latest_first(e.graph)
     return f

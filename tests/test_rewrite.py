@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from propcalc import fixtures, rewrite
-from propcalc.canonical import canonical_key, canonical_order, enumerate_graphs
+from propcalc.canonical import (canonical_key, canonical_order, canonicalize,
+                                enumerate_graphs)
 from propcalc.freeprop import (PropElement, Signature, combine_signatures,
                                corolla, pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
@@ -362,8 +363,8 @@ def test_commuting_merges_are_built_once(monkeypatch, r, merges):
 
 
 def test_exhaustive_collapse_builds_graphs_only_for_its_forms(monkeypatch):
-    # search states stay port maps: the only graphs built are the
-    # returned forms and the two-vertex host of each merged label
+    # search states stay port maps and merged labels are expanded from
+    # host parts: the only graphs built are the returned forms
     atoms = Signature([("a", 1, 1)])
     chain = MixedGraph.build(unary_chain(4), atoms, Signature([]),
                              {v: corolla(atoms, "a") for v in range(1, 5)},
@@ -386,8 +387,30 @@ def test_exhaustive_collapse_builds_graphs_only_for_its_forms(monkeypatch):
         hosts.clear()
         forms = collapse(g, "exhaustive")
         assert hosts
-        assert len(built) == len(forms) + len(hosts)
+        assert len(built) == len(forms)
         assert all(any(f.graph is x for x in built) for f in forms)
+
+
+def test_merged_labels_and_expansions_build_no_graph():
+    # merged labels and expansions are made from their keys alone, and
+    # a graph read later is the graph of a fresh canonical form
+    rng = random.Random(59)
+    cache: dict = {}
+    hosts = [the_remark()]
+    while len(hosts) < 31:
+        g = _random_mixed(rng, cache)
+        if g is not None and mergeable_pairs(g):
+            hosts.append(g)
+    for g in hosts:
+        forms = collapse(g, "exhaustive")
+        made = [expand_all(f) for f in forms]
+        made += [e for f in forms for vid, e in f.p_labels.items()
+                 if vid not in g.p_labels]
+        assert len(made) > len(forms)
+        assert not any("graph" in vars(e) for e in made)
+        for e in made:
+            cf = canonicalize(e.graph, e.labels)
+            assert (e.graph, e.labels, e.key) == (cf.graph, cf.labels, cf.key)
 
 
 def _merge_states(g: MixedGraph, monkeypatch) -> list[MixedGraph]:
