@@ -1,12 +1,22 @@
 """Canonical numbering: a stable vertex order, a stable hash, and
 isomorphism testing that reduces to equality."""
 
-from propcalc import fixtures
+import json
+from pathlib import Path
+
 from propcalc.canonical import (canonical_order, canonicalize, count_graphs,
                                 enumerate_graphs, graph_hash, is_isomorphic)
-from propcalc.graphs import relabel_vertices
+from propcalc.graphs import graph_from_dict, relabel_vertices
 
-g = fixtures.fig7()
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_graph(name):
+    text = (FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+    return graph_from_dict(json.loads(text))[0]
+
+
+g = fixture_graph("fig7")
 print("canonical order of the 5-vertex fixture:", canonical_order(g))
 print("hash:", graph_hash(g))
 
@@ -20,7 +30,8 @@ print("canonical graphs equal:",
       canonicalize(shuffled).graph == canonicalize(g).graph)
 
 # two fixtures that are the same graph wearing different numbers
-print("fig1 ~ fig7:", is_isomorphic(fixtures.fig1(), fixtures.fig7()))
+print("fig1 ~ fig7:",
+      is_isomorphic(fixture_graph("fig1"), fixture_graph("fig7")))
 
 # enumeration: all graphs on two vertices of arity (1,1) with one
 # graph input and one graph output, numbered vs up to isomorphism

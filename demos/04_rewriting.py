@@ -1,11 +1,16 @@
 """Mixed graphs and merge rewriting: collapsing is terminating but not
 confluent, and every irreducible form expands to the same element."""
 
-from propcalc import fixtures
-from propcalc.rewrite import (collapse, expand_all, merge, mergeable_pairs,
-                              non_confluence_witness, remark_mixed)
+import json
+from pathlib import Path
 
-g = remark_mixed(fixtures.remark_witness())
+from propcalc.rewrite import (collapse, expand_all, merge, mergeable_pairs,
+                              mixed_from_dict, non_confluence_witness)
+
+# the committed example file, read through the public loader
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+text = (FIXTURES / "remark-witness.json").read_text(encoding="utf-8")
+g = mixed_from_dict(json.loads(text))
 print("vertices:", len(g.graph.vertices), " mergeable pairs:", mergeable_pairs(g))
 
 # one merge step fuses two vertices into one composite vertex

@@ -585,17 +585,3 @@ def mixed_from_dict(d: object) -> MixedGraph:
         return MixedGraph.build(graph, atoms, msig, p_labels, m_labels)
     except GraphError as err:
         raise FormatError(str(err)) from None
-
-
-def remark_mixed(fixture: dict) -> MixedGraph:
-    """Assemble the ready-made non-confluence fixture into a MixedGraph."""
-    atoms = Signature((name, a[0], a[1])
-                      for name, a in fixture["atoms"].items())
-    msig = Signature((name, a[0], a[1])
-                     for name, a in fixture["msig"].items())
-    p_labels = {vid: corolla(atoms, fixture["labels"][vid])
-                for vid, side in fixture["alphabet"].items() if side == "P"}
-    m_labels = {vid: fixture["labels"][vid]
-                for vid, side in fixture["alphabet"].items() if side == "M"}
-    return MixedGraph.build(fixture["graph"], atoms, msig,
-                            p_labels, m_labels)

@@ -16,9 +16,8 @@ import math
 import random
 import sys
 import time
-from pathlib import Path
 
-from propcalc import cli, fixtures
+from propcalc import cli
 from propcalc.canonical import canonicalize, enumerate_graphs
 from propcalc.freeprop import (PropElement, Signature, corolla, expand,
                                expand_element, pelem_hcompose,
@@ -28,16 +27,15 @@ from propcalc.graphs import hcompose, vcompose
 from propcalc.pushouts import (CubeDiagram, FiniteSetMap, faces_commute,
                                filtration_square_check,
                                iterated_identity_check, punctured_colimit)
-from propcalc.rewrite import collapse, expand_all, remark_mixed
+from propcalc.rewrite import collapse, expand_all, mixed_from_dict
 from propcalc.tensor import (AlgebraAssignment, RatTensor,
                              conjugate_assignment, evaluate, kron_power,
                              morphism_prop_membership, rt_dot, rt_kron)
 
+from _fixtures import fixture_dict, fixture_graph, fixture_path
 from _oracles import (brute_force_isomorphic, carries_edges,
                       free_action_check, permutation_matrix,
                       topo_latest_first)
-
-FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 BASE_SIG = Signature([("a", 1, 1), ("b", 2, 1), ("c", 1, 2)])
 
@@ -116,7 +114,7 @@ def inverse_perm_matrix(w: tuple[int, ...], d: int) -> RatTensor:
 # 1
 def test_criterion_01_canonical_order_fixture():
     def go():
-        rc, out = run_cli("canon", str(FIXDIR / "fig7.json"))
+        rc, out = run_cli("canon", str(fixture_path("fig7")))
         assert rc == 0
         assert json.loads(out)["order"] == [1, 4, 2, 5, 3]
 
@@ -158,10 +156,10 @@ def test_criterion_02_free_symmetric_action():
 # 3
 def test_criterion_03_figure_composites():
     def go():
-        h = fixtures.fig2h()
+        h = {k: fixture_graph("fig2h", k) for k in ("left", "right", "result")}
         got = hcompose(h["left"], h["right"])
         assert canonicalize(got) == canonicalize(h["result"])
-        v = fixtures.fig2v()
+        v = {k: fixture_graph("fig2v", k) for k in ("top", "bottom", "result")}
         got = vcompose(v["top"], v["bottom"])
         assert canonicalize(got) == canonicalize(v["result"])
 
@@ -218,7 +216,7 @@ def test_criterion_04_monad_and_interchange_laws():
 # 5
 def test_criterion_05_non_confluence():
     def go():
-        g = remark_mixed(fixtures.remark_witness())
+        g = mixed_from_dict(fixture_dict("remark-witness"))
         forms = collapse(g, strategy="exhaustive")
         assert len(forms) == 2
         assert expand_all(forms[0]) == expand_all(forms[1]) == expand_all(g)

@@ -11,17 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from propcalc import fixtures
 from propcalc.canonical import (CanonicalForm, ClassLister, NumberedGraph,
                                 UnreachableVertexError, canonical_key,
                                 canonical_order, canonicalize,
                                 count_graphs, distinct, enumerate_graphs,
                                 graph_hash, is_isomorphic, skeletons,
                                 _key_hash, _path_order)
+from propcalc.freeprop import partial_from_dict
 from propcalc.graphs import (Edge, GraphError, LimitError, Vertex,
                              graph_from_dict, identity, make_graph,
                              permute_inputs, port_map, relabel_vertices)
 
+from _fixtures import FIXDIR, fixture_dict, fixture_graph, fixture_path
 from _oracles import (brute_force_graphs, brute_force_isomorphic,
                       brute_force_nontrivial_automorphism, free_action_check,
                       input_path_labels, unary_chain)
@@ -41,7 +42,7 @@ def output_path_order(g):
 
 
 def test_path_labels_running_example():
-    labels = input_path_labels(fixtures.fig7())
+    labels = input_path_labels(fixture_graph("fig7"))
     assert labels == {
         1: (1, 1),
         4: (1, 1, 1, 1),
@@ -52,8 +53,8 @@ def test_path_labels_running_example():
 
 
 def test_canonical_order_running_example():
-    assert input_path_order(fixtures.fig7()) == [1, 4, 2, 5, 3]
-    assert canonical_order(fixtures.fig7()) == [1, 4, 2, 5, 3]
+    assert input_path_order(fixture_graph("fig7")) == [1, 4, 2, 5, 3]
+    assert canonical_order(fixture_graph("fig7")) == [1, 4, 2, 5, 3]
 
 
 def test_identity_has_empty_order():
@@ -71,7 +72,7 @@ def test_zero_input_vertex_is_unreachable():
 
 
 def test_order_is_relabel_invariant():
-    g = fixtures.fig7()
+    g = fixture_graph("fig7")
     mapping = {1: 30, 2: 10, 3: 50, 4: 20, 5: 40}
     h = relabel_vertices(g, mapping)
     assert input_path_order(h) == [mapping[v] for v in input_path_order(g)]
@@ -136,14 +137,14 @@ def test_vertices_that_reach_no_output_are_listed_sorted():
 # canonical forms
 
 def test_canonicalize_idempotent():
-    cf = canonicalize(fixtures.fig1())
+    cf = canonicalize(fixture_graph("fig1"))
     again = canonicalize(cf.graph, cf.labels)
     assert again == cf
     assert again.order == tuple(range(1, len(cf.graph.vertices) + 1))
 
 
 def test_relabel_gives_same_form():
-    g = fixtures.fig1()
+    g = fixture_graph("fig1")
     h = relabel_vertices(g, {1: 7, 2: 3, 3: 11, 4: 2, 5: 9})
     assert canonicalize(g) == canonicalize(h)
     assert is_isomorphic(g, h)
@@ -168,7 +169,7 @@ def test_chain_and_parallel_pair_differ():
 
 
 def test_iso_fixes_boundary_labels():
-    g = fixtures.fig1()
+    g = fixture_graph("fig1")
     twisted = permute_inputs(g, (2, 1, 3, 4))
     assert is_isomorphic(g, g)
     assert not is_isomorphic(g, twisted)
@@ -176,8 +177,8 @@ def test_iso_fixes_boundary_labels():
 
 
 def test_labels_participate_in_isomorphism():
-    g = fixtures.fig8()["graph"]
-    labels = fixtures.fig8()["labels"]
+    f8 = partial_from_dict(fixture_dict("fig8"))
+    g, labels = f8.graph, f8.labels
     changed = dict(labels)
     changed[2] = "other"
     assert is_isomorphic(g, g, labels, labels)
@@ -275,22 +276,25 @@ def test_hash_has_no_collisions_on_small_families():
     assert len(seen) > 10
 
 
-# graph_hash(fixtures.fig7()); the digest is fixed-width and little-endian,
+# graph_hash of the fig7 fixture; the digest is fixed-width and little-endian,
 # so it holds in every process and on every machine
 FIG7_HASH = 6483979142243912551
 
 
 def test_graph_hash_is_pinned_across_processes():
-    assert graph_hash(fixtures.fig7()) == FIG7_HASH
+    assert graph_hash(fixture_graph("fig7")) == FIG7_HASH
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    script = ("from propcalc import fixtures\n"
+    script = ("import json, sys\n"
               "from propcalc.canonical import graph_hash\n"
-              "print(graph_hash(fixtures.fig7()))\n")
+              "from propcalc.graphs import graph_from_dict\n"
+              "with open(sys.argv[1], encoding='utf-8') as f:\n"
+              "    print(graph_hash(graph_from_dict(json.load(f))[0]))\n")
     for seed in ("0", "1"):
         env["PYTHONHASHSEED"] = seed
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script,
+                               str(fixture_path("fig7"))], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) == FIG7_HASH, seed
@@ -311,8 +315,8 @@ def _fixture_graphs(d: dict):
 
 def test_form_digest_is_the_graph_hash_on_every_fixture():
     count = 0
-    for name, d in fixtures.fixture_dicts().items():
-        for graph, labels in _fixture_graphs(d):
+    for name in sorted(p.stem for p in FIXDIR.glob("*.json")):
+        for graph, labels in _fixture_graphs(fixture_dict(name)):
             for lab in (None, labels) if labels else (None,):
                 cf = canonicalize(graph, lab)
                 assert cf.digest == graph_hash(graph, lab), name
@@ -418,7 +422,7 @@ def test_skeleton_keys_match_canonical_keys_on_every_route():
 
 
 def test_enumerate_finds_the_diamond():
-    target = fixtures.nonacyclic_p2()
+    target = fixture_graph("nonacyclic-p2")
     stream = enumerate_graphs([(1, 2), (1, 1), (1, 1), (2, 1)], 1, 1)
     assert any(ng.graph == target for ng in stream)
 
@@ -496,7 +500,7 @@ def test_enumerate_caps():
 # free renumbering action
 
 def test_free_action_running_example():
-    assert free_action_check(fixtures.fig7())
+    assert free_action_check(fixture_graph("fig7"))
 
 
 def test_free_action_single_vertex():
@@ -508,7 +512,7 @@ def test_free_action_single_vertex():
 
 
 def test_free_action_requires_inputs_everywhere():
-    g = fixtures.remark_witness()["graph"]
+    g = fixture_graph("remark-witness")
     with pytest.raises(GraphError):
         free_action_check(g)
 
@@ -520,7 +524,7 @@ def test_renumber_is_right_action():
         return relabel_vertices(g, {old: new for new, old
                                     in enumerate(w, start=1)})
 
-    g = fixtures.fig7()
+    g = fixture_graph("fig7")
     w1, w2 = (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)
     combined = tuple(w1[w2[i] - 1] for i in range(5))
     assert renumber(renumber(g, w1), w2) == renumber(g, combined)

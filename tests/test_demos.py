@@ -1,6 +1,7 @@
-"""Every demo script runs to completion, every public library name has a
-caller outside the tests, no library check is an assert, and every cap
-message names its knob."""
+"""Every demo script runs to completion and prints its pinned output,
+every public library name has a caller outside the tests, every library
+module is imported by the library, no library check is an assert, and
+every cap message names its knob."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# each demo's stdout, byte for byte, in tests/demo_stdout/<stem>.txt
+PINNED = ROOT / "tests" / "demo_stdout"
 SRC = ROOT / "src" / "propcalc"
 
 # public names kept although only tests call them, each with its reason
@@ -30,8 +33,9 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (PINNED / f"{demo.stem}.txt").read_bytes()
 
 
 def _names_used(tree: ast.AST, skip: range = range(0)) -> set[str]:
@@ -82,6 +86,20 @@ def test_every_public_name_has_a_caller():
     names = propcalc.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(propcalc, name)] == []
+
+
+def test_every_library_module_is_imported():
+    """A module of src/propcalc that only tests or demos import is not
+    part of the library: each one is imported by `__init__`, by `cli` (the
+    entry point, which nothing imports) or by another library module."""
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= ({node.module.split(".")[0]} if node.module
+                             else {alias.name for alias in node.names})
+    modules = {path.stem for path in SRC.glob("*.py")}
+    assert sorted(modules - imported - {"__init__", "cli"}) == []
 
 
 def test_library_makes_no_check_with_assert():

@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from propcalc import fixtures
 from propcalc.canonical import enumerate_graphs
 from propcalc.freeprop import (FREE_OPS, Generator, PartialLabeledGraph,
                                PropElement, Signature, combine_signatures,
@@ -24,6 +23,7 @@ from propcalc.graphs import (FormatError, GraphError, make_graph,
                              relabel_vertices, to_json_text,
                              topological_order)
 
+from _fixtures import fixture_dict, fixture_graph
 from _oracles import topo_latest_first
 
 
@@ -55,12 +55,12 @@ FIG2_SIG = Signature([("p", 1, 2), ("q", 1, 1), ("r", 3, 1),
 
 
 def fig4_parts():
-    f4 = fixtures.fig4()
-    sig = Signature([(name, a[0], a[1]) for name, a in f4["sig"].items()])
-    inner1 = PropElement.build(f4["inner"][1], f4["inner_labels"][1], sig)
-    inner2 = PropElement.build(f4["inner"][2], f4["inner_labels"][2], sig)
-    flat = PropElement.build(f4["flat"], f4["flat_labels"], sig)
-    return f4, sig, inner1, inner2, flat
+    f4 = fixture_dict("fig4")
+    sig = signature_from_dict(f4["sig"])
+    inner1 = element_from_dict(f4["inner"]["1"], sig)
+    inner2 = element_from_dict(f4["inner"]["2"], sig)
+    flat = element_from_dict(f4["flat"], sig)
+    return fixture_graph("fig4", "outer"), sig, inner1, inner2, flat
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +138,11 @@ def test_element_build_validates():
 
 
 def test_vertical_composite_figure_with_labels():
-    parts = fixtures.fig2v()
-    top = PropElement.build(parts["top"], {1: "s", 2: "t"}, FIG2_SIG)
-    bottom = PropElement.build(parts["bottom"],
+    top = PropElement.build(fixture_graph("fig2v", "top"),
+                            {1: "s", 2: "t"}, FIG2_SIG)
+    bottom = PropElement.build(fixture_graph("fig2v", "bottom"),
                                {1: "p", 2: "q", 3: "r"}, FIG2_SIG)
-    want = PropElement.build(parts["result"],
+    want = PropElement.build(fixture_graph("fig2v", "result"),
                              {1: "s", 2: "t", 3: "p", 4: "q", 5: "r"},
                              FIG2_SIG)
     assert pelem_vcompose(top, bottom) == want
@@ -187,8 +187,8 @@ def test_element_permutation_equivariance():
 # substitution
 
 def test_expand_reproduces_substitution_figure():
-    f4, sig, inner1, inner2, flat = fig4_parts()
-    assert expand(f4["outer"], {1: inner1, 2: inner2}) == flat
+    outer, sig, inner1, inner2, flat = fig4_parts()
+    assert expand(outer, {1: inner1, 2: inner2}) == flat
 
 
 def test_expand_left_unit():
@@ -209,12 +209,11 @@ def test_expand_right_unit():
 
 
 def test_expand_checks_arities():
-    _, sig, inner1, inner2, _ = fig4_parts()
-    f4 = fixtures.fig4()
+    outer, sig, inner1, inner2, _ = fig4_parts()
     with pytest.raises(GraphError):
-        expand(f4["outer"], {1: inner2, 2: inner1})
+        expand(outer, {1: inner2, 2: inner1})
     with pytest.raises(GraphError):
-        expand(f4["outer"], {1: inner1})
+        expand(outer, {1: inner1})
 
 
 def test_expand_checks_the_host_graph():
@@ -471,19 +470,17 @@ def test_count_basis_without_a_free_action_matches_the_product_loop():
 # partial labelings
 
 def test_partial_labeling_fixture_degree():
-    f8 = fixtures.fig8()
-    p = PartialLabeledGraph(f8["graph"], f8["labels"], f8["slots"])
-    assert filtration_degree(p) == 3
+    assert filtration_degree(partial_from_dict(fixture_dict("fig8"))) == 3
 
 
 def test_fully_slotted_graph_has_degree_zero():
-    g = fixtures.nonacyclic_p2()
+    g = fixture_graph("nonacyclic-p2")
     slots = {vid: i for i, vid in enumerate(sorted(g.vertex_ids), start=1)}
     assert filtration_degree(PartialLabeledGraph(g, {}, slots)) == 0
 
 
 def test_partial_labeling_partition_enforced():
-    g = fixtures.nonacyclic_p2()
+    g = fixture_graph("nonacyclic-p2")
     with pytest.raises(GraphError):
         PartialLabeledGraph(g, {1: "x"}, {1: 1, 2: 2, 3: 3, 4: 4})
     with pytest.raises(GraphError):
@@ -529,8 +526,7 @@ def test_element_json_requires_labels():
 
 
 def test_partial_json_round_trip():
-    f8 = fixtures.fig8()
-    p = PartialLabeledGraph(f8["graph"], f8["labels"], f8["slots"])
+    p = partial_from_dict(fixture_dict("fig8"))
     d = json.loads(to_json_text(partial_to_dict(p)))
     assert partial_from_dict(d) == p
     bad = partial_to_dict(p)

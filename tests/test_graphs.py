@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from propcalc import fixtures
+from propcalc.freeprop import partial_from_dict
 from propcalc.graphs import (Edge, FormatError, Graph, GraphError, Vertex,
                              check, graph_from_dict, graph_to_dict, hcompose,
                              identity, invert_permutation, make_graph,
@@ -18,6 +18,7 @@ from propcalc.graphs import (Edge, FormatError, Graph, GraphError, Vertex,
                              topological_order, validate, vcompose,
                              vertex_successors)
 
+from _fixtures import fixture_dict, fixture_graph
 from _oracles import compose_permutations, unary_chain, wire_permutation
 
 
@@ -36,23 +37,20 @@ def test_identity_graphs_validate():
 
 
 def test_running_example_validates():
-    assert validate(fixtures.fig1()) == []
+    assert validate(fixture_graph("fig1")) == []
 
 
 def test_all_fixtures_validate():
-    for name, builder in [("fig1", fixtures.fig1),
-                          ("fig7", fixtures.fig7),
-                          ("nonacyclic_p2", fixtures.nonacyclic_p2)]:
-        assert validate(builder()) == [], name
-    for part in fixtures.fig2h().values():
-        assert validate(part) == []
+    for name in ("fig1", "fig7", "nonacyclic-p2"):
+        assert validate(fixture_graph(name)) == [], name
+    for key in ("left", "right", "result"):
+        assert validate(fixture_graph("fig2h", key)) == []
     for key in ("top", "bottom", "result"):
-        assert validate(fixtures.fig2v()[key]) == []
-    f4 = fixtures.fig4()
-    for g in (f4["outer"], f4["inner"][1], f4["inner"][2], f4["flat"]):
-        assert validate(g) == []
-    assert validate(fixtures.fig8()["graph"]) == []
-    assert validate(fixtures.remark_witness()["graph"]) == []
+        assert validate(fixture_graph("fig2v", key)) == []
+    for keys in (("outer",), ("inner", "1"), ("inner", "2"), ("flat",)):
+        assert validate(fixture_graph("fig4", *keys)) == []
+    assert validate(fixture_graph("fig8")) == []
+    assert validate(fixture_graph("remark-witness")) == []
 
 
 def test_validate_flags_unknown_vertex():
@@ -73,7 +71,7 @@ def test_validate_flags_port_out_of_range():
 
 
 def test_validate_flags_unused_and_doubled_ports():
-    base = fixtures.fig1()
+    base = fixture_graph("fig1")
     dropped = Graph(base.m, base.n, base.vertices, base.edges[1:])
     conds = conditions(validate(dropped))
     assert "source-port" in conds or "target-port" in conds
@@ -163,7 +161,7 @@ def test_relabel_vertices_refuses_a_mapping_that_is_not_injective():
 def test_graph_construction_is_unchanged():
     # the constructor sorts both parts and sets the fields in one step;
     # the result is the graph `_sorted` makes from the sorted tuples
-    g = fixtures.fig1()
+    g = fixture_graph("fig1")
     rng = random.Random(5)
     for _ in range(5):
         vertices, edges = list(g.vertices), list(g.edges)
@@ -191,7 +189,7 @@ def test_deep_chain_validates():
 
 
 def test_check_returns_graph_unchanged():
-    g = fixtures.fig1()
+    g = fixture_graph("fig1")
     assert check(g) is g
 
 
@@ -199,23 +197,25 @@ def test_check_returns_graph_unchanged():
 # composition
 
 def test_hcompose_matches_figure():
-    parts = fixtures.fig2h()
-    assert hcompose(parts["left"], parts["right"]) == parts["result"]
+    left, right, result = (fixture_graph("fig2h", key)
+                           for key in ("left", "right", "result"))
+    assert hcompose(left, right) == result
 
 
 def test_vcompose_matches_figure():
-    parts = fixtures.fig2v()
-    assert vcompose(parts["top"], parts["bottom"]) == parts["result"]
+    top, bottom, result = (fixture_graph("fig2v", key)
+                           for key in ("top", "bottom", "result"))
+    assert vcompose(top, bottom) == result
 
 
 def test_hcompose_unit():
-    g = fixtures.fig1()
+    g = fixture_graph("fig1")
     assert hcompose(g, identity(0)) == g
     assert hcompose(identity(0), g) == g
 
 
 def test_vcompose_units():
-    g = fixtures.fig1()
+    g = fixture_graph("fig1")
     assert vcompose(identity(g.m), g) == g
     assert vcompose(g, identity(g.n)) == g
 
@@ -226,21 +226,21 @@ def test_vcompose_boundary_mismatch():
 
 
 def test_hcompose_associative():
-    parts = fixtures.fig2h()
-    a, b, c = parts["left"], parts["right"], fixtures.fig1()
+    a, b = fixture_graph("fig2h", "left"), fixture_graph("fig2h", "right")
+    c = fixture_graph("fig1")
     assert hcompose(hcompose(a, b), c) == hcompose(a, hcompose(b, c))
 
 
 def test_vcompose_associative():
-    top = fixtures.fig2h()["right"]
-    mid = fixtures.fig2h()["left"]
-    bot = fixtures.nonacyclic_p2()
+    top = fixture_graph("fig2h", "right")
+    mid = fixture_graph("fig2h", "left")
+    bot = fixture_graph("nonacyclic-p2")
     assert vcompose(vcompose(top, mid), bot) == vcompose(top, vcompose(mid, bot))
 
 
 def test_interchange():
-    g1 = fixtures.fig2h()["right"]
-    h1 = fixtures.fig2h()["left"]
+    g1 = fixture_graph("fig2h", "right")
+    h1 = fixture_graph("fig2h", "left")
     g2 = identity(1)
     h2 = identity(1)
     lhs = vcompose(hcompose(g1, g2), hcompose(h1, h2))
@@ -249,9 +249,10 @@ def test_interchange():
 
 
 def test_composites_stay_valid():
-    parts_h, parts_v = fixtures.fig2h(), fixtures.fig2v()
-    assert validate(hcompose(parts_h["left"], parts_h["right"])) == []
-    assert validate(vcompose(parts_v["top"], parts_v["bottom"])) == []
+    assert validate(hcompose(fixture_graph("fig2h", "left"),
+                             fixture_graph("fig2h", "right"))) == []
+    assert validate(vcompose(fixture_graph("fig2v", "top"),
+                             fixture_graph("fig2v", "bottom"))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,8 @@ def test_stacked_input_permutations_compose():
 
 
 def test_output_action_is_left_action():
-    g = hcompose(fixtures.fig2h()["left"], fixtures.fig2h()["right"])
+    g = hcompose(fixture_graph("fig2h", "left"),
+                 fixture_graph("fig2h", "right"))
     for w1 in itertools.permutations(range(1, 4)):
         for w2 in itertools.permutations(range(1, 4)):
             lhs = permute_outputs(permute_outputs(g, w1), w2)
@@ -282,7 +284,8 @@ def test_output_action_is_left_action():
 
 
 def test_input_action_is_right_action():
-    g = hcompose(fixtures.fig2h()["left"], fixtures.fig2h()["right"])
+    g = hcompose(fixture_graph("fig2h", "left"),
+                 fixture_graph("fig2h", "right"))
     for w1 in itertools.permutations(range(1, 4)):
         for w2 in itertools.permutations(range(1, 4)):
             lhs = permute_inputs(permute_inputs(g, w1), w2)
@@ -291,8 +294,9 @@ def test_input_action_is_right_action():
 
 
 def test_vcompose_equivariance():
-    pairs = [(fixtures.fig2v()["top"], fixtures.fig2v()["bottom"])]
-    g33 = hcompose(fixtures.fig2h()["left"], fixtures.fig2h()["right"])
+    pairs = [(fixture_graph("fig2v", "top"), fixture_graph("fig2v", "bottom"))]
+    g33 = hcompose(fixture_graph("fig2h", "left"),
+                   fixture_graph("fig2h", "right"))
     pairs.append((g33, g33))
     for top, bottom in pairs:
         base = vcompose(top, bottom)
@@ -311,7 +315,8 @@ def test_permuted_identity_traces_inverse():
 
 
 def test_permutation_actions_keep_graphs_valid():
-    g = hcompose(fixtures.fig2h()["left"], fixtures.fig2h()["right"])
+    g = hcompose(fixture_graph("fig2h", "left"),
+                 fixture_graph("fig2h", "right"))
     for w in itertools.permutations(range(1, 4)):
         assert validate(permute_outputs(g, w)) == []
         assert validate(permute_inputs(g, w)) == []
@@ -321,7 +326,7 @@ def test_permutation_actions_keep_graphs_valid():
 # JSON interchange
 
 def test_json_round_trip_plain():
-    g = fixtures.fig1()
+    g = fixture_graph("fig1")
     text = to_json_text(graph_to_dict(g))
     parsed, extras = graph_from_dict(json.loads(text))
     assert parsed == g
@@ -330,20 +335,19 @@ def test_json_round_trip_plain():
 
 
 def test_json_round_trip_labels_and_extras():
-    f8 = fixtures.fig8()
-    extras_in = {vid: {"slot": s} for vid, s in f8["slots"].items()}
-    d = graph_to_dict(f8["graph"], labels=f8["labels"],
-                      vertex_extras=extras_in)
+    f8 = partial_from_dict(fixture_dict("fig8"))
+    extras_in = {vid: {"slot": s} for vid, s in f8.slots.items()}
+    d = graph_to_dict(f8.graph, labels=f8.labels, vertex_extras=extras_in)
     parsed, extras = graph_from_dict(json.loads(to_json_text(d)))
-    assert parsed == f8["graph"]
+    assert parsed == f8.graph
     assert {vid: e["label"] for vid, e in extras.items() if "label" in e} \
-        == f8["labels"]
+        == f8.labels
     assert {vid: e["slot"] for vid, e in extras.items() if "slot" in e} \
-        == f8["slots"]
+        == f8.slots
 
 
 def test_json_rejects_malformed():
-    good = graph_to_dict(fixtures.fig1())
+    good = graph_to_dict(fixture_graph("fig1"))
     for mutate in [
         lambda d: d.pop("m"),
         lambda d: d.update(m="4"),

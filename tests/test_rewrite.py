@@ -9,30 +9,37 @@ import sys
 
 import pytest
 
-from propcalc import fixtures, rewrite
+from propcalc import rewrite
 from propcalc.canonical import (canonical_key, canonical_order, canonicalize,
                                 enumerate_graphs)
 from propcalc.freeprop import (PropElement, Signature, combine_signatures,
                                corolla, pelem_hcompose, pelem_permute_inputs,
                                pelem_permute_outputs, pelem_vcompose)
-from propcalc.graphs import FormatError, GraphError, LimitError, to_json_text
+from propcalc.graphs import (FormatError, GraphError, LimitError,
+                             graph_from_dict, to_json_text)
 from propcalc.rewrite import (MixedGraph, _exhaustive, collapse, expand_all,
                               merge, mergeable, mergeable_pairs,
                               mixed_from_dict, mixed_to_dict,
-                              non_confluence_witness, remark_mixed)
+                              non_confluence_witness)
 
+from _fixtures import fixture_dict, fixture_graph
 from _oracles import brute_force_collapse, unary_chain
 
 
 def the_remark() -> MixedGraph:
-    return remark_mixed(fixtures.remark_witness())
+    return mixed_from_dict(fixture_dict("remark-witness"))
+
+
+def remark_labels() -> dict[int, str]:
+    """The name on each vertex of the remark fixture, atoms included."""
+    _, extras = graph_from_dict(fixture_dict("remark-witness"))
+    return {vid: ex["label"] for vid, ex in extras.items()}
 
 
 # ---------------------------------------------------------------------------
 # construction and validation
 
 def test_mixed_build_validates():
-    rw = fixtures.remark_witness()
     g = the_remark()
     with pytest.raises(GraphError):
         MixedGraph.build(g.graph, g.atoms, g.msig, g.p_labels, {})
@@ -62,11 +69,11 @@ def test_alphabet_lookup():
 
 def test_mixed_equality_is_isomorphism_invariant():
     g = the_remark()
-    rw = fixtures.remark_witness()
     mapping = {1: 10, 2: 20, 3: 30, 4: 40, 5: 50, 6: 60}
     from propcalc.graphs import relabel_vertices
     moved = MixedGraph.build(
-        relabel_vertices(rw["graph"], mapping), g.atoms, g.msig,
+        relabel_vertices(fixture_graph("remark-witness"), mapping),
+        g.atoms, g.msig,
         {mapping[v]: e for v, e in g.p_labels.items()},
         {mapping[v]: s for v, s in g.m_labels.items()})
     assert moved == g and hash(moved) == hash(g)
@@ -151,11 +158,11 @@ def test_remark_has_exactly_two_irreducible_forms():
 
 
 def test_all_plain_graph_is_already_irreducible():
-    rw = fixtures.remark_witness()
     atoms = Signature([])
     msig = Signature([("x0", 0, 2), ("q1", 1, 1), ("p", 1, 1),
                       ("x1", 1, 1), ("q2", 1, 1), ("x2", 2, 0)])
-    g = MixedGraph.build(rw["graph"], atoms, msig, {}, rw["labels"])
+    g = MixedGraph.build(fixture_graph("remark-witness"), atoms, msig, {},
+                         remark_labels())
     assert collapse(g) == g
     assert collapse(g, "exhaustive") == [g]
 
@@ -470,11 +477,11 @@ def test_merge_states_match_the_checked_path(monkeypatch):
 
 
 def test_expand_all_of_plain_graph_is_the_element_itself():
-    rw = fixtures.remark_witness()
+    graph, labels = fixture_graph("remark-witness"), remark_labels()
     msig = Signature([("x0", 0, 2), ("q1", 1, 1), ("p", 1, 1),
                       ("x1", 1, 1), ("q2", 1, 1), ("x2", 2, 0)])
-    g = MixedGraph.build(rw["graph"], Signature([]), msig, {}, rw["labels"])
-    assert expand_all(g) == PropElement.build(rw["graph"], rw["labels"])
+    g = MixedGraph.build(graph, Signature([]), msig, {}, labels)
+    assert expand_all(g) == PropElement.build(graph, labels)
 
 
 # ---------------------------------------------------------------------------
