@@ -2,13 +2,16 @@
 
 A dimension-d assignment sends each generator to a matrix acting on
 tensor powers of a d-dimensional space; `evaluate` contracts a labeled
-graph as a tensor network, wire by wire, with zero tolerance.  The
-wiring is compiled once into a plan (vertex order, contracted axis pairs
-per step, through wires, final transpose, peak live axes) that depends
-on neither d nor the matrices, so an element keeps its default-order
-plan and reuses it under every assignment; executing a plan only calls
-numpy.  The plan's peak, d ** peak_axes entries, is held to a named cap
-(`max_entries`) before anything is allocated.  A tensor
+graph as a tensor network, vertex by vertex, with zero tolerance.  The
+wiring is compiled once into a plan that depends on neither d nor the
+matrices: the vertex order, then per vertex the axis permutations of
+the state and of the vertex's tensor that put the contracted wires side
+by side, then the through wires, the final transpose and the peak live
+axes.  An element keeps its default-order plan and reuses it under
+every assignment; executing a plan is, per vertex, an optional
+transpose and one `np.dot` of two reshaped operands.  The plan's peak,
+d ** peak_axes entries, is held to a named cap (`max_entries`) before
+anything is allocated.  A tensor
 is held as integer numerators over one common denominator, so the
 contraction runs on integers and divides once per result.  Numerators
 are numpy int64 while every entry fits, and each product runs in int64
@@ -24,6 +27,8 @@ assignments.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,13 +45,29 @@ DEFAULT_MAX_AXES = 6
 DEFAULT_MAX_ENTRIES = 2 ** 22
 
 
+# the decimal exponent of a rational's text, as `Fraction` reads it
+_EXPONENT = re.compile(r"e[-+]?0*(\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: object) -> Fraction:
-    """Read "p/q" or "p" (strings or ints) into an exact rational."""
+    """Read "p/q", "p" or a decimal such as "-1.5e3" (strings or ints) into
+    an exact rational.  A decimal exponent past the interpreter's
+    int-string digit limit is refused, since `Fraction` would build
+    10**exponent; the same value written out in digits is refused by that
+    limit too."""
     if isinstance(text, Fraction):
         return text
     if is_int(text):
         return Fraction(text)
     if isinstance(text, str):
+        exp = _EXPONENT.search(text)
+        if exp is not None:
+            limit = sys.get_int_max_str_digits() \
+                or sys.int_info.default_max_str_digits
+            digits = exp.group(1).replace("_", "")
+            if len(digits) > len(str(limit)) or int(digits) > limit:
+                raise FormatError(f"bad rational {text!r}: exponent past "
+                                  f"the {limit}-digit limit")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
@@ -336,17 +357,26 @@ def matrix_from_json(data: object) -> RatTensor:
 class _Plan(NamedTuple):
     """How to contract one labeled graph in one vertex order, with nothing
     that depends on the dimension or the matrices.  Each step is
-    (vid, label, n_out, n_in, state_axes, tensor_axes, contracted): the
+    (vid, label, n_out, n_in, sperm, tperm, kept, contracted, tkept): the
     vertex's matrix, viewed as a tensor with its out-axes first, is
-    multiplied into the state over the `contracted` axis pairs.  Then
-    `through` input-to-output wires each add an identity factor, `perm`
-    puts the outputs then the inputs in boundary order, and `peak_axes`
-    is the most axes the state ever holds."""
+    multiplied into the state over `contracted` axis pairs as one matrix
+    product.  `sperm` moves the state's `kept` axes, in order, before the
+    contracted ones; `tperm` moves the tensor's contracted in-port axes,
+    in the same pairing order, before its `tkept` other axes; either is
+    None where it is the identity.  The product's axes are the kept state
+    axes, then the tensor's.  Then `through` input-to-output wires each
+    add an identity factor, `perm` puts the outputs then the inputs in
+    boundary order, and `peak_axes` is the most axes the state ever
+    holds."""
 
     steps: tuple[tuple, ...]
     through: int
     perm: tuple[int, ...]
     peak_axes: int
+
+
+def _unless_identity(perm: list[int]) -> tuple[int, ...] | None:
+    return None if perm == list(range(len(perm))) else tuple(perm)
 
 
 def _compile(graph: Graph, labels: dict[int, str], order: list[int]) -> _Plan:
@@ -367,10 +397,14 @@ def _compile(graph: Graph, labels: dict[int, str], order: list[int]) -> _Plan:
                 tpos.append(n_out + k - 1)
             else:
                 opened.append(src)
-        steps.append((vid, labels[vid], n_out, n_in, tuple(spos),
-                      tuple(tpos), len(spos)))
         taken = set(spos)
-        axes = [key for i, key in enumerate(axes) if i not in taken]
+        kept = [i for i in range(len(axes)) if i not in taken]
+        tkept = [i for i in range(n_out + n_in) if i not in tpos]
+        steps.append((vid, labels[vid], n_out, n_in,
+                      _unless_identity(kept + spos),
+                      _unless_identity(tpos + tkept),
+                      len(kept), len(spos), len(tkept)))
+        axes = [axes[i] for i in kept]
         axes += outs[vid]
         axes += opened
         if len(axes) > peak:
@@ -428,7 +462,7 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
     plan = _default_plan(e)
     # a canonical element's default order is its vertex order, so this
     # names the same first bad vertex whatever `order` is
-    for vid, name, n_out, n_in, _, _, _ in plan.steps:
+    for vid, name, n_out, n_in, *_ in plan.steps:
         t = matrices.get(name)
         if t is None:
             raise GraphError(f"no matrix assigned to {name!r}")
@@ -449,9 +483,12 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
     # `top` bounds |entry| of `state`; it is carried along the products so
     # that the int64 guard reads the entries only when the bound trips.
     state, den, top = np.array(1, dtype=np.int64), 1, 1
-    for _, name, n_out, n_in, spos, tpos, contracted in plan.steps:
+    for (_, name, n_out, n_in, sperm, tperm, kept, contracted,
+         tkept) in plan.steps:
         mat = matrices[name]
-        t = mat._num.reshape((d,) * (n_out + n_in))
+        t = mat._num
+        if tperm is not None:
+            t = t.reshape((d,) * (n_out + n_in)).transpose(tperm)
         den *= mat._den
         terms = d ** contracted
         if top * mat._top * terms >= _INT64_LIMIT and state.dtype != object:
@@ -460,14 +497,19 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
             # read the true top before leaving int64
             top = int(np.abs(state).max())
         state, t = _operands(state, top, t, mat._top, terms)
-        state = np.tensordot(state, t, axes=(spos, tpos))
+        if sperm is not None:
+            state = state.transpose(sperm)
+        state = np.dot(state.reshape(d ** kept, terms),
+                       t.reshape(terms, d ** tkept))
+        state = state.reshape((d,) * (kept + tkept))
         top *= mat._top * terms
 
-    for _ in range(plan.through):
+    if plan.through:
         # a 0/1 factor keeps every entry's size (numpy promotes it to
         # object beside an object state)
-        state = np.tensordot(state, np.identity(d, dtype=np.int64),
-                             axes=([], []))
+        eye = np.identity(d, dtype=np.int64)
+        for _ in range(plan.through):
+            state = np.multiply.outer(state, eye)
     if plan.perm:
         state = state.transpose(plan.perm)
     return RatTensor._of(state.reshape(d ** graph.n, d ** graph.m), den)

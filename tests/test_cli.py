@@ -735,6 +735,37 @@ def test_huge_declared_arity_fails_in_one_line_under_a_memory_cap(
     assert len(proc.stderr.splitlines()) == 1
 
 
+# decimal exponents whose power of ten `Fraction` would build for minutes
+HUGE_EXPONENT = {"1e+10^8": "1e100000000", "1e-10^8": "1e-100000000"}
+
+
+@pytest.mark.parametrize("command", ["eval", "check-morphism"])
+@pytest.mark.parametrize("name", sorted(HUGE_EXPONENT))
+def test_huge_decimal_exponent_fails_in_one_line(tmp_path, name, command):
+    entry = HUGE_EXPONENT[name]
+    huge = [[entry, "0"], ["0", "1"]]
+    if command == "eval":
+        alg = write_json(tmp_path / "alg.json",
+                         {"dim": 2, "matrices": {"a": huge}})
+        argv = ["eval", write_json(tmp_path / "e.json", UNARY_ELEMENT),
+                "--algebra", alg]
+        where = "matrix for 'a': "
+    else:
+        alg = write_json(tmp_path / "alg.json", {"dim": 2, "matrices": {
+            "a": [["1", "0"], ["0", "1"]]}})
+        argv = ["check-morphism", "--f",
+                write_json(tmp_path / "f.json", huge),
+                "--phiA", alg, "--phiB", alg]
+        where = ""
+    proc = subprocess.run(
+        [sys.executable, "-m", "propcalc.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: {where}bad rational {entry!r}: "
+                           f"exponent past the {limit}-digit limit\n")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "propcalc.cli", "validate",

@@ -88,6 +88,19 @@ def test_rational_round_trip():
             parse_rational(bad)
 
 
+def test_a_decimal_exponent_stops_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert parse_rational("-1.5e2") == F(-150)
+    assert parse_rational(f"2E-{limit}") == F(2, 10 ** limit)
+    assert parse_rational(f"1e+{limit:0>10}") == F(10 ** limit)
+    for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e100000000",
+                 "1e-1_000_000_000_000"):
+        with pytest.raises(FormatError, match=(
+                rf"^bad rational '{text}': exponent past the "
+                rf"{limit}-digit limit$")):
+            parse_rational(text)
+
+
 def test_rattensor_construction_and_equality():
     t = RatTensor([["1/2", 1], [0, "3"]])
     assert t.shape == (2, 2)
@@ -565,10 +578,49 @@ def test_a_cups_first_ring_fails_on_the_cap_under_a_memory_cap():
     assert proc.stderr == ""
 
 
+def test_evaluate_makes_no_tensordot_call(monkeypatch):
+    # each step is one transpose and one np.dot, on int64 numerators and
+    # on the object arrays past 2^63 alike
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate called np.tensordot")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    rng = random.Random(50)
+    crossed = pelem_permute_outputs(identity_element(2), (2, 1))
+    beside = pelem_permute_outputs(
+        pelem_hcompose(corolla(SIG, "a"), identity_element(1)), (2, 1))
+    chain = pelem_vcompose(pelem_vcompose(corolla(SIG, "a"),
+                                          corolla(SIG, "c")),
+                           corolla(SIG, "b"))
+    ring, _ = ring_element(16)
+    for d in (2, 3, 4):
+        ops = TensorOps(d)
+        small = rand_assignment(rng, d)
+        # rationals near 2^40: the chain's products pass 2^63 at once
+        big = AlgebraAssignment.build(
+            d, {g.name: big_matrix(rng, d ** g.n, d ** g.m) for g in SIG},
+            SIG)
+        for A in (small, big):
+            phi = extend_morphism(SIG, ops.of_assignment(A, SIG), ops)
+            for e in (crossed, beside, chain):
+                assert evaluate(e, A) == phi(e).tensor
+        assert evaluate(crossed, small) == \
+            RatTensor(permutation_matrix([2, 1], d))
+        got = evaluate(chain, big)
+        assert max(max(abs(x.numerator), x.denominator)
+                   for x in got.array.flat) > 2 ** 63
+        # the identity's cup and cap: one loop, the trace of the identity
+        cup = [[int(i == j)] for i in range(d) for j in range(d)]
+        loop = AlgebraAssignment.build(
+            d, {"cup": RatTensor(cup), "cap": RatTensor([sum(cup, [])])},
+            RING_SIG)
+        assert evaluate(ring, loop) == RatTensor([[d]])
+
+
 def test_direct_contraction_agrees_with_layer_slicing():
-    # the two evaluation routes share no code: tensordot network
-    # contraction on one side, permutation layers and kron blocks on the
-    # other
+    # the two evaluation routes share no code: network contraction, one
+    # matrix product per vertex, on one side, permutation layers and kron
+    # blocks on the other
     for d, seed in ((2, 43), (3, 47)):
         rng = random.Random(seed)
         A = rand_assignment(rng, d)

@@ -1,8 +1,9 @@
 """Three routes to an element's matrix agree on random elements of up to 8
-vertices at d = 2, through wires and closed components included: the
-default-order contraction (its plan kept on the element), a contraction
-in a random topological order (planned on the call), and the layer-slicing
-`TensorOps` target reached through `extend_morphism`."""
+vertices at d = 2, and of up to 5 at d = 3, through wires and closed
+components included: the default-order contraction (its plan kept on the
+element), a contraction in a random topological order (planned on the
+call), and the layer-slicing `TensorOps` target reached through
+`extend_morphism`."""
 
 from __future__ import annotations
 
@@ -29,20 +30,27 @@ def _matrix(rng: random.Random, rows: int, cols: int) -> RatTensor:
                        for _ in range(cols)] for _ in range(rows)])
 
 
+def _routes(d: int, rng: random.Random):
+    """An assignment at dimension d and its `TensorOps` morphism."""
+    A = AlgebraAssignment.build(
+        d, {g.name: _matrix(rng, d ** g.n, d ** g.m) for g in SIG}, SIG)
+    ops = TensorOps(d)
+    return A, extend_morphism(SIG, ops.of_assignment(A, SIG), ops)
+
+
 _RNG = random.Random(20)
-A = AlgebraAssignment.build(
-    2, {g.name: _matrix(_RNG, 2 ** g.n, 2 ** g.m) for g in SIG}, SIG)
-OPS = TensorOps(2)
-PHI = extend_morphism(SIG, OPS.of_assignment(A, SIG), OPS)
+A, PHI = _routes(2, _RNG)
+A3, PHI3 = _routes(3, _RNG)
 
 
 @st.composite
-def elements(draw):
+def elements(draw, max_vertices: int = 8):
     """Vertices placed one by one, each in-port fed by a drawn open source
     (an input, or an earlier out-port); a new input opens when none is
     left, and the sources still open at the end become the outputs in a
     drawn order.  An input nobody consumes is a through wire."""
-    names = draw(st.lists(st.sampled_from(SIG.names), max_size=8))
+    names = draw(st.lists(st.sampled_from(SIG.names),
+                          max_size=max_vertices))
     m = draw(st.integers(0, 2))
     sources = [("input", i) for i in range(1, m + 1)]
     vertices, edges = [], []
@@ -84,12 +92,24 @@ def random_topological_order(graph: Graph, rng: random.Random) -> list[int]:
     return order
 
 
-@hypothesis.settings(derandomize=True, database=None, deadline=None,
-                     max_examples=150)
-@hypothesis.given(elements(), st.randoms(use_true_random=False))
-def test_planned_contraction_agrees_with_every_route(e, rng):
+def _agree(e, rng, A, phi):
     want = evaluate(e, A)
     assert evaluate(e, A) == want  # the kept plan, run again
     order = random_topological_order(e.graph, rng)
     assert evaluate(e, A, order=order) == want
-    assert PHI(e).tensor == want
+    assert phi(e).tensor == want
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=150)
+@hypothesis.given(elements(), st.randoms(use_true_random=False))
+def test_planned_contraction_agrees_with_every_route(e, rng):
+    _agree(e, rng, A, PHI)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=150)
+@hypothesis.given(elements(max_vertices=5), st.randoms(use_true_random=False))
+def test_planned_contraction_agrees_with_every_route_at_d3(e, rng):
+    # the steps' reshapes and the through wires' identities depend on d
+    _agree(e, rng, A3, PHI3)
