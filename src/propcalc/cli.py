@@ -18,7 +18,7 @@ from .freeprop import (FREE_OPS, count_basis, element_from_dict,
                        element_to_dict, expand, extend_morphism,
                        partial_from_dict, pelem_hcompose, pelem_vcompose,
                        signature_from_dict)
-from .graphs import (FormatError, GraphError, LimitError, check,
+from .graphs import (FormatError, GraphError, LimitError, _quote, check,
                      graph_from_dict, graph_to_dict, hcompose, validate,
                      vcompose)
 from .pushouts import (DEFAULT_MAX_CLASSES, DEFAULT_MAX_ELEMENTS,
@@ -157,11 +157,12 @@ def _parse_arities(text: str) -> list[tuple[int, int]]:
             continue
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise FormatError(f"arity {chunk!r} is not of the form a:b")
+            raise FormatError(f"arity {_quote(chunk)} is not of the form a:b")
         try:
             out.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise FormatError(f"arity {chunk!r} is not numeric") from None
+            raise FormatError(
+                f"arity {_quote(chunk)} is not numeric") from None
     return out
 
 
@@ -210,7 +211,8 @@ def _cmd_expand(args) -> int:
         try:
             vid = int(key)
         except ValueError:
-            raise FormatError(f"inner key {key!r} is not a vertex id") from None
+            raise FormatError(
+                f"inner key {_quote(key)} is not a vertex id") from None
         inner[vid] = element_from_dict(sub, sig)
     _emit(element_to_dict(expand(outer, inner)))
     return 0

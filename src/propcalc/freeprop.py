@@ -22,9 +22,10 @@ from typing import Iterable, Iterator, Protocol, Sequence, TypeVar
 from .canonical import (CanonicalForm, _canonicalize_ports, _key_graph,
                         canonicalize, distinct, skeletons)
 from .graphs import (Edge, FormatError, Graph, GraphError, Port, Vertex,
-                     build_port_map, check, graph_from_dict, graph_to_dict,
-                     hcompose, identity, is_int, permute_inputs,
-                     permute_outputs, port_map, topological_order, vcompose)
+                     _quote, build_port_map, check, graph_from_dict,
+                     graph_to_dict, hcompose, identity, is_int,
+                     permute_inputs, permute_outputs, port_map,
+                     topological_order, vcompose)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +112,13 @@ def signature_from_dict(d: object) -> Signature:
     gens = []
     for entry in d["generators"]:
         if not isinstance(entry, dict):
-            raise FormatError(f"bad generator entry {entry!r}")
+            raise FormatError(f"bad generator entry {_quote(entry)}")
         try:
             name, m, n = entry["name"], entry["m"], entry["n"]
         except KeyError as missing:
             raise FormatError(f"generator lacks field {missing}") from None
         if not isinstance(name, str) or not is_int(m) or not is_int(n):
-            raise FormatError(f"bad generator entry {entry!r}")
+            raise FormatError(f"bad generator entry {_quote(entry)}")
         gens.append(Generator(name, m, n))
     try:
         return Signature(gens)
@@ -137,12 +138,16 @@ class PropElement:
     from its `CanonicalForm` in one step, setting m, n, labels and key
     only.  Its labels are keyed by canonical rank, so vertex i of the key
     (ids 1..r in key order) carries `labels[i]`, and `_expand` reads
-    inner elements' vertices and wires straight from their keys.
+    inner elements' vertices and wires straight from their keys.  The
+    two compositions and both permutations are substitutions into boxes
+    (one-vertex graphs), so they read no operand's graph.
     `graph`, the key's graph (`CanonicalForm.graph`), is built the first
-    time it is read and then kept in the instance dict; the constructor
-    keeps the graph it is given, which may be any numbering of the key's
-    graph with `labels` keyed to match (such an element is fit for
-    `extend_morphism`, which walks `graph`, but not for `_expand`).
+    time it is read and then kept in the instance dict; the library reads
+    it only to serialize an element, in `extend_morphism` and in
+    `tensor.evaluate`.  The constructor keeps the graph it is given,
+    which may be any numbering of the key's graph with `labels` keyed to
+    match: such an element is fit for `extend_morphism` and `evaluate`,
+    which walk `graph`, but not for `expand` or the four operations.
     What else is derived from the graph and labels alone and kept for
     reuse (`key_text`, and `tensor.evaluate`'s contraction plan) lives in
     the instance dict too, outside equality, hashing, repr and
@@ -209,47 +214,46 @@ class PropElement:
                 f"{len(self.key[2])} vertices)")
 
 
-def identity_element(n: int) -> PropElement:
-    return PropElement.build(identity(n), {})
+def _box(m: int, n: int) -> Graph:
+    # the one-vertex (m, n)-graph, each boundary port wired to vertex 1
+    edges = [Edge(("input", i), ("vin", 1, i)) for i in range(1, m + 1)]
+    edges += [Edge(("vout", 1, k), ("output", k)) for k in range(1, n + 1)]
+    return Graph(m, n, (Vertex(1, m, n),), tuple(edges))
 
 
 def corolla(sig: Signature, name: str) -> PropElement:
     """The generator itself as a one-vertex element."""
-    m, n = sig.arity(name)
-    edges = [Edge(("input", i), ("vin", 1, i)) for i in range(1, m + 1)]
-    edges += [Edge(("vout", 1, k), ("output", k)) for k in range(1, n + 1)]
-    graph = Graph(m, n, (Vertex(1, m, n),), tuple(edges))
     # a one-vertex element is valid by construction
-    return PropElement._canonical(graph, {1: name})
+    return PropElement._canonical(_box(*sig.arity(name)), {1: name})
 
 
-def _shift_labels(labels: dict[int, str], offset: int) -> dict[int, str]:
-    return {vid + offset: lab for vid, lab in labels.items()}
+# An element operation is the graph operation on boxes, which checks its
+# arguments, then its operands substituted into the boxes, in order.
+
+def _substitute(host: Graph, *inner: PropElement) -> PropElement:
+    return _expand(host.m, host.n, host.vertices, host.edges,
+                   dict(enumerate(inner, start=1)))
 
 
-# Composites and permutations of valid elements are valid by construction,
-# so they skip `build`'s checks; the graph operations still check their
-# arguments (boundary sizes, permutations).
+def identity_element(n: int) -> PropElement:
+    return _substitute(identity(n))
+
 
 def pelem_hcompose(a: PropElement, b: PropElement) -> PropElement:
-    offset = max(a.graph.vertex_ids, default=0)
-    return PropElement._canonical(hcompose(a.graph, b.graph),
-                                  a.labels | _shift_labels(b.labels, offset))
+    return _substitute(hcompose(_box(a.m, a.n), _box(b.m, b.n)), a, b)
 
 
 def pelem_vcompose(top: PropElement, bottom: PropElement) -> PropElement:
-    offset = max(top.graph.vertex_ids, default=0)
-    return PropElement._canonical(
-        vcompose(top.graph, bottom.graph),
-        top.labels | _shift_labels(bottom.labels, offset))
+    return _substitute(vcompose(_box(top.m, top.n), _box(bottom.m, bottom.n)),
+                       top, bottom)
 
 
 def pelem_permute_inputs(e: PropElement, w: tuple[int, ...]) -> PropElement:
-    return PropElement._canonical(permute_inputs(e.graph, w), e.labels)
+    return _substitute(permute_inputs(_box(e.m, e.n), w), e)
 
 
 def pelem_permute_outputs(e: PropElement, w: tuple[int, ...]) -> PropElement:
-    return PropElement._canonical(permute_outputs(e.graph, w), e.labels)
+    return _substitute(permute_outputs(_box(e.m, e.n), w), e)
 
 
 # ---------------------------------------------------------------------------

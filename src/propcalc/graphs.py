@@ -495,13 +495,20 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _quote(x: object) -> str:
+    # how an error message quotes outside input: `repr(x)`, cut after 80
+    # characters with a trailing "...", so huge input gives a short line
+    text = repr(x)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _parse_port(raw: object, kinds: tuple[str, ...]) -> Port:
     if (not isinstance(raw, list) or not raw or raw[0] not in kinds
             or not all(is_int(x) for x in raw[1:])):
-        raise FormatError(f"bad port {raw!r}")
+        raise FormatError(f"bad port {_quote(raw)}")
     want = 2 if raw[0] in ("input", "output") else 3
     if len(raw) != want:
-        raise FormatError(f"bad port {raw!r}")
+        raise FormatError(f"bad port {_quote(raw)}")
     return tuple(raw)
 
 
@@ -524,13 +531,13 @@ def graph_from_dict(d: object) -> tuple[Graph, dict[int, dict]]:
     extras: dict[int, dict] = {}
     for rv in raw_vertices:
         if not isinstance(rv, dict):
-            raise FormatError(f"bad vertex entry {rv!r}")
+            raise FormatError(f"bad vertex entry {_quote(rv)}")
         try:
             vid, a, b = rv["id"], rv["in"], rv["out"]
         except KeyError as missing:
             raise FormatError(f"vertex entry lacks field {missing}") from None
         if not all(is_int(x) for x in (vid, a, b)):
-            raise FormatError(f"bad vertex entry {rv!r}")
+            raise FormatError(f"bad vertex entry {_quote(rv)}")
         vertices.append(Vertex(vid, a, b))
         rest = {k: v for k, v in rv.items() if k not in ("id", "in", "out")}
         if rest:
@@ -538,7 +545,7 @@ def graph_from_dict(d: object) -> tuple[Graph, dict[int, dict]]:
     edges = []
     for re_ in raw_edges:
         if not isinstance(re_, dict) or "src" not in re_ or "dst" not in re_:
-            raise FormatError(f"bad edge entry {re_!r}")
+            raise FormatError(f"bad edge entry {_quote(re_)}")
         edges.append(Edge(_parse_port(re_["src"], SRC_KINDS),
                           _parse_port(re_["dst"], DST_KINDS)))
     return Graph(m, n, tuple(vertices), tuple(edges)), extras

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .freeprop import PropElement, Signature
-from .graphs import (FormatError, Graph, GraphError, LimitError,
+from .graphs import (FormatError, Graph, GraphError, LimitError, _quote,
                      check_permutation, check_topological_order, is_int,
                      port_map, topological_order)
 
@@ -47,32 +47,41 @@ DEFAULT_MAX_ENTRIES = 2 ** 22
 
 # the decimal exponent of a rational's text, as `Fraction` reads it
 _EXPONENT = re.compile(r"e[-+]?0*(\d[\d_]*)\s*\Z", re.IGNORECASE)
+# a digit string of that text, which `Fraction` reads by `int`
+_DIGITS = re.compile(r"\d[\d_]*")
 
 
 def parse_rational(text: object) -> Fraction:
     """Read "p/q", "p" or a decimal such as "-1.5e3" (strings or ints) into
     an exact rational.  A decimal exponent past the interpreter's
     int-string digit limit is refused, since `Fraction` would build
-    10**exponent; the same value written out in digits is refused by that
-    limit too."""
+    10**exponent, and so is a digit string longer than that limit, which
+    `int` refuses.  The message quotes at most the head of the text."""
     if isinstance(text, Fraction):
         return text
     if is_int(text):
         return Fraction(text)
     if isinstance(text, str):
+        limit = sys.get_int_max_str_digits() \
+            or sys.int_info.default_max_str_digits
         exp = _EXPONENT.search(text)
         if exp is not None:
-            limit = sys.get_int_max_str_digits() \
-                or sys.int_info.default_max_str_digits
             digits = exp.group(1).replace("_", "")
             if len(digits) > len(str(limit)) or int(digits) > limit:
-                raise FormatError(f"bad rational {text!r}: exponent past "
-                                  f"the {limit}-digit limit")
+                raise FormatError(f"bad rational {_quote(text)}: exponent "
+                                  f"past the {limit}-digit limit")
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError) as err:
-            raise FormatError(f"bad rational {text!r}: {err}") from None
-    raise FormatError(f"bad rational {text!r}")
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        except ValueError:
+            # `Fraction`'s own messages repeat the text in full
+            reason = "not p/q, an integer or a decimal"
+            if any(len(run.replace("_", "")) > limit
+                   for run in _DIGITS.findall(text)):
+                reason = f"a digit string past the {limit}-digit limit"
+        raise FormatError(f"bad rational {_quote(text)}: {reason}")
+    raise FormatError(f"bad rational {_quote(text)}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -85,7 +94,7 @@ def _entry(x: object) -> Fraction:
         return x
     if is_int(x) or isinstance(x, str):
         return parse_rational(x)
-    raise GraphError(f"entry {x!r} is not an exact rational")
+    raise GraphError(f"entry {_quote(x)} is not an exact rational")
 
 
 # numpy's int64 arithmetic wraps silently at this magnitude

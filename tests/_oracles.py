@@ -8,10 +8,11 @@ search, pure-python fraction matrices instead of numpy tensors, a
 reflexive coequalizer instead of the direct pushout quotient, a
 memo-free state search over an edge-list merge instead of the library's
 exhaustive collapse over spliced port maps, an edge-list substitution that
-builds and checks a `Graph` instead of keying the port map it wires, a
-per-port renaming through the sorting constructor instead of the
-library's one-pass renumbering.  Tests freeze their expected values
-against these.
+builds and checks a `Graph` instead of keying the port map it wires,
+element operations that canonicalize a composite of the operands' graphs
+instead of substituting the operands into boxes, a per-port renaming
+through the sorting constructor instead of the library's one-pass
+renumbering.  Tests freeze their expected values against these.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from fractions import Fraction
 from propcalc.canonical import (UnreachableVertexError, canonical_key,
                                 enumerate_graphs)
 from propcalc.freeprop import PropElement
-from propcalc.graphs import (Edge, Graph, GraphError, Vertex, port_map,
-                             topological_order, vertex_successors)
+from propcalc.graphs import (Edge, Graph, GraphError, Vertex, hcompose,
+                             identity, permute_inputs, permute_outputs,
+                             port_map, topological_order, vcompose,
+                             vertex_successors)
 from propcalc.pushouts import FiniteSetMap, pushout_sets, quotient_classes
 from propcalc.rewrite import MixedGraph, mergeable_pairs
 
@@ -652,3 +655,36 @@ def expand_by_edges(outer: Graph, inner: dict) -> PropElement:
 
     return PropElement.build(Graph(outer.m, outer.n, tuple(vertices),
                                    tuple(edges)), labels)
+
+
+# ---------------------------------------------------------------------------
+# element operations on composite graphs
+
+def _shifted(labels: dict, offset: int) -> dict:
+    return {vid + offset: lab for vid, lab in labels.items()}
+
+
+def hcompose_by_graphs(a: PropElement, b: PropElement) -> PropElement:
+    """`freeprop.pelem_hcompose` as a composite of the operands' graphs,
+    b's vertex ids and labels shifted past a's, canonicalized whole."""
+    offset = max(a.graph.vertex_ids, default=0)
+    return PropElement._canonical(hcompose(a.graph, b.graph),
+                                  a.labels | _shifted(b.labels, offset))
+
+
+def vcompose_by_graphs(top: PropElement, bottom: PropElement) -> PropElement:
+    offset = max(top.graph.vertex_ids, default=0)
+    return PropElement._canonical(vcompose(top.graph, bottom.graph),
+                                  top.labels | _shifted(bottom.labels, offset))
+
+
+def permute_inputs_by_graph(e: PropElement, w) -> PropElement:
+    return PropElement._canonical(permute_inputs(e.graph, w), e.labels)
+
+
+def permute_outputs_by_graph(e: PropElement, w) -> PropElement:
+    return PropElement._canonical(permute_outputs(e.graph, w), e.labels)
+
+
+def identity_by_graph(n: int) -> PropElement:
+    return PropElement.build(identity(n), {})

@@ -766,6 +766,30 @@ def test_huge_decimal_exponent_fails_in_one_line(tmp_path, name, command):
                            f"exponent past the {limit}-digit limit\n")
 
 
+def test_a_huge_edge_entry_is_quoted_in_a_short_line(tmp_path):
+    path = write_json(tmp_path / "edge.json", {
+        "m": 0, "n": 0, "vertices": [], "edges": [[0] * 200_000]})
+    rc, out, err = run("validate", path)
+    assert rc == 2 and out == ""
+    line, = err.splitlines()
+    assert line.startswith("error: bad edge entry [0, 0, 0, ")
+    assert line.endswith("...") and len(line) < 200
+
+
+def test_a_huge_digit_string_is_quoted_in_a_short_line(tmp_path):
+    entry = "1e" + "0" * 10000 + "5"
+    alg = write_json(tmp_path / "alg.json", {
+        "dim": 2, "matrices": {"a": [[entry, "0"], ["0", "1"]]}})
+    rc, out, err = run("eval", write_json(tmp_path / "e.json", UNARY_ELEMENT),
+                       "--algebra", alg)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert rc == 2 and out == ""
+    line, = err.splitlines()
+    assert line.startswith("error: matrix for 'a': bad rational '1e000")
+    assert line.endswith(f"...: a digit string past the {limit}-digit limit")
+    assert len(line) < 200
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "propcalc.cli", "validate",

@@ -239,6 +239,18 @@ def test_permuted_elements_need_permutations():
             pelem_permute_outputs(e, bad)
 
 
+def test_element_operations_read_no_operand_graph():
+    # the four operations substitute their operands' keys into boxes, so
+    # neither the operands nor the result build their graphs
+    f, g = corolla(BASE_SIG, "b"), corolla(BASE_SIG, "c")
+    for a, b in ((f, g), (g, f)):
+        results = [pelem_hcompose(a, b), pelem_vcompose(a, b),
+                   pelem_permute_inputs(a, tuple(range(a.m, 0, -1))),
+                   pelem_permute_outputs(b, tuple(range(b.n, 0, -1)))]
+        for e in (f, g, *results):
+            assert "graph" not in vars(e)
+
+
 def _same_as_checked(e: PropElement, sig: Signature) -> None:
     # an element is made from its key alone, and its graph, built when
     # read, is the one the checked path gives: check, the label and

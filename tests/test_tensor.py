@@ -88,6 +88,22 @@ def test_rational_round_trip():
             parse_rational(bad)
 
 
+def test_a_bad_rational_names_its_reason_and_quotes_a_bounded_head():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    for text, message in [
+            ("1/0", "bad rational '1/0': zero denominator"),
+            ("x", "bad rational 'x': not p/q, an integer or a decimal"),
+            ("x" * 10_000, "bad rational '" + "x" * 79
+             + "...: not p/q, an integer or a decimal"),
+            ("7" * (limit + 1), "bad rational '" + "7" * 79
+             + f"...: a digit string past the {limit}-digit limit")]:
+        with pytest.raises(FormatError) as caught:
+            parse_rational(text)
+        assert str(caught.value) == message
+    with pytest.raises(GraphError, match=r"^entry \[0, 0, .*\.\.\. is not"):
+        tensor._entry([0] * 1000)
+
+
 def test_a_decimal_exponent_stops_at_the_digit_limit():
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     assert parse_rational("-1.5e2") == F(-150)
