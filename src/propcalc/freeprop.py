@@ -49,9 +49,10 @@ class Signature:
         by_name: dict[str, Generator] = {}
         for g in gens:
             if g.m < 0 or g.n < 0:
-                raise GraphError(f"generator {g.name!r} has negative arity")
+                raise GraphError(
+                    f"generator {_quote(g.name)} has negative arity")
             if g.name in by_name:
-                raise GraphError(f"duplicate generator name {g.name!r}")
+                raise GraphError(f"duplicate generator name {_quote(g.name)}")
             by_name[g.name] = g
         self.generators = gens
         self._by_name = by_name
@@ -64,7 +65,7 @@ class Signature:
         try:
             g = self._by_name[name]
         except KeyError:
-            raise GraphError(f"unknown generator {name!r}") from None
+            raise GraphError(f"unknown generator {_quote(name)}") from None
         return (g.m, g.n)
 
     def restrict(self, names: Iterable[str]) -> "Signature":
@@ -172,7 +173,7 @@ class PropElement:
                 if (v.n_in, v.n_out) != want:
                     raise GraphError(
                         f"vertex {v.id} has arity {(v.n_in, v.n_out)}, "
-                        f"label {labels[v.id]!r} wants {want}")
+                        f"label {_quote(labels[v.id])} wants {want}")
         return cls._canonical(graph, labels)
 
     @classmethod
@@ -419,17 +420,18 @@ def extend_morphism(sig: Signature, assignment: dict[str, T],
     """
     for name in sig.names:
         if name not in assignment:
-            raise GraphError(f"assignment misses generator {name!r}")
+            raise GraphError(f"assignment misses generator {_quote(name)}")
         if ops.arity(assignment[name]) != sig.arity(name):
             raise GraphError(
-                f"assignment for {name!r} has arity "
+                f"assignment for {_quote(name)} has arity "
                 f"{ops.arity(assignment[name])}, wanted {sig.arity(name)}")
 
     def phi(e: PropElement) -> T:
         graph = e.graph
         for name in e.labels.values():
             if name not in assignment:
-                raise GraphError(f"element uses unassigned label {name!r}")
+                raise GraphError(
+                    f"element uses unassigned label {_quote(name)}")
 
         # a live wire is named by its source port, which has one edge
         def route(live: list[Port], want: list[Port], acc: T) -> tuple:

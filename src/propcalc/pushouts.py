@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .canonical import ClassLister
 from .freeprop import Signature
-from .graphs import GraphError, LimitError
+from .graphs import GraphError, LimitError, _quote
 
 DEFAULT_MAX_CLASSES = 200000
 DEFAULT_MAX_ELEMENTS = 200000
@@ -363,7 +363,7 @@ def _subset_with_arities(small: Signature, big: Signature, what: str) -> None:
     for g in small:
         if g.name not in big or big.arity(g.name) != (g.m, g.n):
             raise GraphError(
-                f"generator {g.name!r} of the small signature is not "
+                f"generator {_quote(g.name)} of the small signature is not "
                 f"{what} with the same arity")
 
 

@@ -27,8 +27,8 @@ from .freeprop import (PropElement, Signature, _expand, combine_signatures,
                        corolla, element_from_dict, element_to_dict,
                        signature_from_dict, signature_to_dict)
 from .graphs import (Edge, FormatError, Graph, GraphError, LimitError,
-                     Vertex, check, graph_from_dict, graph_to_dict, port_map,
-                     topological_order, vertex_successors)
+                     Vertex, _quote, check, graph_from_dict, graph_to_dict,
+                     port_map, topological_order, vertex_successors)
 
 DEFAULT_MAX_STATES = 20000
 
@@ -67,7 +67,7 @@ class MixedGraph:
                     if name not in atoms:
                         raise GraphError(
                             f"composite label of vertex {v.id} uses "
-                            f"{name!r}, which is not an atom")
+                            f"{_quote(name)}, which is not an atom")
                 if (e.m, e.n) != (v.n_in, v.n_out):
                     raise GraphError(
                         f"vertex {v.id} has arity {(v.n_in, v.n_out)}, "
@@ -77,7 +77,7 @@ class MixedGraph:
                 if (v.n_in, v.n_out) != want:
                     raise GraphError(
                         f"vertex {v.id} has arity {(v.n_in, v.n_out)}, "
-                        f"label {m_labels[v.id]!r} wants {want}")
+                        f"label {_quote(m_labels[v.id])} wants {want}")
         key, order = key_and_order(graph, _label_text(p_labels, m_labels))
         return cls(graph, atoms, msig, dict(p_labels), dict(m_labels),
                    (key, atoms.generators, msig.generators), tuple(order))

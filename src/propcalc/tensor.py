@@ -15,9 +15,14 @@ anything is allocated.  A tensor
 is held as integer numerators over one common denominator, so the
 contraction runs on integers and divides once per result.  Numerators
 are numpy int64 while every entry fits, and each product runs in int64
-only while a bound on its largest partial sum stays below 2**63; past
-that bound both operands become object arrays of Python ints, the one
-exact route at any size.  `fractions.Fraction` appears only where values
+only while a bound on its largest partial sum stays below 2**63.  Every
+tensor carries a bound on its entries, made from its operands' bounds
+with no pass over the entries; only when a product's bound trips are
+the int64 operands' true maxima read, and if they trip it too, both
+operands become object arrays of Python ints, the one exact route at
+any size.  A result whose denominator is 1 skips the gcd, and a known
+normal form (a Kronecker power, a permutation of outputs, the identity)
+is wrapped as it is.  `fractions.Fraction` appears only where values
 are read, written or shown.  `TensorOps` exposes the same target through
 the layer-slicing evaluator, giving a second, independent route to every
 value.  On top sits the intertwiner check of one matrix between two
@@ -101,9 +106,18 @@ def _entry(x: object) -> Fraction:
 _INT64_LIMIT = 2 ** 63
 
 
-def _normal(num: np.ndarray, den: int) -> tuple[np.ndarray, int, int]:
-    """(num, den, top) in lowest terms, top = max |num|, with num int64
-    iff top < 2**63 (else an object array of Python ints)."""
+def _true_top(num: np.ndarray) -> int:
+    """max |num| of an int64 array, read from the entries."""
+    return int(np.abs(num).max()) if num.size else 0
+
+
+def _normal(num: np.ndarray, den: int,
+            bound: int | None = None) -> tuple[np.ndarray, int, int]:
+    """(num, den, top) in lowest terms, top >= max |num|, with num int64
+    iff max |num| < 2**63 (else an object array of Python ints).  An
+    int64 num takes `bound`, a known bound on max |num|, as its top
+    (read from the entries when None); an object num gets its exact
+    maximum."""
     if num.dtype == object:
         top = max(map(abs, num.flat), default=0)
         g = math.gcd(den, *num.flat)
@@ -111,35 +125,52 @@ def _normal(num: np.ndarray, den: int) -> tuple[np.ndarray, int, int]:
             num, den, top = num // g, den // g, top // g
         if top < _INT64_LIMIT:
             num = num.astype(np.int64)
-    else:
-        top = int(np.abs(num).max()) if num.size else 0
-        if top == 0:
-            return num, 1, 0
-        # g <= top, so it fits in int64
-        g = math.gcd(den, int(np.gcd.reduce(num, None)))
-        if g != 1:
-            num, den, top = num // g, den // g, top // g
+        return num, den, top
+    top = _true_top(num) if bound is None else bound
+    if den == 1:
+        return num, 1, top
+    # g <= max |num|, so it fits in int64; a zero num reduces to 0
+    g = int(np.gcd.reduce(num, None))
+    if g == 0:
+        return num, 1, 0
+    g = math.gcd(den, g)
+    if g != 1:
+        num, den, top = num // g, den // g, top // g
     return num, den, top
 
 
 def _operands(a: np.ndarray, top_a: int, b: np.ndarray, top_b: int,
-              terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """a and b ready to multiply exactly into sums of `terms` products:
-    as they are while top_a * top_b * terms < 2**63 bounds every partial
-    sum, else both as object arrays of Python ints."""
-    if top_a * top_b * terms < _INT64_LIMIT:
-        return a, b
-    return a.astype(object, copy=False), b.astype(object, copy=False)
+              terms: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """a and b ready to multiply exactly into sums of `terms` products,
+    with a bound on every such sum: as they are while the bound
+    top_a * top_b * terms stays below 2**63, else both as object arrays
+    of Python ints.  A carried top can grow past every entry (a deep
+    chain of signed permutations), so before leaving int64 the tops of
+    the int64 operands are read from their entries."""
+    bound = top_a * top_b * terms
+    if bound < _INT64_LIMIT:
+        return a, b, bound
+    if a.dtype != object:
+        top_a = _true_top(a)
+    if b.dtype != object:
+        top_b = _true_top(b)
+    bound = top_a * top_b * terms
+    if bound < _INT64_LIMIT:
+        return a, b, bound
+    return a.astype(object, copy=False), b.astype(object, copy=False), bound
 
 
 class RatTensor:
     """An immutable dense tensor of exact rationals: integer numerators
     over one positive int denominator, always in lowest terms
     (gcd(den, *num) == 1, so a zero tensor has den == 1).  The numerators
-    are an int64 array when their largest magnitude `top` is below 2**63
-    and an object array of Python ints otherwise, so the dtype follows
-    from the value.  That normal form makes equality and hashing exact on
-    (shape, den, num)."""
+    are an int64 array when their largest magnitude is below 2**63 and an
+    object array of Python ints otherwise, so the dtype follows from the
+    value.  That normal form makes equality and hashing exact on
+    (shape, den, num).  `_top` is an upper bound on the largest
+    magnitude, carried from the operands of the product that made the
+    tensor, so small products never read their entries to size the
+    next one."""
 
     __slots__ = ("_num", "_den", "_top")
 
@@ -155,10 +186,16 @@ class RatTensor:
         self._num = num
 
     @classmethod
-    def _of(cls, num: np.ndarray, den: int) -> "RatTensor":
+    def _of(cls, num: np.ndarray, den: int,
+            bound: int | None = None) -> "RatTensor":
         """Wrap int numerators (int64 or object) over a positive den,
-        reducing once and choosing the dtype."""
-        num, den, top = _normal(num, den)
+        reducing once and choosing the dtype; `bound`, when known, bounds
+        max |num| of an int64 num."""
+        return cls._wrap(*_normal(num, den, bound))
+
+    @classmethod
+    def _wrap(cls, num: np.ndarray, den: int, top: int) -> "RatTensor":
+        """Wrap numerators already in normal form, as they are."""
         num.setflags(write=False)
         t = cls.__new__(cls)
         t._num, t._den, t._top = num, den, top
@@ -175,15 +212,15 @@ class RatTensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(self._num.shape)
+        return self._num.shape
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> "RatTensor":
-        return cls._of(np.zeros(shape, dtype=np.int64), 1)
+        return cls._wrap(np.zeros(shape, dtype=np.int64), 1, 0)
 
     @classmethod
     def identity(cls, n: int) -> "RatTensor":
-        return cls._of(np.identity(n, dtype=np.int64), 1)
+        return cls._wrap(np.identity(n, dtype=np.int64), 1, 1)
 
     def rows(self) -> list[list[str]]:
         if self._num.ndim != 2:
@@ -212,29 +249,34 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rt_dot(a: RatTensor, b: RatTensor) -> RatTensor:
     if a.shape[-1] != b.shape[0]:
         raise GraphError(f"cannot multiply {a.shape} by {b.shape}")
-    x, y = _operands(a._num, a._top, b._num, b._top, a.shape[-1])
-    return RatTensor._of(np.dot(x, y), a._den * b._den)
+    x, y, bound = _operands(a._num, a._top, b._num, b._top, a.shape[-1])
+    return RatTensor._of(np.dot(x, y), a._den * b._den, bound)
 
 
 def rt_kron(a: RatTensor, b: RatTensor) -> RatTensor:
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise GraphError("kron needs matrices")
-    x, y = _operands(a._num, a._top, b._num, b._top, 1)
-    return RatTensor._of(_kron(x, y), a._den * b._den)
+    x, y, bound = _operands(a._num, a._top, b._num, b._top, 1)
+    return RatTensor._of(_kron(x, y), a._den * b._den, bound)
 
 
 def kron_power(a: RatTensor, k: int) -> RatTensor:
+    """a^(x)k, built in normal form: gcd(num^(x)k) = gcd(num)^k is coprime
+    to den^k, and the largest entry is the largest of a to the k-th, so
+    the dtype chosen along the way is the one the value needs."""
     if k < 0:
         raise GraphError("negative tensor power")
     if len(a.shape) != 2:
         raise GraphError("kron needs matrices")
     if k == 0:
         return RatTensor.identity(1)
+    if k == 1:
+        return a
     num, top, factor = a._num, a._top, a._num
     for _ in range(k - 1):
-        num, factor = _operands(num, top, factor, a._top, 1)
-        num, top = _kron(num, factor), top * a._top
-    return RatTensor._of(num, a._den ** k)
+        num, factor, top = _operands(num, top, factor, a._top, 1)
+        num = _kron(num, factor)
+    return RatTensor._wrap(num, a._den ** k, top)
 
 
 def rt_inverse(a: RatTensor) -> RatTensor:
@@ -292,16 +334,18 @@ class AlgebraAssignment:
                 f"dimension {dim}, cap is {cap} (max_dim, --max-dim)")
         for name, t in matrices.items():
             if not isinstance(t, RatTensor) or len(t.shape) != 2:
-                raise GraphError(f"assignment for {name!r} must be a matrix")
+                raise GraphError(
+                    f"assignment for {_quote(name)} must be a matrix")
         if sig is not None:
             for g in sig:
                 t = matrices.get(g.name)
                 if t is None:
-                    raise GraphError(f"no matrix for generator {g.name!r}")
+                    raise GraphError(
+                        f"no matrix for generator {_quote(g.name)}")
                 want = (dim ** g.n, dim ** g.m)
                 if t.shape != want:
                     raise GraphError(
-                        f"matrix for {g.name!r} has shape {t.shape}, "
+                        f"matrix for {_quote(g.name)} has shape {t.shape}, "
                         f"wanted {want}")
         return cls(dim, dict(matrices), sig)
 
@@ -310,7 +354,7 @@ class AlgebraAssignment:
             return self.sig.arity(name)
         t = self.matrices.get(name)
         if t is None:
-            raise GraphError(f"unknown generator {name!r}")
+            raise GraphError(f"unknown generator {_quote(name)}")
         if self.dim == 1:
             raise GraphError(
                 "dimension 1 cannot determine arities; give a signature")
@@ -345,7 +389,7 @@ def algebra_from_dict(d: object, sig: Signature | None = None,
         try:
             matrices[name] = matrix_from_json(rows)
         except FormatError as err:
-            raise FormatError(f"matrix for {name!r}: {err}") from None
+            raise FormatError(f"matrix for {_quote(name)}: {err}") from None
     try:
         return AlgebraAssignment.build(d["dim"], matrices, sig, max_dim)
     except GraphError as err:
@@ -474,10 +518,10 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
     for vid, name, n_out, n_in, *_ in plan.steps:
         t = matrices.get(name)
         if t is None:
-            raise GraphError(f"no matrix assigned to {name!r}")
+            raise GraphError(f"no matrix assigned to {_quote(name)}")
         if t.shape != (d ** n_out, d ** n_in):
             raise GraphError(
-                f"matrix for {name!r} has shape {t.shape}, vertex {vid} "
+                f"matrix for {_quote(name)} has shape {t.shape}, vertex {vid} "
                 f"needs {(d ** n_out, d ** n_in)}")
     if order is not None:
         order = list(order)
@@ -490,7 +534,7 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
             f"cap is {cap} (max_entries, --max-entries)")
 
     # `top` bounds |entry| of `state`; it is carried along the products so
-    # that the int64 guard reads the entries only when the bound trips.
+    # that `_operands` reads the entries only when the bound trips.
     state, den, top = np.array(1, dtype=np.int64), 1, 1
     for (_, name, n_out, n_in, sperm, tperm, kept, contracted,
          tkept) in plan.steps:
@@ -500,18 +544,12 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
             t = t.reshape((d,) * (n_out + n_in)).transpose(tperm)
         den *= mat._den
         terms = d ** contracted
-        if top * mat._top * terms >= _INT64_LIMIT and state.dtype != object:
-            # the carried bound grows by `terms` per step even where the
-            # entries do not (a deep chain of signed permutations), so
-            # read the true top before leaving int64
-            top = int(np.abs(state).max())
-        state, t = _operands(state, top, t, mat._top, terms)
+        state, t, top = _operands(state, top, t, mat._top, terms)
         if sperm is not None:
             state = state.transpose(sperm)
         state = np.dot(state.reshape(d ** kept, terms),
                        t.reshape(terms, d ** tkept))
         state = state.reshape((d,) * (kept + tkept))
-        top *= mat._top * terms
 
     if plan.through:
         # a 0/1 factor keeps every entry's size (numpy promotes it to
@@ -521,7 +559,7 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
             state = np.multiply.outer(state, eye)
     if plan.perm:
         state = state.transpose(plan.perm)
-    return RatTensor._of(state.reshape(d ** graph.n, d ** graph.m), den)
+    return RatTensor._of(state.reshape(d ** graph.n, d ** graph.m), den, top)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +601,9 @@ class TensorOps:
         d = self.dim
         arr = a.tensor._num.reshape((d,) * a.n + (d ** a.m,))
         arr = np.moveaxis(arr, range(a.n), [x - 1 for x in w])
-        return TElem(a.m, a.n, RatTensor._of(
-            arr.reshape(d ** a.n, d ** a.m), a.tensor._den))
+        # moving entries keeps the normal form, the den and the bound
+        return TElem(a.m, a.n, RatTensor._wrap(
+            arr.reshape(d ** a.n, d ** a.m), a.tensor._den, a.tensor._top))
 
     def arity(self, a: TElem) -> tuple[int, int]:
         return (a.m, a.n)
@@ -575,7 +614,7 @@ class TensorOps:
         for g in sig:
             t = A.matrices.get(g.name)
             if t is None:
-                raise GraphError(f"no matrix for generator {g.name!r}")
+                raise GraphError(f"no matrix for generator {_quote(g.name)}")
             out[g.name] = TElem(g.m, g.n, t)
         return out
 
@@ -589,7 +628,8 @@ def morphism_prop_membership(f: RatTensor, phiA: AlgebraAssignment,
     f applied after phiA equals phiB applied after f, power by power."""
     m, n = phiA.arity(name)
     if phiB.arity(name) != (m, n):
-        raise GraphError(f"assignments disagree on the arity of {name!r}")
+        raise GraphError(
+            f"assignments disagree on the arity of {_quote(name)}")
     if f.shape != (phiB.dim, phiA.dim):
         raise GraphError(
             f"f has shape {f.shape}, wanted {(phiB.dim, phiA.dim)}")

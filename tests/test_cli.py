@@ -790,6 +790,33 @@ def test_a_huge_digit_string_is_quoted_in_a_short_line(tmp_path):
     assert len(line) < 200
 
 
+def _one_short_error_line(err: str) -> str:
+    line, = err.splitlines()
+    assert line.startswith("error: ") and len(line.encode()) < 200
+    return line
+
+
+def test_a_huge_generator_name_is_quoted_in_a_short_line(tmp_path):
+    sig = write_json(tmp_path / "sig.json", {"generators": [
+        {"name": "x" * 100_000, "m": -1, "n": 1}]})
+    rc, out, err = run("count", "--sig", sig, "--m", "1", "--n", "1",
+                       "--max-r", "1")
+    assert rc == 2 and out == ""
+    line = _one_short_error_line(err)
+    assert line == f"error: generator '{'x' * 79}... has negative arity"
+
+
+def test_a_huge_matrix_name_is_quoted_in_a_short_line(tmp_path):
+    alg = write_json(tmp_path / "alg.json", {"dim": 2, "matrices": {
+        "y" * 100_000: [["1/0", "0"], ["0", "1"]]}})
+    rc, out, err = run("eval", write_json(tmp_path / "e.json", UNARY_ELEMENT),
+                       "--algebra", alg)
+    assert rc == 2 and out == ""
+    line = _one_short_error_line(err)
+    assert line == (f"error: matrix for '{'y' * 79}...: "
+                    "bad rational '1/0': zero denominator")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "propcalc.cli", "validate",

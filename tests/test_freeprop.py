@@ -80,6 +80,19 @@ def test_signature_basics():
         sig.arity("nope")
 
 
+def test_signature_messages_quote_a_name_up_to_80_characters_whole():
+    # a name whose repr fits in 80 characters reads as it did with `!r`;
+    # a longer one is cut after 80
+    for name, quoted in [("n" * 78, repr("n" * 78)),
+                         ("n" * 79, "'" + "n" * 79 + "...")]:
+        with pytest.raises(GraphError) as caught:
+            Signature([(name, -1, 0)])
+        assert str(caught.value) == f"generator {quoted} has negative arity"
+        with pytest.raises(GraphError) as caught:
+            Signature([]).arity(name)
+        assert str(caught.value) == f"unknown generator {quoted}"
+
+
 def test_combine_signatures_requires_disjoint_names():
     a = Signature([("p", 1, 1)])
     b = Signature([("q", 2, 1)])

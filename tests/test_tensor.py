@@ -26,7 +26,8 @@ from propcalc.freeprop import (PropElement, Signature, corolla,
                                pelem_permute_outputs, pelem_vcompose)
 from propcalc import tensor
 from propcalc.graphs import (FormatError, GraphError, LimitError,
-                             relabel_vertices, to_json_text)
+                             relabel_vertices, to_json_text,
+                             topological_order)
 from propcalc.tensor import (AlgebraAssignment, RatTensor, TensorOps,
                              algebra_from_dict, algebra_to_dict,
                              conjugate_assignment, evaluate, format_rational,
@@ -279,7 +280,7 @@ def test_a_deep_chain_reads_its_bound_from_the_entries(monkeypatch):
 
     def spy(*args):
         out = operands(*args)
-        dtypes.update(x.dtype for x in out)
+        dtypes.update(x.dtype for x in out[:2])
         return out
 
     operands = tensor._operands
@@ -290,6 +291,38 @@ def test_a_deep_chain_reads_its_bound_from_the_entries(monkeypatch):
     # true entries pass 2^63 and the chain must still leave int64 in time
     got, want = chain(["r"] * 100 + ["j"] * 70)
     assert got == want and max(got.array.flat) == 2 ** 69
+
+
+def test_small_products_read_no_entry_maximum(monkeypatch):
+    # a product's top is carried from its operands' tops, so small
+    # entries never make it read the entries; only a tripped bound does
+    reads = []
+
+    def spy(num):
+        reads.append(num.shape)
+        return true_top(num)
+
+    true_top = tensor._true_top
+    monkeypatch.setattr(tensor, "_true_top", spy)
+    rng = random.Random(29)
+    A = rand_assignment(rng, 2)
+    f = rand_matrix(rng, 2, 2)
+    elem = pelem_vcompose(pelem_vcompose(corolla(SIG, "c"),
+                                         corolla(SIG, "b")),
+                          corolla(SIG, "a"))
+    for k in range(4):
+        kron_power(f, k)
+    rt_dot(kron_power(f, 2), rand_matrix(rng, 4, 3))
+    evaluate(elem, A)
+    evaluate(elem, A, order=topological_order(elem.graph))
+    assert reads == []
+    sig = Signature([("r", 1, 1)])
+    r = AlgebraAssignment.build(2, {"r": RatTensor([[0, -1], [1, 0]])}, sig)
+    chain = corolla(sig, "r")
+    for _ in range(199):
+        chain = pelem_vcompose(chain, corolla(sig, "r"))
+    assert evaluate(chain, r) == RatTensor([[1, 0], [0, 1]])
+    assert len(reads) >= 1
 
 
 def test_kron_power_unit():
