@@ -585,7 +585,11 @@ class Skeleton(NamedTuple):
     def labeled_key(self, labels: dict[int, object] | None = None) -> tuple:
         """`canonical_key(self.graph, labels)`, from the skeleton where
         there is one."""
-        texts = _render(labels)
+        return self._texts_key(_render(labels))
+
+    def _texts_key(self, texts: dict[int, str]) -> tuple:
+        # `labeled_key` with each label given by its text, for a caller
+        # that keeps its labels' text rendered
         if self.order is None:
             return key_and_order(self.graph, texts)[0]
         return _with_texts(self.key, _text_column(texts, self.order))
@@ -630,7 +634,12 @@ def distinct(stream, labels: dict[int, object] | None = None):
     the key is its `canonical_key`.  Skeletons with a label-free order
     are told apart by their unlabeled class and the labels read in that
     order, so only new classes build a key."""
-    texts = _render(labels)
+    return _distinct(stream, _render(labels))
+
+
+def _distinct(stream, texts: dict[int, str]):
+    # `distinct` with each label given by its text, for a caller that
+    # keeps its labels' text rendered
     seen: set = set()
     for sk in stream:
         if sk.order is None:
@@ -649,11 +658,11 @@ def distinct(stream, labels: dict[int, object] | None = None):
 
 
 class ClassLister:
-    """Isomorphism classes at one boundary (m, n) over many vertex
-    profiles and labelings.  Each profile's skeleton stream is enumerated
-    once, on first use, and kept for the life of the lister, so a caller
-    that lists one profile under many labelings pays for one enumeration.
-    A lister is meant to live for one call of its owner."""
+    """Skeleton streams at one boundary (m, n) over many vertex profiles.
+    Each profile's stream is enumerated once, on first use, and kept for
+    the life of the lister, so a caller that lists one profile's classes
+    under many labelings, each through `distinct`, pays for one
+    enumeration.  A lister is meant to live for one call of its owner."""
 
     def __init__(self, m: int, n: int, *, max_vertices: int | None = None,
                  max_edges: int | None = None):
@@ -669,12 +678,6 @@ class ClassLister:
             found = self._streams[arities] = list(skeletons(
                 arities, self.m, self.n, **self._caps))
         return found
-
-    def classes(self, arities, labels: dict[int, object] | None = None):
-        """`distinct` over the stream on `arities`: (key, skeleton) per
-        class.  Every caller that wants classes reads them from `distinct`,
-        through here or through `enumerate_graphs(upto_iso=True)`."""
-        return distinct(self.stream(arities), labels)
 
 
 def count_graphs(arities: list[tuple[int, int]], m: int, n: int, *,

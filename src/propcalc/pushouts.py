@@ -9,10 +9,9 @@ the generic union-find quotient.  The checkers compare the two.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .canonical import ClassLister
+from .canonical import DEFAULT_MAX_EDGES, ClassLister, _distinct
 from .freeprop import Signature
 from .graphs import GraphError, LimitError, _quote
 
@@ -307,8 +306,10 @@ def iterated_identity_check(i: FiniteSetMap, lhs: PuncturedColimit) -> bool:
 # ---------------------------------------------------------------------------
 # envelope classes of a free prop, with open slots
 
-def _slot_menu(max_arity: int, slot_arities) -> tuple:
+def _slot_menu(max_vertices: int, max_arity: int, slot_arities) -> tuple:
     if slot_arities is None:
+        if not max_vertices:
+            return ()  # no vertex reads the menu, however wide
         return tuple((a, b)
                      for a in range(max_arity + 1)
                      for b in range(max_arity + 1) if a + b > 0)
@@ -321,29 +322,77 @@ def _slot_menu(max_arity: int, slot_arities) -> tuple:
     return tuple(menu)
 
 
+def _check_slot_reach(m: int, n: int, max_vertices: int, max_arity: int,
+                      slot_arities) -> None:
+    """Refuse a max_arity whose slots alone make an (m,n)-profile past the
+    default edge cap.  The envelope lists every such profile, so that run
+    can only trip the cap: it fails here, in one line, before the
+    (max_arity + 1)^2 slot menu is built."""
+    if slot_arities is not None or not max_vertices or not max_arity:
+        return
+    # up to max_vertices slots of arity at most max_arity reach every
+    # out-minus-in balance of size at most `reach`; at the balance n - m,
+    # the widest of them holds m + min(reach, reach + n - m) edges
+    reach = max_vertices * max_arity
+    edges = m + min(reach, reach + n - m)
+    if reach >= abs(n - m) and edges > DEFAULT_MAX_EDGES:
+        raise LimitError(
+            f"slots of arity up to {max_arity} make profiles of {edges}"
+            f" edges, past the edge cap of {DEFAULT_MAX_EDGES}"
+            " (max_arity, --max-arity)")
+
+
+# the kinds of role that `accept` counts: a fresh vertex carries a new
+# name of L, a kept one a name of K taken through K
+_OTHER, _FRESH, _KEPT = 0, 1, 2
+
+
+def _balanced(roles, r: int, balance: int):
+    """The r-element multisets of `roles` whose out-minus-in sum is
+    `balance`, as nondecreasing index tuples in lexicographic order."""
+    if not r:
+        if not balance:
+            yield ()
+        return
+    deltas = [b - a for _, (a, b), _ in roles]
+    # the last pick must close the balance: the roles of each delta
+    closing: dict[int, list[int]] = {}
+    for i, delta in enumerate(deltas):
+        closing.setdefault(delta, []).append(i)
+    for head in itertools.combinations_with_replacement(range(len(roles)),
+                                                        r - 1):
+        start = head[-1] if head else 0
+        for i in closing.get(balance - sum(deltas[k] for k in head), ()):
+            if i >= start:
+                yield head + (i,)
+
+
 def _enumerate_classes(lister: ClassLister, roles, max_vertices, accept,
                        max_classes) -> dict:
     """Isomorphism classes of the lister's (m,n)-graphs whose vertices
-    are drawn from `roles` (pairs of a tag and an arity), as
+    are drawn from `roles` (triples of a tag, an arity and a kind), as
     key -> (skeleton, labels).  Tags color the vertices for canonical
-    forms; `accept` filters role multisets by tag count."""
-    out: dict = {}
+    forms; `accept(fresh, kept)` filters role multisets by their counts
+    of fresh and kept roles.  Only the multisets whose ports can pair up
+    are generated.  The roles are taken in arity order, so every multiset
+    lists its arities sorted and each arity multiset reads one stream of
+    the lister; each tag is rendered once per call."""
+    roles = sorted(roles, key=lambda role: role[1])
+    texts = [repr(tag) for tag, _, _ in roles]
+    kinds = [kind for _, _, kind in roles]
     balance = lister.n - lister.m
+    out: dict = {}
     for r in range(max_vertices + 1):
-        for combo in itertools.combinations_with_replacement(
-                range(len(roles)), r):
-            arities = [roles[k][1] for k in combo]
-            # most combinations hold no graph, as their ports cannot pair
-            # up: skip them before reading their tags
-            if sum(b - a for a, b in arities) != balance:
+        for combo in _balanced(roles, r, balance):
+            picked = [kinds[k] for k in combo]
+            if not accept(picked.count(_FRESH), picked.count(_KEPT)):
                 continue
-            tags = [roles[k][0] for k in combo]
-            if not accept(Counter(tag[0] for tag in tags), tags):
-                continue
-            labels = {v: tags[v - 1] for v in range(1, r + 1)}
+            stream = lister.stream([roles[k][1] for k in combo])
+            labels = {v: roles[k][0] for v, k in enumerate(combo, start=1)}
+            own_texts = {v: texts[k] for v, k in enumerate(combo, start=1)}
             # one class can recur across combinations: repeated slot
             # arities give two roles the same tag
-            for key, skeleton in lister.classes(arities, labels):
+            for key, skeleton in _distinct(stream, own_texts):
                 if key not in out:
                     out[key] = (skeleton, labels)
                     if len(out) > max_classes:
@@ -354,9 +403,10 @@ def _enumerate_classes(lister: ClassLister, roles, max_vertices, accept,
     return out
 
 
-def _retag(rep, f) -> tuple:
+def _retag(rep, texts: dict) -> tuple:
+    # the key of rep with each tag's text taken from `texts`
     skeleton, labels = rep
-    return skeleton.labeled_key({v: f(tag) for v, tag in labels.items()})
+    return skeleton._texts_key({v: texts[tag] for v, tag in labels.items()})
 
 
 def _subset_with_arities(small: Signature, big: Signature, what: str) -> None:
@@ -377,28 +427,28 @@ def bounded_env_classes(sig_k: Signature, sig_l: Signature,
     signature (base plus the new names of L), with at most `degree`
     vertices carrying a new name.  Unlabeled vertices are open slots,
     interchangeable within an arity.  Returns key -> (skeleton, labels),
-    the `canonical.Skeleton` of one representative and its vertex tags.
-    Each vertex profile is enumerated once, through `lister`: by default
-    one made for the call and dropped with it; callers that list several
-    envelopes at the same (m, n) may pass one to share."""
+    the `canonical.Skeleton` of one representative and its vertex tags;
+    which numbered representative a class keeps is not part of the
+    contract.  Each arity multiset is enumerated once, through `lister`:
+    by default one made for the call and dropped with it, and then a
+    max_arity whose slots alone make a profile past the default edge cap
+    is refused before the slot menu is built; callers that list several
+    envelopes at the same (m, n) may pass a lister to share, whose caps
+    then apply."""
     new_names = _checked_setup(sig_k, sig_l, base_sig)
-    slots = _slot_menu(max_arity, slot_arities)
     if lister is None:
+        _check_slot_reach(m, n, max_vertices, max_arity, slot_arities)
         lister = ClassLister(m, n, max_vertices=max_vertices)
     elif (lister.m, lister.n) != (m, n):
         raise GraphError(f"the lister lists ({lister.m},{lister.n})-graphs,"
                          f" not ({m},{n})-graphs")
-    roles = [(("slot",) + ar, ar) for ar in slots]
-    roles += [(("lab", g.name), (g.m, g.n)) for g in base_sig]
-    roles += [(("lab", g.name), (g.m, g.n)) for g in sig_l
+    slots = _slot_menu(max_vertices, max_arity, slot_arities)
+    roles = [(("slot",) + ar, ar, _OTHER) for ar in slots]
+    roles += [(("lab", g.name), (g.m, g.n), _OTHER) for g in base_sig]
+    roles += [(("lab", g.name), (g.m, g.n), _FRESH) for g in sig_l
               if g.name in new_names]
-
-    def accept(kinds, tags):
-        fresh = sum(1 for tag in tags
-                    if tag[0] == "lab" and tag[1] in new_names)
-        return fresh <= degree
-
-    return _enumerate_classes(lister, roles, max_vertices, accept,
+    return _enumerate_classes(lister, roles, max_vertices,
+                              lambda fresh, kept: fresh <= degree,
                               max_classes)
 
 
@@ -409,7 +459,8 @@ def _checked_setup(sig_k: Signature, sig_l: Signature,
     new_names = frozenset(set(sig_l.names) - set(sig_k.names))
     clash = new_names & set(base_sig.names)
     if clash:
-        raise GraphError(f"new names collide with the base: {sorted(clash)}")
+        raise GraphError(f"new names collide with the base: "
+                         f"{_quote(sorted(clash))} ({len(clash)} in all)")
     return new_names
 
 
@@ -424,59 +475,60 @@ def filtration_square_check(sig_k: Signature, sig_l: Signature,
     together with the cardinality identity |D| = |C| + |V'| - |U'| taken
     on computed images.  The envelope and the V and U corners of every
     degree draw their classes from one `ClassLister` that lives for the
-    call, so each vertex profile is enumerated once per call."""
+    call, so each arity multiset is enumerated once per call.  Each tag
+    and each retagged tag is rendered once per call, and each envelope
+    class's fresh vertices are counted once.  A max_arity whose slots
+    alone make a profile past the edge cap is refused before the slot
+    menu is built."""
     if max_degree < 1:
         raise GraphError("max_degree must be >= 1")
     new_names = _checked_setup(sig_k, sig_l, base_sig)
-    slots = _slot_menu(max_arity, slot_arities)
+    _check_slot_reach(m, n, max_vertices, max_arity, slot_arities)
+    slots = _slot_menu(max_vertices, max_arity, slot_arities)
     lister = ClassLister(m, n, max_vertices=max_vertices)
-    slot_roles = [(("slot",) + ar, ar) for ar in slots]
-    base_roles = [(("lab", g.name), (g.m, g.n)) for g in base_sig]
-    lf_roles = [(("lf", g.name), (g.m, g.n)) for g in sig_l]
-    kf_roles = [(("kf", g.name), (g.m, g.n)) for g in sig_k]
+    slot_roles = [(("slot",) + ar, ar, _OTHER) for ar in slots]
+    base_roles = [(("lab", g.name), (g.m, g.n), _OTHER) for g in base_sig]
+    lf_roles = [(("lf", g.name), (g.m, g.n), _FRESH) for g in sig_l]
+    kf_roles = [(("kf", g.name), (g.m, g.n), _KEPT) for g in sig_k]
+    v_roles = slot_roles + base_roles + lf_roles
+    u_roles = v_roles + kf_roles
 
     env = bounded_env_classes(sig_k, sig_l, base_sig, m, n,
                               degree=max_degree, max_vertices=max_vertices,
                               max_arity=max_arity, slot_arities=slot_arities,
                               max_classes=max_classes, lister=lister)
-
-    def fresh_count(rep) -> int:
-        _, labels = rep
-        return sum(1 for tag in labels.values()
-                   if tag[0] == "lab" and tag[1] in new_names)
-
-    env_by_degree = {d: {key for key, rep in env.items()
-                         if fresh_count(rep) <= d}
+    fresh_of = {key: sum(1 for tag in labels.values()
+                         if tag[0] == "lab" and tag[1] in new_names)
+                for key, (_, labels) in env.items()}
+    env_by_degree = {d: {key for key, count in fresh_of.items() if count <= d}
                      for d in range(max_degree + 1)}
 
-    def to_lab(tag):
-        return ("lab", tag[1]) if tag[0] in ("lf", "kf") else tag
-
-    def to_lf(tag):
-        return ("lf", tag[1]) if tag[0] == "kf" else tag
+    # the text of each tag of V and U retagged into C and D ("lab") and
+    # into V ("lf")
+    lab_text = {tag: repr(("lab", tag[1]) if tag[0] in ("lf", "kf") else tag)
+                for tag, _, _ in u_roles}
+    lf_text = {tag: repr(("lf", tag[1]) if tag[0] == "kf" else tag)
+               for tag, _, _ in u_roles}
 
     degrees = []
     for nd in range(1, max_degree + 1):
         c_keys = env_by_degree[nd - 1]
         d_keys = env_by_degree[nd]
 
-        def accept_v(kinds, tags, nd=nd):
-            return kinds.get("lf", 0) == nd
+        def accept_v(fresh, kept, nd=nd):
+            return fresh == nd
 
-        def accept_u(kinds, tags, nd=nd):
-            return kinds.get("kf", 0) >= 1 \
-                and kinds.get("kf", 0) + kinds.get("lf", 0) == nd
+        def accept_u(fresh, kept, nd=nd):
+            return kept >= 1 and fresh + kept == nd
 
-        v_reps = _enumerate_classes(lister,
-                                    slot_roles + base_roles + lf_roles,
-                                    max_vertices, accept_v, max_classes)
-        u_reps = _enumerate_classes(
-            lister, slot_roles + base_roles + lf_roles + kf_roles,
-            max_vertices, accept_u, max_classes)
+        v_reps = _enumerate_classes(lister, v_roles, max_vertices, accept_v,
+                                    max_classes)
+        u_reps = _enumerate_classes(lister, u_roles, max_vertices, accept_u,
+                                    max_classes)
 
-        v_into_d = {key: _retag(rep, to_lab) for key, rep in v_reps.items()}
-        u_lambda = {key: _retag(rep, to_lf) for key, rep in u_reps.items()}
-        u_into_c = {key: _retag(rep, to_lab) for key, rep in u_reps.items()}
+        v_into_d = {key: _retag(rep, lab_text) for key, rep in v_reps.items()}
+        u_lambda = {key: _retag(rep, lf_text) for key, rep in u_reps.items()}
+        u_into_c = {key: _retag(rep, lab_text) for key, rep in u_reps.items()}
 
         commutes = True
         for key in u_reps:

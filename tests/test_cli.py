@@ -652,6 +652,47 @@ def test_filtration_check_caps_its_classes(tmp_path):
                                     " (max_classes, --max-classes)\n")
 
 
+def _kept_signatures(tmp_path) -> list[str]:
+    # K = {k: 1->1}, L = K + {l: 1->1}, base = K + {o: 1->1}
+    k = {"name": "k", "m": 1, "n": 1}
+    sigs = {"sigK": [k], "sigL": [k, {"name": "l", "m": 1, "n": 1}],
+            "base": [k, {"name": "o", "m": 1, "n": 1}]}
+    argv = []
+    for flag, gens in sigs.items():
+        argv += [f"--{flag}",
+                 write_json(tmp_path / f"{flag}.json", {"generators": gens})]
+    return argv
+
+
+# slot arity bounds whose (max_arity + 1)^2 slot menu no memory holds
+HUGE_MAX_ARITY = {"3000": 3000, "10^9": 10 ** 9}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_MAX_ARITY))
+def test_huge_max_arity_fails_in_one_line_under_a_memory_cap(tmp_path, name):
+    argv = ["filtration-check", *_kept_signatures(tmp_path)]
+    huge = ["--max-arity", str(HUGE_MAX_ARITY[name])]
+
+    def child(*extra: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "propcalc.cli", *argv, *huge, *extra],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=_cap_address_space, env=CHILD_ENV)
+
+    # one slot of arity (24, 24) already makes 25 edges at (1,1)
+    proc = child()
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    line = _one_short_error_line(proc.stderr)
+    assert line.endswith(", past the edge cap of 24 (max_arity, --max-arity)")
+    # runs that read no slot complete, with the report of a small bound
+    for extra in (["--max-vertices", "0"], ["--no-slots"]):
+        proc = child(*extra)
+        rc, out, _ = run(*argv, *extra)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
+        assert rc == 0 and json.loads(out)["all_ok"] is True
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract
 
@@ -804,6 +845,31 @@ def test_a_huge_generator_name_is_quoted_in_a_short_line(tmp_path):
     assert rc == 2 and out == ""
     line = _one_short_error_line(err)
     assert line == f"error: generator '{'x' * 79}... has negative arity"
+
+
+def _clashing_run(tmp_path, names: list[str]) -> tuple[int, str, str]:
+    # every name is new in L and already in the base
+    gens = [{"name": name, "m": 1, "n": 1} for name in names]
+    return run("filtration-check",
+               "--sigK", write_json(tmp_path / "k.json", {"generators": []}),
+               "--sigL", write_json(tmp_path / "l.json", {"generators": gens}),
+               "--base", write_json(tmp_path / "b.json", {"generators": gens}))
+
+
+def test_a_huge_clashing_name_is_quoted_in_a_short_line(tmp_path):
+    rc, out, err = _clashing_run(tmp_path, ["z" * 100_000])
+    assert rc == 1 and out == ""
+    line = _one_short_error_line(err)
+    assert line == ("error: new names collide with the base: "
+                    f"['{'z' * 78}... (1 in all)")
+
+
+def test_many_clashing_names_are_counted_in_a_short_line(tmp_path):
+    rc, out, err = _clashing_run(tmp_path, [f"g{i}" for i in range(20_000)])
+    assert rc == 1 and out == ""
+    line = _one_short_error_line(err)
+    assert line.startswith("error: new names collide with the base: ['g0', ")
+    assert line.endswith("... (20000 in all)")
 
 
 def test_a_huge_matrix_name_is_quoted_in_a_short_line(tmp_path):

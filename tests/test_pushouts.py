@@ -5,16 +5,17 @@ square audit over envelope classes."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 
 from propcalc import canonical
-from propcalc.canonical import ClassLister
+from propcalc.canonical import DEFAULT_MAX_EDGES, ClassLister
 from propcalc.freeprop import Signature
 from propcalc.graphs import GraphError, LimitError
-from propcalc.pushouts import (CubeDiagram, FiniteSetMap,
+from propcalc.pushouts import (CubeDiagram, FiniteSetMap, _check_slot_reach,
                                bounded_env_classes, faces_commute,
                                filtration_square_check, inclusion_map,
                                iterated_identity_check, punctured_colimit,
@@ -417,6 +418,11 @@ ENV_INSTANCES = [
     (Signature([("k", 2, 1)]), Signature([("k", 2, 1), ("l", 1, 2)]),
      Signature([("k", 2, 1), ("o", 1, 2)]), 1, 2,
      dict(max_degree=2, max_vertices=3, max_arity=2)),
+    # in the roles' given order, slot (1,1) then o, and o then l, reach
+    # the arity multiset {(1,1), (2,1)} in two orders
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
+     Signature([("k", 1, 1), ("o", 2, 1)]), 2, 1,
+     dict(max_degree=2, max_vertices=3, slot_arities=((1, 1),))),
 ]
 
 
@@ -450,15 +456,37 @@ def test_filtration_enumerates_each_profile_once(monkeypatch):
     enumerate_graphs = canonical.enumerate_graphs
 
     def counted(arities, *args, **kwargs):
-        calls[tuple(arities)] += 1
+        calls[tuple(sorted(arities))] += 1
         return enumerate_graphs(arities, *args, **kwargs)
 
     monkeypatch.setattr(canonical, "enumerate_graphs", counted)
-    for sig_k, sig_l, base, m, n, kw in ENV_INSTANCES[1:3]:
+    for sig_k, sig_l, base, m, n, kw in ENV_INSTANCES:
         calls.clear()
         rep = filtration_square_check(sig_k, sig_l, base, m, n, **kw)
         assert rep["all_ok"]
         assert calls and max(calls.values()) == 1
+
+
+def test_slot_reach_refuses_exactly_the_arities_past_the_edge_cap():
+    # brute force: the (sum of a, sum of b) of every multiset of at most
+    # max_vertices slots; a refused max_arity reaches a balanced one past
+    # the cap, which the envelope lists, and an accepted one reaches none
+    boundaries = [(1, 1), (1, 2), (2, 1), (0, 3), (3, 0)]
+    for max_arity in range(1, 14):
+        menu = [(a, b) for a in range(max_arity + 1)
+                for b in range(max_arity + 1) if a + b]
+        sums = {(0, 0)}
+        for max_vertices in range(1, 4):
+            sums |= {(x + a, y + b) for x, y in sums for a, b in menu}
+            for m, n in boundaries:
+                past = any(y - x == n - m and m + y > DEFAULT_MAX_EDGES
+                           for x, y in sums)
+                try:
+                    _check_slot_reach(m, n, max_vertices, max_arity, None)
+                except LimitError as err:
+                    assert past and "(max_arity, --max-arity)" in str(err)
+                else:
+                    assert not past
 
 
 def test_filtration_skips_profiles_whose_ports_cannot_pair_up():
@@ -469,3 +497,94 @@ def test_filtration_skips_profiles_whose_ports_cannot_pair_up():
     rep = filtration_square_check(sig_k, wide, base, 1, 1, max_degree=2,
                                   max_vertices=2, slot_arities=())
     assert rep["all_ok"] and rep["env_sizes"] == [3, 3, 3]
+
+
+# full reports, pinned byte for byte: the three instances of acceptance
+# criterion 09, then the four filtration shapes of the benchmark's
+# classes workload with fixed generator names, as
+# (K, L, base, m, n, keywords, the report as JSON)
+PINNED_REPORTS = [
+    (Signature([]), Signature([("l", 1, 1)]), Signature([("o", 1, 1)]), 1, 1,
+     dict(max_degree=2, max_vertices=4, max_arity=2, slot_arities=()),
+     '{"m": 1, "n": 1, "max_degree": 2, "max_vertices": 4, "env_sizes": '
+     '[5, 15, 25], "degrees": [{"degree": 1, "U": 0, "V": 10, "C": 5, '
+     '"D": 15, "lambda_image": 0, "U_image": 0, "V_image": 10, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}, {"degree": 2, "U": 0, "V": 10, "C": 15, '
+     '"D": 25, "lambda_image": 0, "U_image": 0, "V_image": 10, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}], "all_ok": true}'),
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
+     Signature([("k", 1, 1), ("o", 1, 1)]), 1, 1,
+     dict(max_degree=2, max_vertices=4, max_arity=2),
+     '{"m": 1, "n": 1, "max_degree": 2, "max_vertices": 4, "env_sizes": '
+     '[3881, 5075, 5225], "degrees": [{"degree": 1, "U": 1194, "V": '
+     '2388, "C": 3881, "D": 5075, "lambda_image": 1194, "U_image": 1056,'
+     ' "V_image": 2250, "square_commutes": true, "identity": true, '
+     '"pushout": true, "j_bijective": false}, {"degree": 2, "U": 750, '
+     '"V": 600, "C": 5075, "D": 5225, "lambda_image": 450, "U_image": '
+     '392, "V_image": 542, "square_commutes": true, "identity": true, '
+     '"pushout": true, "j_bijective": false}], "all_ok": true}'),
+    (Signature([("k", 2, 1)]), Signature([("k", 2, 1), ("l", 1, 2)]),
+     Signature([("k", 2, 1), ("o", 1, 2)]), 1, 2,
+     dict(max_degree=2, max_vertices=3, max_arity=2),
+     '{"m": 1, "n": 2, "max_degree": 2, "max_vertices": 3, "env_sizes": '
+     '[1107, 1571, 1639], "degrees": [{"degree": 1, "U": 330, "V": 794, '
+     '"C": 1107, "D": 1571, "lambda_image": 330, "U_image": 330, '
+     '"V_image": 794, "square_commutes": true, "identity": true, '
+     '"pushout": true, "j_bijective": false}, {"degree": 2, "U": 140, '
+     '"V": 208, "C": 1571, "D": 1639, "lambda_image": 140, "U_image": '
+     '140, "V_image": 208, "square_commutes": true, "identity": true, '
+     '"pushout": true, "j_bijective": false}], "all_ok": true}'),
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
+     Signature([("k", 1, 1), ("o", 1, 1)]), 1, 1,
+     dict(max_degree=2, max_vertices=3, max_arity=2),
+     '{"m": 1, "n": 1, "max_degree": 2, "max_vertices": 3, "env_sizes": '
+     '[286, 362, 372], "degrees": [{"degree": 1, "U": 76, "V": 152, "C":'
+     ' 286, "D": 362, "lambda_image": 76, "U_image": 67, "V_image": 143,'
+     ' "square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}, {"degree": 2, "U": 50, "V": 40, "C": 362, '
+     '"D": 372, "lambda_image": 30, "U_image": 25, "V_image": 35, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}], "all_ok": true}'),
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
+     Signature([("k", 1, 1), ("o", 1, 1)]), 1, 1,
+     dict(max_degree=2, max_vertices=3, max_arity=1),
+     '{"m": 1, "n": 1, "max_degree": 2, "max_vertices": 3, "env_sizes": '
+     '[54, 92, 102], "degrees": [{"degree": 1, "U": 38, "V": 76, "C": '
+     '54, "D": 92, "lambda_image": 38, "U_image": 29, "V_image": 67, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}, {"degree": 2, "U": 50, "V": 40, "C": 92, '
+     '"D": 102, "lambda_image": 30, "U_image": 25, "V_image": 35, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}], "all_ok": true}'),
+    (Signature([("k", 2, 1)]), Signature([("k", 2, 1), ("l", 1, 2)]),
+     Signature([("k", 2, 1), ("o", 1, 2)]), 1, 2,
+     dict(max_degree=2, max_vertices=3, max_arity=1),
+     '{"m": 1, "n": 2, "max_degree": 2, "max_vertices": 3, "env_sizes": '
+     '[121, 261, 301], "degrees": [{"degree": 1, "U": 62, "V": 202, "C":'
+     ' 121, "D": 261, "lambda_image": 62, "U_image": 62, "V_image": 202,'
+     ' "square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}, {"degree": 2, "U": 84, "V": 124, "C": 261, '
+     '"D": 301, "lambda_image": 84, "U_image": 84, "V_image": 124, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}], "all_ok": true}'),
+    (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 2)]),
+     Signature([("k", 1, 1), ("o", 2, 1)]), 1, 1,
+     dict(max_degree=2, max_vertices=3, max_arity=1),
+     '{"m": 1, "n": 1, "max_degree": 2, "max_vertices": 3, "env_sizes": '
+     '[39, 71, 71], "degrees": [{"degree": 1, "U": 27, "V": 59, "C": 39,'
+     ' "D": 71, "lambda_image": 27, "U_image": 21, "V_image": 53, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": false}, {"degree": 2, "U": 35, "V": 21, "C": 71, '
+     '"D": 71, "lambda_image": 21, "U_image": 19, "V_image": 19, '
+     '"square_commutes": true, "identity": true, "pushout": true, '
+     '"j_bijective": true}], "all_ok": true}'),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_REPORTS)))
+def test_filtration_reports_are_pinned(index):
+    sig_k, sig_l, base, m, n, kw, want = PINNED_REPORTS[index]
+    rep = filtration_square_check(sig_k, sig_l, base, m, n, **kw)
+    assert json.dumps(rep) == want
