@@ -9,10 +9,9 @@ colimit checks.
 
 from __future__ import annotations
 
-from .canonical import (CanonicalForm, ClassLister, NumberedGraph,
-                        canonical_key, canonical_order, canonicalize,
-                        count_graphs, enumerate_graphs, graph_hash,
-                        is_isomorphic)
+from .canonical import (CanonicalForm, NumberedGraph, canonical_key,
+                        canonical_order, canonicalize, count_graphs,
+                        enumerate_graphs, graph_hash, is_isomorphic)
 from .freeprop import (FREE_OPS, Generator, PartialLabeledGraph, PropElement,
                        Signature, combine_signatures, corolla, count_basis,
                        element_from_dict, element_to_dict, expand,
@@ -26,10 +25,9 @@ from .graphs import (Edge, FormatError, Graph, GraphError, LimitError,
                      hcompose, identity, make_graph, permute_inputs,
                      permute_outputs, to_json_text, validate, vcompose)
 from .pushouts import (CubeDiagram, FiniteSetMap, PuncturedColimit,
-                       bounded_env_classes, faces_commute,
-                       filtration_square_check, inclusion_map,
-                       iterated_identity_check, punctured_colimit,
-                       pushout_sets, quotient_classes)
+                       faces_commute, filtration_square_check,
+                       inclusion_map, iterated_identity_check,
+                       punctured_colimit, pushout_sets, quotient_classes)
 from .rewrite import (MixedGraph, collapse, expand_all, merge, mergeable,
                       mergeable_pairs, mixed_from_dict, mixed_to_dict,
                       non_confluence_witness)
@@ -39,13 +37,12 @@ from .tensor import (AlgebraAssignment, RatTensor, TensorOps,
                      morphism_prop_membership, parse_rational)
 
 __all__ = [
-    "AlgebraAssignment", "CanonicalForm", "ClassLister", "CubeDiagram",
-    "Edge",
+    "AlgebraAssignment", "CanonicalForm", "CubeDiagram", "Edge",
     "FiniteSetMap", "FormatError", "FREE_OPS", "Generator", "Graph",
     "GraphError", "LimitError", "MixedGraph", "NumberedGraph",
     "PartialLabeledGraph", "PropElement", "PuncturedColimit", "RatTensor",
     "Signature", "TensorOps", "Vertex",
-    "algebra_from_dict", "algebra_to_dict", "bounded_env_classes",
+    "algebra_from_dict", "algebra_to_dict",
     "canonical_key", "canonical_order", "canonicalize", "check",
     "collapse", "combine_signatures", "corolla",
     "count_basis", "count_graphs", "element_from_dict", "element_to_dict",

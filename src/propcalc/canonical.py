@@ -224,14 +224,8 @@ def canonical_order(g: Graph,
     order if every vertex has an input, else the output-path order if
     every vertex has an output, else the port-ordered traversal (boundary
     components from the boundary ports in index order, then closed
-    components sorted by their minimal serialization).  Labels are
-    rendered only for a graph with a closed component, the one case that
-    reads them."""
-    ports = port_map(g)
-    order = _route_order(ports, g.m, None)
-    if order is None:
-        order = _route_order(ports, g.m, _render(label_key))
-    return order
+    components sorted by their minimal serialization)."""
+    return _route_order(port_map(g), g.m, _render(label_key))
 
 
 def _route_order(ports: tuple, m: int,
@@ -582,14 +576,9 @@ class Skeleton(NamedTuple):
     key: tuple | None
     class_id: int | None
 
-    def labeled_key(self, labels: dict[int, object] | None = None) -> tuple:
-        """`canonical_key(self.graph, labels)`, from the skeleton where
-        there is one."""
-        return self._texts_key(_render(labels))
-
     def _texts_key(self, texts: dict[int, str]) -> tuple:
-        # `labeled_key` with each label given by its text, for a caller
-        # that keeps its labels' text rendered
+        # `key_and_order(self.graph, texts)[0]`, from the skeleton where
+        # there is one
         if self.order is None:
             return key_and_order(self.graph, texts)[0]
         return _with_texts(self.key, _text_column(texts, self.order))
@@ -655,29 +644,6 @@ def _distinct(stream, texts: dict[int, str]):
             seen.add(mark)
             key = _with_texts(sk.key, column) if texts else sk.key
         yield key, sk
-
-
-class ClassLister:
-    """Skeleton streams at one boundary (m, n) over many vertex profiles.
-    Each profile's stream is enumerated once, on first use, and kept for
-    the life of the lister, so a caller that lists one profile's classes
-    under many labelings, each through `distinct`, pays for one
-    enumeration.  A lister is meant to live for one call of its owner."""
-
-    def __init__(self, m: int, n: int, *, max_vertices: int | None = None,
-                 max_edges: int | None = None):
-        self.m, self.n = m, n
-        self._caps = dict(max_vertices=max_vertices, max_edges=max_edges)
-        self._streams: dict[tuple, list[Skeleton]] = {}
-
-    def stream(self, arities) -> list[Skeleton]:
-        """The skeletons of the numbered stream on `arities`."""
-        arities = tuple(arities)
-        found = self._streams.get(arities)
-        if found is None:
-            found = self._streams[arities] = list(skeletons(
-                arities, self.m, self.n, **self._caps))
-        return found
 
 
 def count_graphs(arities: list[tuple[int, int]], m: int, n: int, *,

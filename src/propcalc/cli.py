@@ -334,8 +334,7 @@ def _cmd_filtration_check(args) -> int:
     report = filtration_square_check(
         sig_k, sig_l, base, args.m, args.n,
         max_degree=args.max_degree, max_vertices=args.max_vertices,
-        max_arity=args.max_arity,
-        slot_arities=() if args.no_slots else None,
+        max_arity=args.max_arity, slots=not args.no_slots,
         max_classes=args.max_classes)
     _emit(report)
     return 0 if report["all_ok"] else 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .canonical import DEFAULT_MAX_EDGES, ClassLister, _distinct
+from .canonical import DEFAULT_MAX_EDGES, _distinct, skeletons
 from .freeprop import Signature
 from .graphs import GraphError, LimitError, _quote
 
@@ -306,45 +306,45 @@ def iterated_identity_check(i: FiniteSetMap, lhs: PuncturedColimit) -> bool:
 # ---------------------------------------------------------------------------
 # envelope classes of a free prop, with open slots
 
-def _slot_menu(max_vertices: int, max_arity: int, slot_arities) -> tuple:
-    if slot_arities is None:
-        if not max_vertices:
-            return ()  # no vertex reads the menu, however wide
-        return tuple((a, b)
-                     for a in range(max_arity + 1)
-                     for b in range(max_arity + 1) if a + b > 0)
-    menu = []
-    for pair in slot_arities:
-        a, b = pair
-        if a < 0 or b < 0 or a + b == 0:
-            raise GraphError(f"bad slot arity {pair!r}")
-        menu.append((a, b))
-    return tuple(menu)
-
-
-def _check_slot_reach(m: int, n: int, max_vertices: int, max_arity: int,
-                      slot_arities) -> None:
-    """Refuse a max_arity whose slots alone make an (m,n)-profile past the
-    default edge cap.  The envelope lists every such profile, so that run
-    can only trip the cap: it fails here, in one line, before the
-    (max_arity + 1)^2 slot menu is built."""
-    if slot_arities is not None or not max_vertices or not max_arity:
-        return
-    # up to max_vertices slots of arity at most max_arity reach every
-    # out-minus-in balance of size at most `reach`; at the balance n - m,
-    # the widest of them holds m + min(reach, reach + n - m) edges
-    reach = max_vertices * max_arity
-    edges = m + min(reach, reach + n - m)
-    if reach >= abs(n - m) and edges > DEFAULT_MAX_EDGES:
-        raise LimitError(
-            f"slots of arity up to {max_arity} make profiles of {edges}"
-            f" edges, past the edge cap of {DEFAULT_MAX_EDGES}"
-            " (max_arity, --max-arity)")
-
-
 # the kinds of role that `accept` counts: a fresh vertex carries a new
 # name of L, a kept one a name of K taken through K
 _OTHER, _FRESH, _KEPT = 0, 1, 2
+
+
+def _slot_roles(m: int, n: int, max_vertices: int, max_arity: int,
+                labeled: list, degree: int) -> list:
+    """The slot roles of an envelope at (m, n) beside the `labeled`
+    roles, at most `degree` of them fresh: one per arity (a, b) with a, b
+    at most max_arity and a + b > 0.  A max_arity whose slots make an
+    accepted balanced profile past the default edge cap is refused in one
+    line, before the menu is built: the envelope would list that profile,
+    so the run could only trip the cap.  Past that check a slot with
+    a > cap - n or b > cap - m sits in no accepted balanced profile, and
+    none is listed, so the menu has at most (cap + 1)^2 roles."""
+    if not max_vertices or not max_arity:
+        return []  # no vertex reads the menu, however wide
+    cap = DEFAULT_MAX_EDGES
+    steps = {(a, b, kind == _FRESH) for _, (a, b), kind in labeled}
+    parts = {(0, 0, 0)}  # (out-minus-in, outs, fresh) of t labeled roles
+    for t in range(max_vertices):
+        # up to max_vertices - t slots reach every out-minus-in balance of
+        # size at most `reach`; at the balance `rest`, the widest of them
+        # hold min(reach, reach + rest) of the profile's out-ports
+        reach = (max_vertices - t) * max_arity
+        for delta, outs, _ in parts:
+            rest = n - m - delta
+            edges = m + outs + min(reach, reach + rest)
+            if reach >= abs(rest) and edges > cap:
+                raise LimitError(
+                    f"slots of arity up to {max_arity} make profiles of"
+                    f" {edges} edges, past the edge cap of {cap}"
+                    " (max_arity, --max-arity)")
+        parts = {(delta + b - a, outs + b, fresh + new)
+                 for delta, outs, fresh in parts for a, b, new in steps
+                 if fresh + new <= degree}
+    a_top, b_top = min(max_arity, cap - n), min(max_arity, cap - m)
+    return [(("slot", a, b), (a, b), _OTHER)
+            for a in range(a_top + 1) for b in range(b_top + 1) if a + b]
 
 
 def _balanced(roles, r: int, balance: int):
@@ -367,27 +367,38 @@ def _balanced(roles, r: int, balance: int):
                 yield head + (i,)
 
 
-def _enumerate_classes(lister: ClassLister, roles, max_vertices, accept,
-                       max_classes) -> dict:
-    """Isomorphism classes of the lister's (m,n)-graphs whose vertices
-    are drawn from `roles` (triples of a tag, an arity and a kind), as
-    key -> (skeleton, labels).  Tags color the vertices for canonical
-    forms; `accept(fresh, kept)` filters role multisets by their counts
-    of fresh and kept roles.  Only the multisets whose ports can pair up
-    are generated.  The roles are taken in arity order, so every multiset
-    lists its arities sorted and each arity multiset reads one stream of
-    the lister; each tag is rendered once per call."""
+def _enumerate_classes(streams: dict, m: int, n: int, roles, max_vertices,
+                       accept, max_classes) -> dict:
+    """Isomorphism classes of (m,n)-graphs whose vertices are drawn from
+    `roles` (triples of a tag, an arity and a kind), as key -> (skeleton,
+    labels).  Tags color the vertices for canonical forms;
+    `accept(fresh, kept)` filters role multisets by their counts of fresh
+    and kept roles.  Only the multisets whose ports can pair up are
+    generated.  The roles are taken in arity order, so every multiset
+    lists its arities sorted and each arity multiset reads one skeleton
+    stream, kept in `streams` (arity tuple -> skeletons) for the caller's
+    other calls; a profile past the default edge cap is refused before
+    its stream is asked for.  Each tag is rendered once per call."""
     roles = sorted(roles, key=lambda role: role[1])
     texts = [repr(tag) for tag, _, _ in roles]
     kinds = [kind for _, _, kind in roles]
-    balance = lister.n - lister.m
     out: dict = {}
     for r in range(max_vertices + 1):
-        for combo in _balanced(roles, r, balance):
+        for combo in _balanced(roles, r, n - m):
             picked = [kinds[k] for k in combo]
             if not accept(picked.count(_FRESH), picked.count(_KEPT)):
                 continue
-            stream = lister.stream([roles[k][1] for k in combo])
+            arities = tuple([roles[k][1] for k in combo])
+            stream = streams.get(arities)
+            if stream is None:
+                edges = m + sum(b for _, b in arities)
+                if edges > DEFAULT_MAX_EDGES:
+                    raise LimitError(
+                        f"{r} vertices make a profile of {edges} edges,"
+                        f" past the edge cap of {DEFAULT_MAX_EDGES}"
+                        " (max_vertices, --max-vertices)")
+                stream = streams[arities] = list(
+                    skeletons(arities, m, n, max_vertices=max_vertices))
             labels = {v: roles[k][0] for v, k in enumerate(combo, start=1)}
             own_texts = {v: texts[k] for v, k in enumerate(combo, start=1)}
             # one class can recur across combinations: repeated slot
@@ -417,43 +428,18 @@ def _subset_with_arities(small: Signature, big: Signature, what: str) -> None:
                 f"{what} with the same arity")
 
 
-def bounded_env_classes(sig_k: Signature, sig_l: Signature,
-                        base_sig: Signature, m: int, n: int, *,
-                        degree: int, max_vertices: int = 4,
-                        max_arity: int = 2, slot_arities=None,
-                        max_classes: int = DEFAULT_MAX_CLASSES,
-                        lister: ClassLister | None = None) -> dict:
-    """Classes of partially labeled (m,n)-graphs over the pushout
-    signature (base plus the new names of L), with at most `degree`
-    vertices carrying a new name.  Unlabeled vertices are open slots,
-    interchangeable within an arity.  Returns key -> (skeleton, labels),
-    the `canonical.Skeleton` of one representative and its vertex tags;
-    which numbered representative a class keeps is not part of the
-    contract.  Each arity multiset is enumerated once, through `lister`:
-    by default one made for the call and dropped with it, and then a
-    max_arity whose slots alone make a profile past the default edge cap
-    is refused before the slot menu is built; callers that list several
-    envelopes at the same (m, n) may pass a lister to share, whose caps
-    then apply."""
-    new_names = _checked_setup(sig_k, sig_l, base_sig)
-    if lister is None:
-        _check_slot_reach(m, n, max_vertices, max_arity, slot_arities)
-        lister = ClassLister(m, n, max_vertices=max_vertices)
-    elif (lister.m, lister.n) != (m, n):
-        raise GraphError(f"the lister lists ({lister.m},{lister.n})-graphs,"
-                         f" not ({m},{n})-graphs")
-    slots = _slot_menu(max_vertices, max_arity, slot_arities)
-    roles = [(("slot",) + ar, ar, _OTHER) for ar in slots]
-    roles += [(("lab", g.name), (g.m, g.n), _OTHER) for g in base_sig]
-    roles += [(("lab", g.name), (g.m, g.n), _FRESH) for g in sig_l
-              if g.name in new_names]
-    return _enumerate_classes(lister, roles, max_vertices,
-                              lambda fresh, kept: fresh <= degree,
-                              max_classes)
-
-
-def _checked_setup(sig_k: Signature, sig_l: Signature,
-                   base_sig: Signature) -> frozenset:
+def _envelope(sig_k: Signature, sig_l: Signature, base_sig: Signature,
+              m: int, n: int, streams: dict, *, degree: int,
+              max_vertices: int, max_arity: int, slots: bool,
+              max_classes: int) -> tuple[dict, frozenset, list]:
+    """The audit's set-up and its envelope: the classes of partially
+    labeled (m,n)-graphs over the pushout signature (base plus the new
+    names of L), with at most `degree` vertices carrying a new name.
+    Unlabeled vertices are open slots, interchangeable within an arity.
+    Returns the classes as key -> (skeleton, labels), the
+    `canonical.Skeleton` of one representative and its vertex tags, then
+    the new names and the slot roles, which the corners reuse; the
+    skeleton streams are kept in `streams`."""
     _subset_with_arities(sig_k, sig_l, "in the large signature")
     _subset_with_arities(sig_k, base_sig, "in the base signature")
     new_names = frozenset(set(sig_l.names) - set(sig_k.names))
@@ -461,42 +447,52 @@ def _checked_setup(sig_k: Signature, sig_l: Signature,
     if clash:
         raise GraphError(f"new names collide with the base: "
                          f"{_quote(sorted(clash))} ({len(clash)} in all)")
-    return new_names
+    if m == n > DEFAULT_MAX_EDGES:  # the vertex-free profile, always listed
+        raise LimitError(f"{m} bare wires pass the edge cap of"
+                         f" {DEFAULT_MAX_EDGES} (m, --m)")
+    labeled = [(("lab", g.name), (g.m, g.n), _OTHER) for g in base_sig]
+    labeled += [(("lab", g.name), (g.m, g.n), _FRESH) for g in sig_l
+                if g.name in new_names]
+    slot_roles = (_slot_roles(m, n, max_vertices, max_arity, labeled, degree)
+                  if slots else [])
+    env = _enumerate_classes(streams, m, n, slot_roles + labeled,
+                             max_vertices, lambda fresh, kept: fresh <= degree,
+                             max_classes)
+    return env, new_names, slot_roles
 
 
 def filtration_square_check(sig_k: Signature, sig_l: Signature,
                             base_sig: Signature, m: int, n: int, *,
                             max_degree: int, max_vertices: int = 4,
-                            max_arity: int = 2, slot_arities=None,
+                            max_arity: int = 2, slots: bool = True,
                             max_classes: int = DEFAULT_MAX_CLASSES) -> dict:
     """Per filtration degree, enumerate the four corners of the attaching
     square over class representatives and verify that the generic
     union-find pushout of the span reproduces the next filtration stage,
     together with the cardinality identity |D| = |C| + |V'| - |U'| taken
-    on computed images.  The envelope and the V and U corners of every
-    degree draw their classes from one `ClassLister` that lives for the
+    on computed images.  The envelope's vertices carry names of the
+    pushout signature or, with `slots`, are open slots of arity up to
+    max_arity.  The envelope and the V and U corners of every degree draw
+    their classes from one memo of skeleton streams that lives for the
     call, so each arity multiset is enumerated once per call.  Each tag
     and each retagged tag is rendered once per call, and each envelope
-    class's fresh vertices are counted once.  A max_arity whose slots
-    alone make a profile past the edge cap is refused before the slot
-    menu is built."""
+    class's fresh vertices are counted once.  A profile past the default
+    edge cap fails in one line naming max_vertices (m, for bare wires),
+    or max_arity where slots make it, before any graph is listed; every
+    corner's profile is an envelope profile."""
     if max_degree < 1:
         raise GraphError("max_degree must be >= 1")
-    new_names = _checked_setup(sig_k, sig_l, base_sig)
-    _check_slot_reach(m, n, max_vertices, max_arity, slot_arities)
-    slots = _slot_menu(max_vertices, max_arity, slot_arities)
-    lister = ClassLister(m, n, max_vertices=max_vertices)
-    slot_roles = [(("slot",) + ar, ar, _OTHER) for ar in slots]
+    streams: dict = {}
+    env, new_names, slot_roles = _envelope(
+        sig_k, sig_l, base_sig, m, n, streams, degree=max_degree,
+        max_vertices=max_vertices, max_arity=max_arity, slots=slots,
+        max_classes=max_classes)
     base_roles = [(("lab", g.name), (g.m, g.n), _OTHER) for g in base_sig]
     lf_roles = [(("lf", g.name), (g.m, g.n), _FRESH) for g in sig_l]
     kf_roles = [(("kf", g.name), (g.m, g.n), _KEPT) for g in sig_k]
     v_roles = slot_roles + base_roles + lf_roles
     u_roles = v_roles + kf_roles
 
-    env = bounded_env_classes(sig_k, sig_l, base_sig, m, n,
-                              degree=max_degree, max_vertices=max_vertices,
-                              max_arity=max_arity, slot_arities=slot_arities,
-                              max_classes=max_classes, lister=lister)
     fresh_of = {key: sum(1 for tag in labels.values()
                          if tag[0] == "lab" and tag[1] in new_names)
                 for key, (_, labels) in env.items()}
@@ -521,10 +517,10 @@ def filtration_square_check(sig_k: Signature, sig_l: Signature,
         def accept_u(fresh, kept, nd=nd):
             return kept >= 1 and fresh + kept == nd
 
-        v_reps = _enumerate_classes(lister, v_roles, max_vertices, accept_v,
-                                    max_classes)
-        u_reps = _enumerate_classes(lister, u_roles, max_vertices, accept_u,
-                                    max_classes)
+        v_reps = _enumerate_classes(streams, m, n, v_roles, max_vertices,
+                                    accept_v, max_classes)
+        u_reps = _enumerate_classes(streams, m, n, u_roles, max_vertices,
+                                    accept_u, max_classes)
 
         v_into_d = {key: _retag(rep, lab_text) for key, rep in v_reps.items()}
         u_lambda = {key: _retag(rep, lf_text) for key, rep in u_reps.items()}

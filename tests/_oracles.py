@@ -414,8 +414,8 @@ def product_count_basis(sig, m: int, n: int, max_r: int) -> dict:
 def per_combination_env_keys(sig_k, sig_l, base_sig, m: int, n: int, *,
                              degree: int, max_vertices: int = 4,
                              max_arity: int = 2, slot_arities=None) -> set:
-    """The key set of `pushouts.bounded_env_classes`, one role combination
-    at a time: each accepted combination enumerates its own numbered
+    """The key set of the filtration audit's envelope
+    (`pushouts._envelope`), one role combination at a time: each accepted combination enumerates its own numbered
     graphs, and each graph is keyed in full by `canonical_key` (no shared
     streams, no skeletons)."""
     new_names = set(sig_l.names) - set(sig_k.names)

@@ -343,7 +343,7 @@ def test_criterion_09_filtration_squares():
     instances = [
         (Signature([]), Signature([("l", 1, 1)]), Signature([("o", 1, 1)]),
          1, 1, dict(max_degree=2, max_vertices=4, max_arity=2,
-                    slot_arities=())),
+                    slots=False)),
         (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
          Signature([("k", 1, 1), ("o", 1, 1)]),
          1, 1, dict(max_degree=2, max_vertices=4, max_arity=2)),

@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from propcalc.canonical import (CanonicalForm, ClassLister, NumberedGraph,
+from propcalc.canonical import (CanonicalForm, NumberedGraph,
                                 UnreachableVertexError, canonical_key,
                                 canonical_order, canonicalize,
                                 count_graphs, distinct, enumerate_graphs,
                                 graph_hash, is_isomorphic, skeletons,
-                                _key_hash, _path_order)
+                                _key_hash, _path_order, _render)
 from propcalc.freeprop import partial_from_dict
 from propcalc.graphs import (Edge, GraphError, LimitError, Vertex,
                              graph_from_dict, identity, make_graph,
@@ -400,8 +400,7 @@ def test_skeleton_keys_match_canonical_keys_on_every_route():
     for route, menus in routes.items():
         free_orders = set()
         for arities, m, n in menus:
-            lister = ClassLister(m, n)
-            stream = lister.stream(arities)
+            stream = list(skeletons(arities, m, n))
             graphs = [ng.graph for ng in enumerate_graphs(arities, m, n)]
             assert graphs and [sk.graph for sk in stream] == graphs
             free_orders |= {sk.order is not None for sk in stream}
@@ -410,7 +409,8 @@ def test_skeleton_keys_match_canonical_keys_on_every_route():
                 for letters in itertools.product("xy", repeat=len(arities))]
             for labels in labelings:
                 keys = [canonical_key(g, labels) for g in graphs]
-                assert [sk.labeled_key(labels) for sk in stream] == keys
+                texts = _render(labels)
+                assert [sk._texts_key(texts) for sk in stream] == keys
                 first: dict = {}
                 for key, g in zip(keys, graphs):
                     first.setdefault(key, g)

@@ -3,10 +3,12 @@ exit-code contract (0 ok, 1 domain error, 2 malformed input)."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -42,6 +44,19 @@ def run(*argv: str) -> tuple[int, str, str]:
         except SystemExit as stop:
             rc = stop.code if isinstance(stop.code, int) else 2
     return rc, out.getvalue(), err.getvalue()
+
+
+def assert_own_flag(command: str, err: str) -> None:
+    """A cap error ends in "(name, --flag)": the flag is the parameter's
+    and one that `command` itself declares."""
+    found = re.search(r"\((\w+), (--[\w-]+)\)$", err.rstrip("\n"))
+    assert found, err
+    name, flag = found.groups()
+    assert flag == "--" + name.replace("_", "-"), err
+    sub, = [action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    assert flag in {option for action in sub.choices[command]._actions
+                    for option in action.option_strings}, (command, err)
 
 
 def graph_fields(d: dict) -> dict:
@@ -274,6 +289,7 @@ def test_enum_honors_the_vertex_cap():
     assert (rc, out) == (1, "")
     assert err == ("error: profile has 9 vertices, cap is 8"
                    " (max_vertices, --max-vertices)\n")
+    assert_own_flag("enum", err)
 
 
 def test_enum_of_an_unbalanced_profile_is_empty_whatever_the_caps():
@@ -289,6 +305,7 @@ def test_enum_takes_its_vertex_cap_from_the_flag():
     assert (rc, out) == (1, "")
     assert err == ("error: profile has 2 vertices, cap is 1"
                    " (max_vertices, --max-vertices)\n")
+    assert_own_flag("enum", err)
     rc, out, err = run(*args, "--max-vertices", "2")
     assert rc == 0 and err == "2 graphs\n"
 
@@ -298,6 +315,7 @@ def test_enum_takes_its_edge_cap_from_the_flag():
     rc, out, err = run(*args, "--max-edges", "2")
     assert (rc, out) == (1, "")
     assert err == "error: 3 edges, cap is 2 (max_edges, --max-edges)\n"
+    assert_own_flag("enum", err)
     rc, _, err = run(*args, "--max-edges", "-1")
     assert rc == 2 and err == "error: --max-edges must be at least 0, got -1\n"
 
@@ -309,6 +327,7 @@ def test_count_takes_its_vertex_cap_from_the_flag(tmp_path):
     assert (rc, out) == (1, "")
     assert err == ("error: profile has 3 vertices, cap is 2"
                    " (max_vertices, --max-vertices)\n")
+    assert_own_flag("count", err)
     rc, out, _ = run(*args, "--max-vertices", "3")
     assert rc == 0 and json.loads(out)["iso"] == [1, 1, 1, 1]
 
@@ -319,6 +338,7 @@ def test_count_takes_its_edge_cap_from_the_flag(tmp_path):
     rc, out, err = run(*args, "--max-edges", "3")
     assert (rc, out) == (1, "")
     assert err == "error: 4 edges, cap is 3 (max_edges, --max-edges)\n"
+    assert_own_flag("count", err)
     rc, _, err = run(*args, "--max-vertices", "-1")
     assert rc == 2
     assert err == "error: --max-vertices must be at least 0, got -1\n"
@@ -409,6 +429,7 @@ def test_eval_boundary_axes_cap(tmp_path):
     rc, out, err = run("eval", elem, "--algebra", alg)
     assert rc == 1 and out == ""
     assert err == "error: boundary 4+4 axes, cap is 6 (max_axes, --max-axes)\n"
+    assert_own_flag("eval", err)
     rc, out, _ = run("eval", elem, "--algebra", alg, "--max-axes", "8")
     assert rc == 0 and json.loads(out)["shape"] == [16, 16]
     for bad in ("0", "-3"):
@@ -424,6 +445,7 @@ def test_eval_dimension_cap(tmp_path):
     rc, out, err = run("eval", elem, "--algebra", alg)
     assert rc == 1 and out == ""
     assert err == "error: dimension 5, cap is 4 (max_dim, --max-dim)\n"
+    assert_own_flag("eval", err)
     rc, out, _ = run("eval", elem, "--algebra", alg, "--max-dim", "5")
     assert rc == 0 and json.loads(out)["rows"] == eye
     for bad in ("0", "-3"):
@@ -441,6 +463,7 @@ def test_eval_intermediate_entries_cap(tmp_path):
     assert rc == 1 and out == ""
     assert err == ("error: contraction peaks at 2**2 entries, cap is 3 "
                    "(max_entries, --max-entries)\n")
+    assert_own_flag("eval", err)
     rc, out, _ = run("eval", elem, "--algebra", alg, "--max-entries", "4")
     assert rc == 0 and json.loads(out)["rows"] == [["1", "2"], ["3", "4"]]
     for bad in ("0", "-3"):
@@ -484,6 +507,7 @@ def test_collapse_state_cap():
     assert rc == 1 and out == ""
     assert err == "error: merge search exceeded the cap of 1 states " \
         "(max_states, --max-states)\n"
+    assert_own_flag("collapse", err)
     for bad in ("0", "-5"):
         rc, out, err = run("collapse", path, "--strategy", "exhaustive",
                            "--max-states", bad)
@@ -544,6 +568,7 @@ def test_cube_takes_its_element_cap_from_the_flag():
     assert (rc, out) == (1, "")
     assert err == ("error: punctured 2-cube has 5 elements, cap is 4"
                    " (max_elements, --max-elements)\n")
+    assert_own_flag("cube", err)
     rc, out, _ = run(*args, "--max-elements", "5")
     assert rc == 0 and json.loads(out)["decomposition_ok"] is True
     rc, _, err = run(*args, "--max-elements", "-1")
@@ -581,6 +606,7 @@ def test_cube_counts_its_elements_before_listing_them():
     assert rc == 1 and out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "cap is 200000 (max_elements, --max-elements)" in err
+    assert_own_flag("cube", err)
     # an empty K leaves every sub-terminal vertex empty, at any n
     start = time.perf_counter()
     rc, out, _ = run("cube", "--K", "", "--L", "a,b", "--n", "40")
@@ -641,6 +667,7 @@ def test_filtration_check_caps_its_classes(tmp_path):
     assert (rc, out) == (1, "")
     assert err == ("error: class enumeration found 4 classes, cap is 3"
                    " (max_classes, --max-classes)\n")
+    assert_own_flag("filtration-check", err)
     rc, _, err = run(*args, "--max-classes", "-1")
     assert rc == 2
     assert err == "error: --max-classes must be at least 0, got -1\n"
@@ -650,6 +677,7 @@ def test_filtration_check_caps_its_classes(tmp_path):
     rc, _, err = run(*args, "--no-slots", "--max-classes", "24")
     assert rc == 1 and err.endswith("found 25 classes, cap is 24"
                                     " (max_classes, --max-classes)\n")
+    assert_own_flag("filtration-check", err)
 
 
 def _kept_signatures(tmp_path) -> list[str]:
@@ -685,12 +713,72 @@ def test_huge_max_arity_fails_in_one_line_under_a_memory_cap(tmp_path, name):
     assert "Traceback" not in proc.stderr
     line = _one_short_error_line(proc.stderr)
     assert line.endswith(", past the edge cap of 24 (max_arity, --max-arity)")
+    assert_own_flag("filtration-check", line)
     # runs that read no slot complete, with the report of a small bound
     for extra in (["--max-vertices", "0"], ["--no-slots"]):
         proc = child(*extra)
         rc, out, _ = run(*argv, *extra)
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
         assert rc == 0 and json.loads(out)["all_ok"] is True
+
+
+# max_arity bounds at a boundary of (0, 100000): below 10^5 no slot of a
+# one-vertex profile reaches the balance
+WIDE_BOUNDARY_MAX_ARITY = {"3000": 3000, "30000": 30000, "10^9": 10 ** 9}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_BOUNDARY_MAX_ARITY))
+def test_huge_max_arity_at_a_wide_boundary_under_a_memory_cap(tmp_path,
+                                                                name):
+    argv = ["filtration-check", *_kept_signatures(tmp_path), "--m", "0",
+            "--n", "100000", "--max-vertices", "1"]
+    max_arity = WIDE_BOUNDARY_MAX_ARITY[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "propcalc.cli", *argv,
+         "--max-arity", str(max_arity)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space, env=CHILD_ENV)
+    assert "Traceback" not in proc.stderr
+    if max_arity < 100000:
+        # the report of a small bound: no profile is balanced
+        rc, out, _ = run(*argv, "--max-arity", "300")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
+        report = json.loads(out)
+        assert rc == 0 and report["all_ok"] is True
+        assert report["env_sizes"] == [0, 0, 0]
+        assert all(row[x] == 0 for row in report["degrees"]
+                   for x in ("U", "V", "C", "D"))
+    else:
+        # one slot of arity (0, 100000) holds 100000 edges
+        assert proc.returncode == 1 and proc.stdout == ""
+        line = _one_short_error_line(proc.stderr)
+        assert line.endswith(", past the edge cap of 24"
+                             " (max_arity, --max-arity)")
+        assert_own_flag("filtration-check", line)
+
+
+def test_filtration_check_names_its_own_flag_past_the_edge_cap(tmp_path):
+    # two fresh 13->13 vertices at (1,1) hold 27 edges; filtration-check
+    # has no --max-edges
+    sigs = {"sigK": [], "sigL": [{"name": "l", "m": 13, "n": 13}],
+            "base": [{"name": "o", "m": 1, "n": 1}]}
+    argv = ["filtration-check"]
+    for flag, gens in sigs.items():
+        argv += [f"--{flag}",
+                 write_json(tmp_path / f"{flag}.json", {"generators": gens})]
+    rc, out, err = run(*argv, "--no-slots", "--max-vertices", "2")
+    assert (rc, out) == (1, "")
+    assert_own_flag("filtration-check", err)
+    assert err == ("error: 2 vertices make a profile of 27 edges, past the"
+                   " edge cap of 24 (max_vertices, --max-vertices)\n")
+    rc, out, _ = run(*argv, "--no-slots", "--max-vertices", "1")
+    assert rc == 0 and json.loads(out)["env_sizes"] == [2, 2, 2]
+    # 30 bare wires hold 30 edges, with slots or without
+    for extra in (["--no-slots"], []):
+        rc, out, err = run(*argv, *extra, "--m", "30", "--n", "30")
+        assert (rc, out) == (1, "")
+        assert_own_flag("filtration-check", err)
+        assert err == "error: 30 bare wires pass the edge cap of 24 (m, --m)\n"
 
 
 # ---------------------------------------------------------------------------

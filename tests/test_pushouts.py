@@ -12,14 +12,15 @@ from collections import Counter
 import pytest
 
 from propcalc import canonical
-from propcalc.canonical import DEFAULT_MAX_EDGES, ClassLister
+from propcalc.canonical import DEFAULT_MAX_EDGES
 from propcalc.freeprop import Signature
 from propcalc.graphs import GraphError, LimitError
-from propcalc.pushouts import (CubeDiagram, FiniteSetMap, _check_slot_reach,
-                               bounded_env_classes, faces_commute,
-                               filtration_square_check, inclusion_map,
-                               iterated_identity_check, punctured_colimit,
-                               pushout_sets, quotient_classes)
+from propcalc.pushouts import (DEFAULT_MAX_CLASSES, CubeDiagram,
+                               FiniteSetMap, _envelope, _slot_roles,
+                               faces_commute, filtration_square_check,
+                               inclusion_map, iterated_identity_check,
+                               punctured_colimit, pushout_sets,
+                               quotient_classes)
 
 from _oracles import (chain_label_count, coequalizer_sets,
                       per_combination_env_keys,
@@ -315,7 +316,7 @@ def chain_setup():
 def test_filtration_chain_counts():
     sig_k, sig_l, base = chain_setup()
     rep = filtration_square_check(sig_k, sig_l, base, 1, 1, max_degree=2,
-                                  max_vertices=4, slot_arities=())
+                                  max_vertices=4, slots=False)
     assert rep["all_ok"]
     for row in rep["degrees"]:
         q = row["degree"]
@@ -372,9 +373,6 @@ def test_filtration_validates_signatures():
         filtration_square_check(uni, clash, clash, 1, 1, max_degree=1)
     with pytest.raises(GraphError):
         filtration_square_check(uni, uni, uni, 1, 1, max_degree=0)
-    with pytest.raises(GraphError):
-        filtration_square_check(uni, uni, uni, 1, 1, max_degree=1,
-                                slot_arities=((0, 0),))
 
 
 def test_filtration_respects_the_class_cap():
@@ -386,18 +384,25 @@ def test_filtration_respects_the_class_cap():
                                 max_vertices=4, max_classes=3)
 
 
+def env_classes(sig_k, sig_l, base, m, n, *, degree, max_vertices=4,
+                max_arity=2, slots=True) -> dict:
+    """The audit's envelope at `degree`, from a stream memo of its own."""
+    return _envelope(sig_k, sig_l, base, m, n, {}, degree=degree,
+                     max_vertices=max_vertices, max_arity=max_arity,
+                     slots=slots, max_classes=DEFAULT_MAX_CLASSES)[0]
+
+
 def test_env_classes_nest_and_exhaust():
     sig_k = Signature([("k", 1, 1)])
     sig_l = Signature([("k", 1, 1), ("l", 1, 1)])
     base = Signature([("k", 1, 1), ("o", 2, 1)])
     caps = dict(max_vertices=3, max_arity=1)
-    stages = [set(bounded_env_classes(sig_k, sig_l, base, 1, 1,
-                                      degree=d, **caps))
+    stages = [set(env_classes(sig_k, sig_l, base, 1, 1, degree=d, **caps))
               for d in range(4)]
     for small, big in zip(stages, stages[1:]):
         assert small < big or small == big
-    unconstrained = set(bounded_env_classes(sig_k, sig_l, base, 1, 1,
-                                            degree=7, **caps))
+    unconstrained = set(env_classes(sig_k, sig_l, base, 1, 1, degree=7,
+                                    **caps))
     assert stages[3] == unconstrained
 
 
@@ -405,7 +410,7 @@ def test_env_classes_nest_and_exhaust():
 # as (K, L, base, m, n, filtration_square_check keywords)
 ENV_INSTANCES = [
     (*chain_setup(), 1, 1, dict(max_degree=2, max_vertices=4,
-                                slot_arities=())),
+                                slots=False)),
     (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
      Signature([("k", 1, 1), ("o", 2, 1)]), 1, 1,
      dict(max_degree=2, max_vertices=3, max_arity=1)),
@@ -422,7 +427,7 @@ ENV_INSTANCES = [
     # the arity multiset {(1,1), (2,1)} in two orders
     (Signature([("k", 1, 1)]), Signature([("k", 1, 1), ("l", 1, 1)]),
      Signature([("k", 1, 1), ("o", 2, 1)]), 2, 1,
-     dict(max_degree=2, max_vertices=3, slot_arities=((1, 1),))),
+     dict(max_degree=2, max_vertices=3, max_arity=1)),
 ]
 
 
@@ -430,25 +435,10 @@ def test_env_classes_match_the_per_combination_oracle():
     for sig_k, sig_l, base, m, n, kw in ENV_INSTANCES:
         kw = dict(kw)
         degree = kw.pop("max_degree")
-        got = bounded_env_classes(sig_k, sig_l, base, m, n, degree=degree,
-                                  **kw)
+        got = env_classes(sig_k, sig_l, base, m, n, degree=degree, **kw)
+        menu = None if kw.pop("slots", True) else ()
         assert set(got) == per_combination_env_keys(
-            sig_k, sig_l, base, m, n, degree=degree, **kw)
-
-
-def test_env_classes_share_a_lister_at_their_boundary():
-    sig_k, sig_l, base, m, n, kw = ENV_INSTANCES[1]
-    caps = dict(max_vertices=3, max_arity=1)
-    lister = ClassLister(m, n, max_vertices=3)
-    for degree in range(3):
-        shared = bounded_env_classes(sig_k, sig_l, base, m, n,
-                                     degree=degree, lister=lister, **caps)
-        own = bounded_env_classes(sig_k, sig_l, base, m, n, degree=degree,
-                                  **caps)
-        assert set(shared) == set(own)
-    with pytest.raises(GraphError, match="lists"):
-        bounded_env_classes(sig_k, sig_l, base, 1, 2, degree=1,
-                            lister=lister, **caps)
+            sig_k, sig_l, base, m, n, degree=degree, slot_arities=menu, **kw)
 
 
 def test_filtration_enumerates_each_profile_once(monkeypatch):
@@ -482,11 +472,51 @@ def test_slot_reach_refuses_exactly_the_arities_past_the_edge_cap():
                 past = any(y - x == n - m and m + y > DEFAULT_MAX_EDGES
                            for x, y in sums)
                 try:
-                    _check_slot_reach(m, n, max_vertices, max_arity, None)
+                    _slot_roles(m, n, max_vertices, max_arity, [], 0)
                 except LimitError as err:
                     assert past and "(max_arity, --max-arity)" in str(err)
                 else:
                     assert not past
+
+
+def test_slot_roles_refuse_exactly_where_slots_fit_a_profile_past_the_cap():
+    # brute force over multisets of the full slot menu and labeled roles
+    # (arity, fresh) of which at most `degree` are fresh: a refused
+    # max_arity has slots in an accepted balanced profile past the cap;
+    # an accepted one lists every slot that sits in an accepted balanced
+    # profile, whatever it leaves out
+    labeled_sets = [[], [((0, 1), False)],
+                    [((2, 1), False), ((1, 2), True)], [((13, 13), True)]]
+    boundaries = [(1, 1), (0, 23), (23, 0), (2, 22), (22, 23), (0, 30)]
+    for max_arity in (1, 2, 3):
+        menu = [(a, b) for a in range(max_arity + 1)
+                for b in range(max_arity + 1) if a + b]
+        for max_vertices, degree, labeled, (m, n) in itertools.product(
+                (1, 2, 3), (0, 1), labeled_sets, boundaries):
+            roles = [(ar, False, True) for ar in menu]
+            roles += [(ar, fresh, False) for ar, fresh in labeled]
+            past, used = False, set()
+            for r in range(1, max_vertices + 1):
+                for combo in itertools.combinations_with_replacement(roles,
+                                                                     r):
+                    if sum(b - a for (a, b), _, _ in combo) != n - m \
+                            or sum(fresh for _, fresh, _ in combo) > degree \
+                            or not any(slot for _, _, slot in combo):
+                        continue
+                    past |= m + sum(b for (_, b), _, _ in combo) \
+                        > DEFAULT_MAX_EDGES
+                    used |= {ar for ar, _, slot in combo if slot}
+            tagged = [(("lab", i), ar, int(fresh))
+                      for i, (ar, fresh) in enumerate(labeled)]
+            case = (max_arity, max_vertices, degree, labeled, m, n)
+            try:
+                got = _slot_roles(m, n, max_vertices, max_arity, tagged,
+                                  degree)
+            except LimitError as err:
+                assert past and "(max_arity, --max-arity)" in str(err), case
+            else:
+                assert not past, case
+                assert used <= {ar for _, ar, _ in got} <= set(menu), case
 
 
 def test_filtration_skips_profiles_whose_ports_cannot_pair_up():
@@ -495,7 +525,7 @@ def test_filtration_skips_profiles_whose_ports_cannot_pair_up():
     sig_k, _, base = chain_setup()
     wide = Signature([("l", 1, 13)])
     rep = filtration_square_check(sig_k, wide, base, 1, 1, max_degree=2,
-                                  max_vertices=2, slot_arities=())
+                                  max_vertices=2, slots=False)
     assert rep["all_ok"] and rep["env_sizes"] == [3, 3, 3]
 
 
@@ -505,7 +535,7 @@ def test_filtration_skips_profiles_whose_ports_cannot_pair_up():
 # (K, L, base, m, n, keywords, the report as JSON)
 PINNED_REPORTS = [
     (Signature([]), Signature([("l", 1, 1)]), Signature([("o", 1, 1)]), 1, 1,
-     dict(max_degree=2, max_vertices=4, max_arity=2, slot_arities=()),
+     dict(max_degree=2, max_vertices=4, max_arity=2, slots=False),
      '{"m": 1, "n": 1, "max_degree": 2, "max_vertices": 4, "env_sizes": '
      '[5, 15, 25], "degrees": [{"degree": 1, "U": 0, "V": 10, "C": 5, '
      '"D": 15, "lambda_image": 0, "U_image": 0, "V_image": 10, '
