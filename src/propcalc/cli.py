@@ -254,14 +254,17 @@ def _load_matrix(path: str):
 
 
 def _cmd_check_morphism(args) -> int:
+    _at_least("--max-dim", args.max_dim, 1)
+    _at_least("--max-entries", args.max_entries, 1)
     f = _load_matrix(args.f)
-    phi_a = algebra_from_dict(_read_json(args.phiA))
-    phi_b = algebra_from_dict(_read_json(args.phiB))
+    phi_a = algebra_from_dict(_read_json(args.phiA), max_dim=args.max_dim)
+    phi_b = algebra_from_dict(_read_json(args.phiB), max_dim=args.max_dim)
     if args.names:
         names = [x for x in args.names.split(",") if x]
     else:
         names = sorted(set(phi_a.matrices) & set(phi_b.matrices))
-    verdict = {name: morphism_prop_membership(f, phi_a, phi_b, name)
+    verdict = {name: morphism_prop_membership(f, phi_a, phi_b, name,
+                                              max_entries=args.max_entries)
                for name in names}
     _emit({"generators": verdict, "all": all(verdict.values())})
     return 0
@@ -420,6 +423,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phiA", required=True)
     p.add_argument("--phiB", required=True)
     p.add_argument("--names", default="")
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+                   help="cap on each algebra's dimension (max_dim)")
+    p.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
+                   help="cap on the entries of each tensor power of f "
+                        "(max_entries)")
     p.set_defaults(fn=_cmd_check_morphism)
 
     p = sub.add_parser("collapse", help="merge a mixed graph to normal form")

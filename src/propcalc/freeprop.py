@@ -414,9 +414,10 @@ def extend_morphism(sig: Signature, assignment: dict[str, T],
 
     Returns phi mapping elements over sig into the target.  phi slices the
     element's graph along a wire frontier: vertices are consumed one at a
-    time in topological order, with a permutation layer routing the
-    vertex's input wires to the front and a `generator (x) identity` layer
-    consuming them.
+    time in topological order, the value so far has its outputs permuted
+    to bring the vertex's input wires to the front, and a
+    `generator (x) identity` layer consumes them.  By the prop axioms,
+    permuting the outputs equals grafting a permuted identity layer on.
     """
     for name in sig.names:
         if name not in assignment:
@@ -439,8 +440,7 @@ def extend_morphism(sig: Signature, assignment: dict[str, T],
                 return live, acc
             target_pos = {port: i for i, port in enumerate(want, start=1)}
             w = tuple(target_pos[port] for port in live)
-            twist = ops.permute_outputs(ops.identity(len(live)), w)
-            return want, ops.vcompose(acc, twist)
+            return want, ops.permute_outputs(acc, w)
 
         boundary, ins, outs = port_map(graph)
         live = [("input", i) for i in range(1, graph.m + 1)]

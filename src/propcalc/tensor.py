@@ -8,8 +8,11 @@ matrices: the vertex order, then per vertex the axis permutations of
 the state and of the vertex's tensor that put the contracted wires side
 by side, then the through wires, the final transpose and the peak live
 axes.  An element keeps its default-order plan and reuses it under
-every assignment; executing a plan is, per vertex, an optional
-transpose and one `np.dot` of two reshaped operands.  The plan's peak,
+every assignment.  A plan runs from its program at d, built on first
+use at d and kept with the plan, which holds every size and shape the
+run checks and reshapes to; executing it starts from the first
+vertex's tensor, then is, per further vertex, an optional transpose
+and one `np.dot` of two reshaped operands.  The plan's peak,
 d ** peak_axes entries, is held to a named cap (`max_entries`) before
 anything is allocated.  A tensor
 is held as integer numerators over one common denominator, so the
@@ -25,8 +28,9 @@ normal form (a Kronecker power, a permutation of outputs, the identity)
 is wrapped as it is.  `fractions.Fraction` appears only where values
 are read, written or shown.  `TensorOps` exposes the same target through
 the layer-slicing evaluator, giving a second, independent route to every
-value.  On top sits the intertwiner check of one matrix between two
-assignments.
+value; it routes wires by permuting outputs.  On top sits the
+intertwiner check of one matrix between two assignments, whose tensor
+powers are held to `max_entries` before they are built.
 """
 
 from __future__ import annotations
@@ -407,6 +411,35 @@ def matrix_from_json(data: object) -> RatTensor:
 # ---------------------------------------------------------------------------
 # evaluation by direct network contraction
 
+class _Step(NamedTuple):
+    """One plan step at one dimension d, with every size precomputed: the
+    vertex, its label and the matrix shape it needs; the tensor view
+    whose axes `tperm` moves (None when `tperm` is); the state
+    permutation `sperm`; the two 2-D operand shapes, state then tensor,
+    whose product has `terms` terms per entry; and the result's shape,
+    one axis of d per open wire."""
+
+    vid: int
+    name: str
+    shape: tuple[int, int]
+    view: tuple[int, ...] | None
+    tperm: tuple[int, ...] | None
+    sperm: tuple[int, ...] | None
+    left: tuple[int, int]
+    right: tuple[int, int]
+    out: tuple[int, ...]
+    terms: int
+
+
+class _Program(NamedTuple):
+    """A plan at one dimension d: its steps, its peak d ** peak_axes and
+    the d^n x d^m shape of the result."""
+
+    steps: tuple[_Step, ...]
+    peak: int
+    shape: tuple[int, int]
+
+
 class _Plan(NamedTuple):
     """How to contract one labeled graph in one vertex order, with nothing
     that depends on the dimension or the matrices.  Each step is
@@ -418,14 +451,37 @@ class _Plan(NamedTuple):
     in the same pairing order, before its `tkept` other axes; either is
     None where it is the identity.  The product's axes are the kept state
     axes, then the tensor's.  Then `through` input-to-output wires each
-    add an identity factor, `perm` puts the outputs then the inputs in
-    boundary order, and `peak_axes` is the most axes the state ever
-    holds."""
+    add an identity factor, `perm` (None where it is the identity) puts
+    the outputs then the inputs in boundary order, and `peak_axes` is the
+    most axes the state ever holds.  `programs` keeps the plan's
+    `_Program` per dimension, each built on first use by `at`."""
 
     steps: tuple[tuple, ...]
     through: int
-    perm: tuple[int, ...]
+    perm: tuple[int, ...] | None
     peak_axes: int
+    m: int
+    n: int
+    programs: dict[int, _Program]
+
+    def at(self, d: int) -> _Program:
+        prog = self.programs.get(d)
+        if prog is None:
+            prog = self.programs[d] = _program(self, d)
+        return prog
+
+
+def _program(plan: _Plan, d: int) -> _Program:
+    steps = []
+    for (vid, name, n_out, n_in, sperm, tperm, kept, contracted,
+         tkept) in plan.steps:
+        terms = d ** contracted
+        view = None if tperm is None else (d,) * (n_out + n_in)
+        steps.append(_Step(vid, name, (d ** n_out, d ** n_in), view, tperm,
+                           sperm, (d ** kept, terms), (terms, d ** tkept),
+                           (d,) * (kept + tkept), terms))
+    return _Program(tuple(steps), d ** plan.peak_axes,
+                    (d ** plan.n, d ** plan.m))
 
 
 def _unless_identity(perm: list[int]) -> tuple[int, ...] | None:
@@ -469,14 +525,15 @@ def _compile(graph: Graph, labels: dict[int, str], order: list[int]) -> _Plan:
             axes += [dst, ("input", i)]
     perm = [axes.index(("output", j)) for j in range(1, graph.n + 1)]
     perm += [axes.index(("input", i)) for i in range(1, graph.m + 1)]
-    return _Plan(tuple(steps), through, tuple(perm), max(peak, len(axes)))
+    return _Plan(tuple(steps), through, _unless_identity(perm),
+                 max(peak, len(axes)), graph.m, graph.n, {})
 
 
 def _default_plan(e: PropElement) -> _Plan:
     """The element's plan in its default topological order, compiled on
     first use and kept in the element's instance dict (as `key_text` is),
     so it lives as long as the element and stays out of its equality,
-    hash, repr and serialization."""
+    hash, repr and serialization; its programs live there with it."""
     memo = vars(e)
     plan = memo.get("_plan")
     if plan is None:
@@ -501,9 +558,13 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
     The wiring is compiled into a plan that depends on neither d nor
     the matrices; the default order's plan is kept on the element, so
     it serves every assignment and dimension, while an explicit `order`
-    is checked and planned on each call.  Every call still checks each
-    vertex's matrix.  Before the first product, the plan's widest state,
-    d ** peak_axes entries, is held to `max_entries`.
+    is checked and planned on each call.  A plan runs from its program
+    at d, built on the plan's first use at d and kept with it, which
+    holds every shape the call checks and reshapes to.  Every call still
+    checks each vertex's matrix.  Before the first product, the plan's
+    widest state, d ** peak_axes entries, is held to `max_entries`.  The
+    state starts as the first vertex's tensor, which takes no wire from
+    another vertex.
     """
     graph = e.graph
     cap = DEFAULT_MAX_AXES if max_axes is None else max_axes
@@ -513,43 +574,49 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
             " (max_axes, --max-axes)")
     d, matrices = A.dim, A.matrices
     plan = _default_plan(e)
+    prog = plan.at(d)
     # a canonical element's default order is its vertex order, so this
     # names the same first bad vertex whatever `order` is
-    for vid, name, n_out, n_in, *_ in plan.steps:
-        t = matrices.get(name)
+    for step in prog.steps:
+        t = matrices.get(step.name)
         if t is None:
-            raise GraphError(f"no matrix assigned to {_quote(name)}")
-        if t.shape != (d ** n_out, d ** n_in):
+            raise GraphError(f"no matrix assigned to {_quote(step.name)}")
+        if t._num.shape != step.shape:
             raise GraphError(
-                f"matrix for {_quote(name)} has shape {t.shape}, vertex {vid} "
-                f"needs {(d ** n_out, d ** n_in)}")
+                f"matrix for {_quote(step.name)} has shape {t.shape}, "
+                f"vertex {step.vid} needs {step.shape}")
     if order is not None:
         order = list(order)
         check_topological_order(graph, order)
         plan = _compile(graph, e.labels, order)
+        prog = plan.at(d)
     cap = DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
-    if d ** plan.peak_axes > cap:
+    if prog.peak > cap:
         raise LimitError(
             f"contraction peaks at {d}**{plan.peak_axes} entries, "
             f"cap is {cap} (max_entries, --max-entries)")
 
     # `top` bounds |entry| of `state`; it is carried along the products so
     # that `_operands` reads the entries only when the bound trips.
-    state, den, top = np.array(1, dtype=np.int64), 1, 1
-    for (_, name, n_out, n_in, sperm, tperm, kept, contracted,
-         tkept) in plan.steps:
+    steps = prog.steps
+    if steps:
+        # the first vertex takes no wire from another vertex: its tensor,
+        # with its den and bound, is the state after the first step
+        mat = matrices[steps[0].name]
+        state, den, top = mat._num.reshape(steps[0].out), mat._den, mat._top
+    else:
+        state, den, top = np.array(1, dtype=np.int64), 1, 1
+    for (_, name, _, view, tperm, sperm, left, right, out,
+         terms) in steps[1:]:
         mat = matrices[name]
         t = mat._num
-        if tperm is not None:
-            t = t.reshape((d,) * (n_out + n_in)).transpose(tperm)
+        if view is not None:
+            t = t.reshape(view).transpose(tperm)
         den *= mat._den
-        terms = d ** contracted
         state, t, top = _operands(state, top, t, mat._top, terms)
         if sperm is not None:
             state = state.transpose(sperm)
-        state = np.dot(state.reshape(d ** kept, terms),
-                       t.reshape(terms, d ** tkept))
-        state = state.reshape((d,) * (kept + tkept))
+        state = np.dot(state.reshape(left), t.reshape(right)).reshape(out)
 
     if plan.through:
         # a 0/1 factor keeps every entry's size (numpy promotes it to
@@ -557,9 +624,9 @@ def evaluate(e: PropElement, A: AlgebraAssignment,
         eye = np.identity(d, dtype=np.int64)
         for _ in range(plan.through):
             state = np.multiply.outer(state, eye)
-    if plan.perm:
+    if plan.perm is not None:
         state = state.transpose(plan.perm)
-    return RatTensor._of(state.reshape(d ** graph.n, d ** graph.m), den, top)
+    return RatTensor._of(state.reshape(prog.shape), den, top)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +690,13 @@ class TensorOps:
 # intertwiner checks
 
 def morphism_prop_membership(f: RatTensor, phiA: AlgebraAssignment,
-                             phiB: AlgebraAssignment, name: str) -> bool:
+                             phiB: AlgebraAssignment, name: str,
+                             max_entries: int | None = None) -> bool:
     """Whether f intertwines the two assignments on this generator:
-    f applied after phiA equals phiB applied after f, power by power."""
+    f applied after phiA equals phiB applied after f, power by power.
+    Before anything is allocated, both powers of f, d_B^k x d_A^k for
+    k = n and m, are held to `max_entries`; each product then has at
+    most as many entries as the larger power."""
     m, n = phiA.arity(name)
     if phiB.arity(name) != (m, n):
         raise GraphError(
@@ -633,6 +704,13 @@ def morphism_prop_membership(f: RatTensor, phiA: AlgebraAssignment,
     if f.shape != (phiB.dim, phiA.dim):
         raise GraphError(
             f"f has shape {f.shape}, wanted {(phiB.dim, phiA.dim)}")
+    cap = DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
+    for k in (n, m):
+        entries = (phiB.dim * phiA.dim) ** k
+        if entries > cap:
+            raise LimitError(
+                f"f^(x){k} has {entries} entries, cap is {cap} "
+                "(max_entries, --max-entries)")
     left = rt_dot(kron_power(f, n), phiA.matrices[name])
     right = rt_dot(phiB.matrices[name], kron_power(f, m))
     return left == right

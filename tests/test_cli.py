@@ -400,6 +400,43 @@ def test_map_applies_a_generator_assignment(tmp_path):
     assert element_from_dict(image) == element_from_dict(UNARY_CHAIN)
 
 
+def _vertex(vid: int, n_in: int, label: str) -> dict:
+    return {"id": vid, "in": n_in, "out": 1, "label": label}
+
+
+def test_map_routes_crossing_wires(tmp_path):
+    # b's inputs cross, so the layer-slicing route permutes the wires
+    sig = {"generators": [{"name": "a", "m": 1, "n": 1},
+                          {"name": "b", "m": 2, "n": 1}]}
+    elem = {"m": 2, "n": 1, "vertices": [_vertex(1, 2, "b"),
+                                         _vertex(2, 1, "a")],
+            "edges": [wire(["input", 1], ["vin", 1, 2]),
+                      wire(["input", 2], ["vin", 1, 1]),
+                      wire(["vout", 1, 1], ["vin", 2, 1]),
+                      wire(["vout", 2, 1], ["output", 1])]}
+    # b goes to a on its first input, then b with its inputs crossed
+    b_image = {"m": 2, "n": 1, "vertices": [_vertex(1, 1, "a"),
+                                            _vertex(2, 2, "b")],
+               "edges": [wire(["input", 1], ["vin", 1, 1]),
+                         wire(["vout", 1, 1], ["vin", 2, 2]),
+                         wire(["input", 2], ["vin", 2, 1]),
+                         wire(["vout", 2, 1], ["output", 1])]}
+    assignment = {"sig": sig, "assign": {"a": UNARY_ELEMENT, "b": b_image}}
+    rc, out, err = run("map", write_json(tmp_path / "e.json", elem),
+                       "--assignment",
+                       write_json(tmp_path / "assign.json", assignment))
+    assert rc == 0 and err == ""
+    want = {"m": 2, "n": 1,
+            "vertices": [_vertex(1, 2, "b"), _vertex(2, 1, "a"),
+                         _vertex(3, 1, "a")],
+            "edges": [wire(["input", 1], ["vin", 1, 1]),
+                      wire(["input", 2], ["vin", 3, 1]),
+                      wire(["vout", 1, 1], ["vin", 2, 1]),
+                      wire(["vout", 2, 1], ["output", 1]),
+                      wire(["vout", 3, 1], ["vin", 1, 2])]}
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
 def test_map_rejects_an_assign_field_that_is_not_an_object(tmp_path):
     assignment = {"sig": UNARY_SIG, "assign": []}
     rc, out, err = run("map", write_json(tmp_path / "e.json", UNARY_ELEMENT),
@@ -480,6 +517,37 @@ def test_check_morphism_accepts_an_intertwiner(tmp_path):
     rc, out, _ = run("check-morphism", "--f", eye, "--phiA", alg, "--phiB", alg)
     assert rc == 0
     assert json.loads(out) == {"generators": {"a": True}, "all": True}
+
+
+def test_check_morphism_names_its_own_cap_flags(tmp_path):
+    eye5 = [[str(int(i == j)) for j in range(5)] for i in range(5)]
+    alg = write_json(tmp_path / "alg5.json",
+                     {"dim": 5, "matrices": {"a": eye5}})
+    f5 = write_json(tmp_path / "f5.json", eye5)
+    argv = ["check-morphism", "--f", f5, "--phiA", alg, "--phiB", alg]
+    rc, out, err = run(*argv)
+    assert rc == 1 and out == ""
+    assert err == "error: dimension 5, cap is 4 (max_dim, --max-dim)\n"
+    assert_own_flag("check-morphism", err)
+    rc, out, _ = run(*argv, "--max-dim", "5")
+    assert rc == 0
+    assert json.loads(out) == {"generators": {"a": True}, "all": True}
+    # c: 1 -> 2 at d = 2 needs f^(x)2, 16 entries
+    alg = write_json(tmp_path / "alg2.json", {"dim": 2, "matrices": {
+        "c": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]}})
+    f2 = write_json(tmp_path / "f2.json", [["1", "0"], ["0", "1"]])
+    argv = ["check-morphism", "--f", f2, "--phiA", alg, "--phiB", alg]
+    rc, out, err = run(*argv, "--max-entries", "15")
+    assert rc == 1 and out == ""
+    assert err == ("error: f^(x)2 has 16 entries, cap is 15 "
+                   "(max_entries, --max-entries)\n")
+    assert_own_flag("check-morphism", err)
+    rc, out, _ = run(*argv, "--max-entries", "16")
+    assert rc == 0 and json.loads(out)["all"] is True
+    for flag in ("--max-dim", "--max-entries"):
+        rc, out, err = run(*argv, flag, "0")
+        assert rc == 2 and out == ""
+        assert err == f"error: {flag} must be at least 1, got 0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +910,23 @@ _MIXED_FILES = ["atom-2^70", "atom-2^70-vertex-in-2^70"]
 def _cap_address_space() -> None:
     cap = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_check_morphism_caps_the_powers_of_f_under_a_memory_cap(tmp_path):
+    # a one-column matrix of 2**14 rows: arity (0, 14), so f^(x)14 would
+    # be 2**14 x 2**14 entries
+    alg = write_json(tmp_path / "alg.json",
+                     {"dim": 2, "matrices": {"a": [["1"]] * 2 ** 14}})
+    f = write_json(tmp_path / "f.json", [["1", "0"], ["0", "1"]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "propcalc.cli", "check-morphism", "--f", f,
+         "--phiA", alg, "--phiB", alg],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space, env=CHILD_ENV)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: f^(x)14 has 268435456 entries, cap is "
+                           "4194304 (max_entries, --max-entries)\n")
+    assert_own_flag("check-morphism", proc.stderr)
 
 
 @pytest.mark.parametrize(

@@ -523,21 +523,131 @@ def test_one_plan_per_element_at_every_dimension(monkeypatch):
         return compile_plan(*args)
 
     monkeypatch.setattr(tensor, "_compile", counted)
+    programs = []
+    build_program = tensor._program
+
+    def counted_program(plan, d):
+        programs.append(d)
+        return build_program(plan, d)
+
+    monkeypatch.setattr(tensor, "_program", counted_program)
     elements = [rand_element(rng, m, n) for m, n in
                 ((1, 1), (2, 1), (1, 2), (2, 2), (0, 0))]
     assigns = {d: (rand_assignment(rng, d), rand_assignment(rng, d))
                for d in (2, 3, 4)}
-    for _ in range(2):
+    for sweep in range(2):
         for e in elements:
             for A, B in assigns.values():
                 evaluate(e, A)
                 evaluate(e, B)
+        # one program per element and dimension, none rebuilt
+        assert sorted(programs) == sorted([2, 3, 4] * len(elements)), sweep
     assert len(calls) == len(elements)
-    # an explicit order is planned apart, on every call
+    for e in elements:
+        assert sorted(vars(e)["_plan"].programs) == [2, 3, 4]
+    # an explicit order is planned apart, on every call, with its program
     e = elements[0]
     for _ in range(2):
         evaluate(e, assigns[2][0], order=list(e.graph.vertex_ids))
     assert len(calls) == len(elements) + 2
+    assert len(programs) == 3 * len(elements) + 2
+
+
+def test_the_first_vertex_starts_the_state_exactly():
+    # the state starts as the first vertex's tensor, with its den and
+    # bound, and not as that tensor times 1: an object first matrix, an
+    # element with no vertex and one with through wires each agree with
+    # the layer-slicing route, with programs at each d used in turn
+    rng = random.Random(45)
+    crossed = pelem_permute_outputs(identity_element(2), (2, 1))
+    beside = pelem_permute_outputs(
+        pelem_hcompose(corolla(SIG, "a"), identity_element(1)), (2, 1))
+    through = pelem_hcompose(identity_element(1), corolla(SIG, "b"))
+    chain = pelem_vcompose(pelem_vcompose(corolla(SIG, "a"),
+                                          corolla(SIG, "c")),
+                           corolla(SIG, "b"))
+    elements = [corolla(SIG, "a"), chain, beside, through, crossed,
+                identity_element(0), identity_element(2)]
+    assert all(tensor._default_plan(e).steps[0][1] == "a"
+               for e in (elements[0], chain, beside))
+    cases = {}
+    for d in (2, 3, 4):
+        small = rand_assignment(rng, d)
+        # numerators past 2**63 in the first vertex's matrix
+        huge = RatTensor([[F(2 ** 70 + rng.randint(-9, 9), rng.randint(1, 3))
+                           for _ in range(d)] for _ in range(d)])
+        big = AlgebraAssignment.build(d, dict(small.matrices, a=huge), SIG)
+        assert huge._num.dtype == object
+        ops = TensorOps(d)
+        cases[d] = [(A, extend_morphism(SIG, ops.of_assignment(A, SIG), ops))
+                    for A in (small, big)]
+    for d in (2, 3, 4, 3, 2, 4):
+        for A, phi in cases[d]:
+            for e in elements:
+                assert evaluate(e, A) == phi(e).tensor, (d, e)
+            got = evaluate(elements[0], A)
+            assert got == A.matrices["a"]
+            assert got._num.dtype == A.matrices["a"]._num.dtype
+            assert evaluate(crossed, A) == \
+                RatTensor(permutation_matrix([2, 1], d))
+
+
+class CountingOps(TensorOps):
+    """TensorOps that counts the calls made on it."""
+
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self.calls: dict[str, int] = {}
+
+    def _count(self, name: str) -> None:
+        self.calls[name] = self.calls.get(name, 0) + 1
+
+    def identity(self, n):
+        self._count("identity")
+        return super().identity(n)
+
+    def hcompose(self, a, b):
+        self._count("hcompose")
+        return super().hcompose(a, b)
+
+    def vcompose(self, top, bottom):
+        self._count("vcompose")
+        return super().vcompose(top, bottom)
+
+    def permute_outputs(self, a, w):
+        self._count("permute_outputs")
+        return super().permute_outputs(a, w)
+
+
+def test_routing_permutes_outputs_without_a_grafted_layer():
+    rng = random.Random(57)
+    A = rand_assignment(rng, 2)
+    ops = CountingOps(2)
+    phi = extend_morphism(SIG, ops.of_assignment(A, SIG), ops)
+    # the vertex's inputs cross: routed before it
+    crossed_in = pelem_permute_inputs(corolla(SIG, "b"), (2, 1))
+    # a vertex beside a wire, outputs crossed: routed after it
+    beside = pelem_permute_outputs(
+        pelem_hcompose(corolla(SIG, "a"), identity_element(1)), (2, 1))
+    crossed = pelem_permute_outputs(identity_element(2), (2, 1))
+    for e, want in (
+            (crossed_in, {"identity": 1, "permute_outputs": 1,
+                          "vcompose": 1}),
+            (beside, {"identity": 2, "hcompose": 1, "vcompose": 1,
+                      "permute_outputs": 1}),
+            (crossed, {"identity": 1, "permute_outputs": 1})):
+        ops.calls.clear()
+        assert phi(e).tensor == evaluate(e, A)
+        assert ops.calls == want
+    # in general: one vcompose per vertex, and an identity only to start
+    # and beside a vertex
+    for _ in range(30):
+        m, n = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2), (0, 0)])
+        e = rand_element(rng, m, n)
+        ops.calls.clear()
+        assert phi(e).tensor == evaluate(e, A)
+        assert ops.calls.get("vcompose", 0) == len(e.graph.vertices)
+        assert ops.calls["identity"] == 1 + ops.calls.get("hcompose", 0)
 
 
 def test_equal_elements_built_apart_evaluate_equal():
